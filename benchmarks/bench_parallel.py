@@ -16,9 +16,11 @@ Measures what the parallel layer claims and what it must not break:
    and must cost <2% over the direct path.
 4. **Experiment grids**: ``run_experiment(n_jobs=...)`` error grids must
    be bitwise identical across worker counts.
-5. **Kernel microbench**: compiled vs reference CSR kernels,
-   single-threaded and bitwise-checked; when the extension is built the
-   compiled ``matvec``/``matmat`` must be ≥1.5× the reference.
+5. **Kernel microbench**: compiled vs reference CSR kernels
+   (``matvec``, ``rmatvec``, ``matmat``, ``rmatmat``, first
+   ``transpose``), single-threaded and bitwise-checked; when the
+   extension is built the compiled ``matvec``/``matmat`` must be ≥1.5×
+   the reference.
 
 Speedups are recorded together with the provenance block
 (``cpu_count``/``kernel_backend``/``gates_enforced``) — on a
@@ -182,30 +184,45 @@ def run_kernel_microbench(case, repeats, min_speedup=MIN_KERNEL_SPEEDUP):
     Records per-kernel best-of times for both backends; when the
     compiled extension is importable, asserts its raison d'être —
     ``matvec`` and ``matmat`` at least ``min_speedup``× the reference
-    (``rmatvec`` is recorded; its scatter loop tracks matvec closely).
+    (``rmatvec``, ``rmatmat`` and ``transpose`` are recorded).
+    ``rmatmat`` reuses the cached transpose (its first call builds it;
+    best-of drops that call); ``transpose`` times the first ``.T`` of a
+    fresh matrix, which is what a fit pays once.
     """
     matrix = make_problem(case["m"], case["n"], case["row_nnz"])
     rng = np.random.default_rng(3)
     v = rng.standard_normal(case["n"])
     u = rng.standard_normal(case["m"])
     B = rng.standard_normal((case["n"], 5))
+    U = rng.standard_normal((case["m"], 5))
     matrix.rmatvec(u)  # build the transpose/segment caches up front
 
+    def first_transpose():
+        fresh = CSRMatrix(
+            matrix.data, matrix.indices, matrix.indptr, matrix.shape
+        )
+        transpose = fresh.T
+        return transpose.data, transpose.indices, transpose.indptr
+
+    names = ("matvec", "rmatvec", "matmat", "rmatmat", "transpose")
     backends = ("reference",) + (
         ("compiled",) if kernels.compiled_available() else ()
     )
     times, outputs = {}, {}
     for backend in backends:
         with kernels.use_backend(backend):
-            mv = best_of(repeats, lambda: kernels.csr_matvec(matrix, v))
-            rmv = best_of(repeats, lambda: kernels.csr_rmatvec(matrix, u))
-            mm = best_of(repeats, lambda: kernels.csr_matmat(matrix, B))
+            runs = (
+                best_of(repeats, lambda: kernels.csr_matvec(matrix, v)),
+                best_of(repeats, lambda: kernels.csr_rmatvec(matrix, u)),
+                best_of(repeats, lambda: kernels.csr_matmat(matrix, B)),
+                best_of(repeats, lambda: kernels.csr_rmatmat(matrix, U)),
+                best_of(repeats, first_transpose),
+            )
         times[backend] = {
-            "matvec_seconds": mv[0],
-            "rmatvec_seconds": rmv[0],
-            "matmat_seconds": mm[0],
+            f"{name}_seconds": seconds
+            for name, (seconds, _) in zip(names, runs)
         }
-        outputs[backend] = (mv[1], rmv[1], mm[1])
+        outputs[backend] = [value for _, value in runs]
 
     section = {
         **case,
@@ -217,11 +234,14 @@ def run_kernel_microbench(case, repeats, min_speedup=MIN_KERNEL_SPEEDUP):
     }
     if kernels.compiled_available():
         for name, ref, comp in zip(
-            ("matvec", "rmatvec", "matmat"),
-            outputs["reference"],
-            outputs["compiled"],
+            names, outputs["reference"], outputs["compiled"]
         ):
-            assert ref.tobytes() == comp.tobytes(), (
+            same = (
+                all(r.tobytes() == c.tobytes() for r, c in zip(ref, comp))
+                if name == "transpose"
+                else ref.tobytes() == comp.tobytes()
+            )
+            assert same, (
                 f"kernel backends diverged bitwise on {name} in the "
                 "microbench"
             )
@@ -230,7 +250,7 @@ def run_kernel_microbench(case, repeats, min_speedup=MIN_KERNEL_SPEEDUP):
                 times["reference"][f"{name}_seconds"]
                 / times["compiled"][f"{name}_seconds"]
             )
-            for name in ("matvec", "rmatvec", "matmat")
+            for name in names
         }
         section["speedup"] = speedups
         for name in ("matvec", "matmat"):
@@ -376,9 +396,10 @@ def main(argv=None):
     for backend_name, entry in micro["backends"].items():
         print(
             f"  kernels[{backend_name}]: "
-            f"matvec {entry['matvec_seconds'] * 1e3:.3f}ms  "
-            f"rmatvec {entry['rmatvec_seconds'] * 1e3:.3f}ms  "
-            f"matmat {entry['matmat_seconds'] * 1e3:.3f}ms"
+            + "  ".join(
+                f"{key[: -len('_seconds')]} {seconds * 1e3:.3f}ms"
+                for key, seconds in entry.items()
+            )
         )
     if "speedup" in micro:
         print(

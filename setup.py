@@ -25,7 +25,10 @@ if numpy is not None:
         include_dirs=[numpy.get_include()],
         # -O3 but NOT -ffast-math: the bitwise contract with the numpy
         # reference forbids reassociation of the accumulation order.
-        extra_compile_args=["-O3"],
+        # -ffp-contract=off: the reference rounds every product before
+        # adding it, so ``acc += a * b`` must not become an FMA (GCC
+        # contracts by default once CFLAGS enable FMA, e.g. -march=native).
+        extra_compile_args=["-O3", "-ffp-contract=off"],
         optional=True,
     )
     ext_modules.append(csr_kernels)

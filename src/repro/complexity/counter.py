@@ -25,7 +25,11 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.linalg.operators import LinearOperator
+from repro.linalg.operators import (
+    AppendOnesOperator,
+    CenteringOperator,
+    LinearOperator,
+)
 from repro.linalg.sparse import CSRMatrix
 from repro.observability.metrics import MetricsRegistry
 
@@ -42,6 +46,9 @@ class FlamCountingOperator(LinearOperator):
     increments the ``metric`` counter there, so flam lands in the same
     trace as the wall-time spans (the observability contract: time and
     flam in one record stream).
+
+    Without an explicit ``nnz`` the price per column is
+    :func:`operator_nnz` of ``base``.
     """
 
     def __init__(
@@ -54,13 +61,7 @@ class FlamCountingOperator(LinearOperator):
         super().__init__()
         self.base = base
         self.shape = base.shape
-        if nnz is None:
-            matrix = getattr(base, "matrix", None)
-            if isinstance(matrix, CSRMatrix):
-                nnz = matrix.nnz
-            else:
-                nnz = self.shape[0] * self.shape[1]
-        self.nnz = int(nnz)
+        self.nnz = operator_nnz(base) if nnz is None else int(nnz)
         self.flam = 0
         self._flam_lock = threading.Lock()
         self._counter = (
@@ -104,6 +105,26 @@ class FlamCountingOperator(LinearOperator):
         """Zero the accumulated flam (and the product counters)."""
         self.flam = 0
         self.reset_counts()
+
+
+def operator_nnz(op: LinearOperator) -> int:
+    """Entries one column of a product with ``op`` multiplies.
+
+    A CSR-backed operator (``CSROperator``, a CSR ``ShardedOperator``)
+    costs its stored entries.  The structural wrappers the SRDA fit
+    solves with see through to the data: ``[X | 1]`` adds the ``m``
+    entries of its ones column, and centering adds none (its rank-one
+    correction is vector work, like LSQR's own updates).  Any other
+    operator is charged as dense, ``m·n``.
+    """
+    if isinstance(op, AppendOnesOperator):
+        return operator_nnz(op.base) + op.shape[0]
+    if isinstance(op, CenteringOperator):
+        return operator_nnz(op.base)
+    matrix = getattr(op, "matrix", None)
+    if isinstance(matrix, CSRMatrix):
+        return matrix.nnz
+    return op.shape[0] * op.shape[1]
 
 
 def loglog_slope(sizes: Sequence[float], times: Sequence[float]) -> float:

@@ -26,6 +26,7 @@ from repro._typing import FloatArray
 
 from repro.core.estimator import ReproEstimator
 from repro.exceptions import ReproError
+from repro.linalg import kernels
 from repro.linalg.sparse import CSRMatrix, is_sparse
 from repro.robustness import RobustnessWarning
 
@@ -216,7 +217,7 @@ class LinearEmbedder(ReproEstimator):
         dtype = working_dtype(X)
         components = np.asarray(self.components_, dtype=dtype)
         if isinstance(X, CSRMatrix):
-            Z = X.matmat(components)
+            Z = kernels.csr_matmat(X, components)
         elif is_sparse(X):
             Z = np.asarray(X @ components)
         else:

@@ -15,9 +15,34 @@
  *   numpy's pairwise algorithm (8-accumulator blocks up to 128
  *   elements, then recursive halving on 8-aligned splits).  The
  *   structure below is a faithful port of numpy's ``pairwise_sum_@TYPE@``
- *   (numpy/_core/src/umath/loops.c.src); the tests assert bit equality
- *   against the live numpy, so a silent ordering change in either
- *   implementation fails loudly.
+ *   (numpy/_core/src/umath/loops_utils.h.src); the tests assert bit
+ *   equality against the live numpy, so a silent ordering change in
+ *   either implementation fails loudly.  Sums of fewer than 8 terms
+ *   start from a seed zero whose sign numpy has changed across
+ *   releases (-0.0 keeps an all-negative-zero sum negative); the
+ *   dispatcher reads the live numpy's sign once at import and hands it
+ *   over through ``set_pairwise_seed``.
+ * - Products are rounded before they are added, as numpy's separate
+ *   multiply and add ufuncs round them.  The build passes
+ *   ``-ffp-contract=off`` so no compiler fuses ``acc += a * b`` into an
+ *   FMA, which would skip that rounding.
+ *
+ * Block products (``matmat``; ``rmatmat`` runs it on the transpose)
+ * read the CSR matrix once per product, not once per operand column.
+ * The operand block is row-major, so the ``k`` values a stored entry
+ * multiplies sit in one contiguous run; each row then runs the
+ * reduceat tree above in all ``k`` lanes at once, streaming products
+ * straight into the 8-accumulator blocks.  Every lane sees exactly the
+ * rounding sequence of a per-column sweep, so the result is the same
+ * bits.  Lanes are processed in column panels of at most
+ * ``MM_PANEL`` (32) columns, which bounds the stack accumulators
+ * (8 x 32 values, plus 32 per level of the recursive split) for any
+ * block width; a block wider than one panel reads the matrix once
+ * per panel.  The output block stays Fortran-ordered, as the reference
+ * returns it.
+ *
+ * ``csr_transpose`` is a stable counting sort by column, O(nnz + m + n),
+ * that produces the same arrays as the reference's stable argsort.
  *
  * All inner loops run between Py_BEGIN_ALLOW_THREADS /
  * Py_END_ALLOW_THREADS — no Python objects are touched inside — which
@@ -25,9 +50,9 @@
  * where the numpy kernels serialize on the GIL.
  *
  * The Python-side dispatcher (repro.linalg.kernels) owns all
- * validation and dtype/contiguity normalization; this module only
- * asserts what it relies on (dtype match, contiguity, 1-D/2-D rank)
- * and raises ValueError otherwise.
+ * validation, allocation and dtype/layout normalization; this module
+ * only asserts what it relies on (dtype match, contiguity, 1-D/2-D
+ * rank) and raises ValueError otherwise.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -42,12 +67,16 @@
 
 #define PW_BLOCKSIZE 128
 
+/* Seed of the short (< 8 term) pairwise sums; set by set_pairwise_seed
+ * to the live numpy's choice before any kernel runs. */
+static npy_double pairwise_seed = -0.0;
+
 #define DEFINE_PAIRWISE(T, SUF)                                          \
     static T pairwise_sum_##SUF(const T *a, npy_intp n)                  \
     {                                                                    \
         if (n < 8) {                                                     \
             npy_intp i;                                                  \
-            T res = (T)0.0;                                              \
+            T res = (T)pairwise_seed;                                    \
             for (i = 0; i < n; i++) {                                    \
                 res += a[i];                                             \
             }                                                            \
@@ -234,36 +263,157 @@ reduce_adjoint_scatter_f64(const npy_int64 *indices,
 DEFINE_REDUCE_ADJOINT_SEGMENTS(npy_double, f64)
 DEFINE_REDUCE_ADJOINT_SEGMENTS(npy_float, f32)
 
-/* A @ B for a dense F-ordered block: one reduceat-order column sweep
- * per output column, fused gather-multiply into a small scratch.
- * Column base pointers advance by the block's column stride (ldb/ldo),
- * matching the reference's per-column ``out[:, j] = reduceat(...)``. */
+/* A @ B, one pass over the matrix.  ``B`` is row-major (row stride
+ * ``ldb``); ``out`` is Fortran-ordered (column stride ``ldo``).  For
+ * each panel of at most MM_PANEL columns, every row computes
+ * ``seg[0] + pairwise_sum(seg[1:])`` of its products in all panel
+ * lanes at once; ``pairwise_rows`` is ``pairwise_sum`` with each
+ * scalar widened to ``kp`` lanes and each element the product
+ * ``data[i] * B[indices[i], :]``, computed where it is consumed. */
+#define MM_PANEL 32
+
 #define DEFINE_MATMAT(T, SUF)                                            \
+    static void pairwise_rows_##SUF(                                     \
+        const T *data, const npy_int64 *indices, npy_intp n,             \
+        const T *B, npy_intp ldb, npy_intp kp, T *res)                   \
+    {                                                                    \
+        npy_intp i, j, q;                                                \
+        if (n < 8) {                                                     \
+            for (j = 0; j < kp; j++) {                                   \
+                res[j] = (T)pairwise_seed;                               \
+            }                                                            \
+            for (i = 0; i < n; i++) {                                    \
+                const T d = data[i];                                     \
+                const T *b = B + indices[i] * ldb;                       \
+                for (j = 0; j < kp; j++) {                               \
+                    res[j] += d * b[j];                                  \
+                }                                                        \
+            }                                                            \
+        }                                                                \
+        else if (n <= PW_BLOCKSIZE) {                                    \
+            T r[8][MM_PANEL];                                            \
+            for (q = 0; q < 8; q++) {                                    \
+                const T d = data[q];                                     \
+                const T *b = B + indices[q] * ldb;                       \
+                for (j = 0; j < kp; j++) {                               \
+                    r[q][j] = d * b[j];                                  \
+                }                                                        \
+            }                                                            \
+            for (i = 8; i < n - (n % 8); i += 8) {                       \
+                for (q = 0; q < 8; q++) {                                \
+                    const T d = data[i + q];                             \
+                    const T *b = B + indices[i + q] * ldb;               \
+                    for (j = 0; j < kp; j++) {                           \
+                        r[q][j] += d * b[j];                             \
+                    }                                                    \
+                }                                                        \
+            }                                                            \
+            for (j = 0; j < kp; j++) {                                   \
+                res[j] = ((r[0][j] + r[1][j]) + (r[2][j] + r[3][j])) +   \
+                         ((r[4][j] + r[5][j]) + (r[6][j] + r[7][j]));    \
+            }                                                            \
+            for (; i < n; i++) {                                         \
+                const T d = data[i];                                     \
+                const T *b = B + indices[i] * ldb;                       \
+                for (j = 0; j < kp; j++) {                               \
+                    res[j] += d * b[j];                                  \
+                }                                                        \
+            }                                                            \
+        }                                                                \
+        else {                                                           \
+            T right[MM_PANEL];                                           \
+            npy_intp n2 = n / 2;                                         \
+            n2 -= n2 % 8;                                                \
+            pairwise_rows_##SUF(data, indices, n2, B, ldb, kp, res);     \
+            pairwise_rows_##SUF(data + n2, indices + n2, n - n2, B, ldb, \
+                                kp, right);                              \
+            for (j = 0; j < kp; j++) {                                   \
+                res[j] = res[j] + right[j];                              \
+            }                                                            \
+        }                                                                \
+    }                                                                    \
+                                                                         \
     static void matmat_##SUF(                                            \
         const T *data, const npy_int64 *indices, const npy_int64 *indptr,\
         npy_intp n_rows, npy_intp n_cols_B, const T *B, npy_intp ldb,    \
-        T *out, npy_intp ldo, T *scratch)                                \
+        T *out, npy_intp ldo)                                            \
     {                                                                    \
-        npy_intp j, r;                                                   \
-        for (j = 0; j < n_cols_B; j++) {                                 \
-            const T *Bj = B + j * ldb;                                   \
-            T *outj = out + j * ldo;                                     \
+        npy_intp j0, j, r;                                               \
+        for (j0 = 0; j0 < n_cols_B; j0 += MM_PANEL) {                    \
+            const npy_intp kp = (n_cols_B - j0 < MM_PANEL)               \
+                                    ? n_cols_B - j0 : MM_PANEL;          \
+            const T *Bp = B + j0;                                        \
+            T *outp = out + j0 * ldo;                                    \
             for (r = 0; r < n_rows; r++) {                               \
-                npy_int64 i, start = indptr[r], end = indptr[r + 1];     \
-                npy_intp len = (npy_intp)(end - start), t = 0;           \
+                npy_int64 start = indptr[r];                             \
+                npy_intp len = (npy_intp)(indptr[r + 1] - start);        \
+                T acc[MM_PANEL];                                         \
+                T d0;                                                    \
+                const T *b0;                                             \
                 if (len == 0) {                                          \
+                    continue; /* empty rows stay zero */                 \
+                }                                                        \
+                d0 = data[start];                                        \
+                b0 = Bp + indices[start] * ldb;                          \
+                if (len == 1) {                                          \
+                    for (j = 0; j < kp; j++) {                           \
+                        outp[j * ldo + r] = d0 * b0[j];                  \
+                    }                                                    \
                     continue;                                            \
                 }                                                        \
-                for (i = start; i < end; i++, t++) {                     \
-                    scratch[t] = data[i] * Bj[indices[i]];               \
+                pairwise_rows_##SUF(data + start + 1,                    \
+                                    indices + start + 1, len - 1, Bp,    \
+                                    ldb, kp, acc);                       \
+                for (j = 0; j < kp; j++) {                               \
+                    outp[j * ldo + r] = d0 * b0[j] + acc[j];             \
                 }                                                        \
-                outj[r] = segment_reduce_##SUF(scratch, len);            \
             }                                                            \
         }                                                                \
     }
 
 DEFINE_MATMAT(npy_double, f64)
 DEFINE_MATMAT(npy_float, f32)
+
+/* Transpose as a stable counting sort by column, O(nnz + n_rows +
+ * n_cols): entries keep storage order within each column, exactly the
+ * reference's stable argsort.  ``t_indptr`` (n_cols + 1) first counts,
+ * then serves as the write cursor of each column, then is shifted back
+ * into row pointers. */
+#define DEFINE_TRANSPOSE(T, SUF)                                         \
+    static void transpose_##SUF(                                         \
+        const T *data, const npy_int64 *indices, const npy_int64 *indptr,\
+        npy_intp n_rows, npy_intp n_cols, T *t_data,                     \
+        npy_int64 *t_indices, npy_int64 *t_indptr)                       \
+    {                                                                    \
+        npy_intp r, c;                                                   \
+        npy_int64 i, nnz = indptr[n_rows], start = 0;                    \
+        for (c = 0; c <= n_cols; c++) {                                  \
+            t_indptr[c] = 0;                                             \
+        }                                                                \
+        for (i = 0; i < nnz; i++) {                                      \
+            t_indptr[indices[i]]++;                                      \
+        }                                                                \
+        for (c = 0; c < n_cols; c++) {                                   \
+            npy_int64 count = t_indptr[c];                               \
+            t_indptr[c] = start;                                         \
+            start += count;                                              \
+        }                                                                \
+        for (r = 0; r < n_rows; r++) {                                   \
+            for (i = indptr[r]; i < indptr[r + 1]; i++) {                \
+                npy_int64 dest = t_indptr[indices[i]]++;                 \
+                t_indices[dest] = (npy_int64)r;                          \
+                t_data[dest] = data[i];                                  \
+            }                                                            \
+        }                                                                \
+        /* each cursor now sits at its column's end: shift right */      \
+        for (c = n_cols; c > 0; c--) {                                   \
+            t_indptr[c] = t_indptr[c - 1];                               \
+        }                                                                \
+        t_indptr[0] = 0;                                                 \
+    }
+
+DEFINE_TRANSPOSE(npy_double, f64)
+DEFINE_TRANSPOSE(npy_float, f32)
 
 /* ------------------------------------------------------------------ */
 /* Argument helpers                                                    */
@@ -689,10 +839,10 @@ py_csr_matmat(PyObject *self, PyObject *args)
         return NULL;
     }
     if (PyArray_TYPE(B) != typenum || PyArray_NDIM(B) != 2 ||
-        !PyArray_IS_F_CONTIGUOUS(B)) {
+        !PyArray_IS_C_CONTIGUOUS(B)) {
         PyErr_SetString(PyExc_ValueError,
-                        "B must be a Fortran-contiguous 2-D block of the "
-                        "data dtype");
+                        "B must be a C-contiguous (row-major) 2-D block of "
+                        "the data dtype");
         return NULL;
     }
     if (PyArray_TYPE(out) != typenum || PyArray_NDIM(out) != 2 ||
@@ -713,46 +863,98 @@ py_csr_matmat(PyObject *self, PyObject *args)
     {
         const npy_int64 *ind = (const npy_int64 *)PyArray_DATA(indices);
         const npy_int64 *ip = (const npy_int64 *)PyArray_DATA(indptr);
-        npy_intp ldb = PyArray_DIM(B, 0);
+        npy_intp ldb = k;
         npy_intp ldo = n_rows;
-        npy_intp cap = max_segment(ip, n_rows);
-        int failed = 0;
         if (typenum == NPY_DOUBLE) {
             const npy_double *d = (const npy_double *)PyArray_DATA(data);
             const npy_double *b = (const npy_double *)PyArray_DATA(B);
             npy_double *o = (npy_double *)PyArray_DATA(out);
-            npy_double *scratch =
-                (npy_double *)malloc((size_t)cap * sizeof(npy_double));
-            if (scratch == NULL) {
-                failed = 1;
-            }
-            else {
-                Py_BEGIN_ALLOW_THREADS
-                matmat_f64(d, ind, ip, n_rows, k, b, ldb, o, ldo, scratch);
-                Py_END_ALLOW_THREADS
-                free(scratch);
-            }
+            Py_BEGIN_ALLOW_THREADS
+            matmat_f64(d, ind, ip, n_rows, k, b, ldb, o, ldo);
+            Py_END_ALLOW_THREADS
         }
         else {
             const npy_float *d = (const npy_float *)PyArray_DATA(data);
             const npy_float *b = (const npy_float *)PyArray_DATA(B);
             npy_float *o = (npy_float *)PyArray_DATA(out);
-            npy_float *scratch =
-                (npy_float *)malloc((size_t)cap * sizeof(npy_float));
-            if (scratch == NULL) {
-                failed = 1;
-            }
-            else {
-                Py_BEGIN_ALLOW_THREADS
-                matmat_f32(d, ind, ip, n_rows, k, b, ldb, o, ldo, scratch);
-                Py_END_ALLOW_THREADS
-                free(scratch);
-            }
-        }
-        if (failed) {
-            return PyErr_NoMemory();
+            Py_BEGIN_ALLOW_THREADS
+            matmat_f32(d, ind, ip, n_rows, k, b, ldb, o, ldo);
+            Py_END_ALLOW_THREADS
         }
     }
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+py_csr_transpose(PyObject *self, PyObject *args)
+{
+    PyArrayObject *data, *indices, *indptr, *t_data, *t_indices, *t_indptr;
+    npy_intp n_rows, n_cols, nnz;
+    int typenum;
+
+    if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!", &PyArray_Type, &data,
+                          &PyArray_Type, &indices, &PyArray_Type, &indptr,
+                          &PyArray_Type, &t_data, &PyArray_Type, &t_indices,
+                          &PyArray_Type, &t_indptr)) {
+        return NULL;
+    }
+    typenum = PyArray_TYPE(data);
+    if (typenum != NPY_DOUBLE && typenum != NPY_FLOAT) {
+        PyErr_SetString(PyExc_ValueError, "data must be float32 or float64");
+        return NULL;
+    }
+    if (!check_array(data, typenum, 1, "data") ||
+        !check_array(indices, NPY_INT64, 1, "indices") ||
+        !check_array(indptr, NPY_INT64, 1, "indptr") ||
+        !check_array(t_data, typenum, 1, "t_data") ||
+        !check_array(t_indices, NPY_INT64, 1, "t_indices") ||
+        !check_array(t_indptr, NPY_INT64, 1, "t_indptr")) {
+        return NULL;
+    }
+    n_rows = PyArray_DIM(indptr, 0) - 1;
+    n_cols = PyArray_DIM(t_indptr, 0) - 1;
+    nnz = PyArray_DIM(data, 0);
+    if (n_rows < 0 || n_cols < 0 || PyArray_DIM(indices, 0) != nnz ||
+        PyArray_DIM(t_data, 0) != nnz || PyArray_DIM(t_indices, 0) != nnz) {
+        PyErr_SetString(PyExc_ValueError, "inconsistent kernel shapes");
+        return NULL;
+    }
+    {
+        const npy_int64 *ind = (const npy_int64 *)PyArray_DATA(indices);
+        const npy_int64 *ip = (const npy_int64 *)PyArray_DATA(indptr);
+        npy_int64 *t_ind = (npy_int64 *)PyArray_DATA(t_indices);
+        npy_int64 *t_ip = (npy_int64 *)PyArray_DATA(t_indptr);
+        if (typenum == NPY_DOUBLE) {
+            Py_BEGIN_ALLOW_THREADS
+            transpose_f64((const npy_double *)PyArray_DATA(data), ind, ip,
+                          n_rows, n_cols,
+                          (npy_double *)PyArray_DATA(t_data), t_ind, t_ip);
+            Py_END_ALLOW_THREADS
+        }
+        else {
+            Py_BEGIN_ALLOW_THREADS
+            transpose_f32((const npy_float *)PyArray_DATA(data), ind, ip,
+                          n_rows, n_cols,
+                          (npy_float *)PyArray_DATA(t_data), t_ind, t_ip);
+            Py_END_ALLOW_THREADS
+        }
+    }
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+py_set_pairwise_seed(PyObject *self, PyObject *args)
+{
+    double seed;
+
+    if (!PyArg_ParseTuple(args, "d", &seed)) {
+        return NULL;
+    }
+    if (seed != 0.0) {
+        PyErr_SetString(PyExc_ValueError, "the seed must be +0.0 or -0.0");
+        return NULL;
+    }
+    pairwise_seed = seed;
     Py_RETURN_NONE;
 }
 
@@ -776,8 +978,13 @@ static PyMethodDef csr_kernel_methods[] = {
      METH_VARARGS, "Adjoint reduction into a zeroed out via column "
      "segments, reduceat order."},
     {"csr_matmat", py_csr_matmat, METH_VARARGS,
-     "A @ B for F-contiguous B into a zeroed F-contiguous out, reduceat "
-     "order per column."},
+     "A @ B for C-contiguous B into a zeroed F-contiguous out, one pass "
+     "over A, reduceat order per column."},
+    {"csr_transpose", py_csr_transpose, METH_VARARGS,
+     "Transpose arrays by stable counting sort into caller-allocated "
+     "outputs."},
+    {"set_pairwise_seed", py_set_pairwise_seed, METH_VARARGS,
+     "Seed zero (+0.0 or -0.0) of pairwise sums shorter than 8 terms."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -796,6 +1003,10 @@ PyInit__csr_kernels(void)
     import_array();
     module = PyModule_Create(&csr_kernels_module);
     if (module == NULL) {
+        return NULL;
+    }
+    if (PyModule_AddIntConstant(module, "PANEL_WIDTH", MM_PANEL) < 0) {
+        Py_DECREF(module);
         return NULL;
     }
     return module;

@@ -25,7 +25,10 @@ reference uses ``np.bincount`` and numpy's pairwise order
 (``seg[0] + pairwise(seg[1:])``) where it uses ``np.add.reduceat`` —
 so the two backends are interchangeable at the bit level, not merely to
 rounding.  The parity suite (``tests/linalg/test_kernels.py``) asserts
-``tobytes()`` equality across dtypes and CSR corner cases.
+``tobytes()`` equality across dtypes and CSR corner cases.  The one bit
+outside the contract is the sign of a NaN made by adding two NaNs of
+opposite sign, which follows each compiled binary's operand order
+(numpy's included); such a result is NaN on both backends.
 
 **Selection.** Per call, the backend is the innermost of:
 
@@ -54,11 +57,11 @@ import threading
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro._typing import FloatArray
+from repro._typing import FloatArray, IntArray
 from repro.linalg.sparse import CSRMatrix, as_value_dtype
 
 __all__ = [
@@ -68,10 +71,12 @@ __all__ = [
     "compiled_available",
     "csr_adjoint_products",
     "csr_matmat",
+    "csr_matmat_operand",
     "csr_matvec",
     "csr_reduce_adjoint",
     "csr_rmatmat",
     "csr_rmatvec",
+    "csr_transpose",
     "requested_backend",
     "use_backend",
 ]
@@ -86,6 +91,13 @@ try:  # pragma: no cover - exercised via both CI legs, not branch counts
     from repro.linalg import _csr_kernels as _compiled
 except ImportError:  # pragma: no cover
     _compiled = None  # type: ignore[assignment]
+else:  # pragma: no cover
+    # numpy seeds pairwise sums of fewer than 8 terms with a zero whose
+    # sign differs across releases; seg[0] + pairwise(seg[1:]) of two
+    # negative zeros returns that seed, and the C port adopts it.
+    _compiled.set_pairwise_seed(
+        float(np.add.reduceat(np.array([-0.0, -0.0]), [0])[0])
+    )
 
 #: Innermost selection — survives into thread-backend workers because
 #: ThreadBackend copies the submitting context into each task.
@@ -360,11 +372,42 @@ def csr_reduce_adjoint(
     return target
 
 
+def csr_matmat_operand(matrix: CSRMatrix, B: FloatArray) -> FloatArray:
+    """``B`` in the layout the selected backend's block product reads.
+
+    Complexity: O(n·c) — at most one copying cast of the ``(n, c)``
+    operand; free when it already has the layout.
+
+    The compiled kernel reads the operand row-major (the ``c`` values a
+    stored entry multiplies sit together), the reference column by
+    column.  :func:`csr_matmat` converts its operand itself; a caller
+    that splits one product over several row blocks of ``matrix`` (the
+    sharded operator) converts once here, so no block pays the copy
+    again.  Values are unchanged: the cast is to the dtype the product
+    computes in anyway.
+    """
+    B = as_value_dtype(B)
+    if B.ndim != 2:
+        return B
+    dtype = np.result_type(matrix.data, B)
+    if (
+        active_backend() == "compiled"
+        and _storage_ok(matrix)
+        and dtype == matrix.dtype
+    ):
+        return np.ascontiguousarray(B, dtype=dtype)
+    return np.asfortranarray(B, dtype=dtype)
+
+
 def csr_matmat(matrix: CSRMatrix, B: FloatArray) -> FloatArray:
     """``A @ B`` for a dense block through the selected backend.
 
     Complexity: O(nnz·c) for a ``c``-column block — identical flam to
     ``c`` mat-vecs on either backend.
+
+    The compiled kernel reads the matrix once per product (once per
+    32-column panel on wider blocks) against a row-major copy of ``B``;
+    the result is Fortran-ordered on both backends.
     """
     B = as_value_dtype(B)
     if active_backend() != "compiled" or not _storage_ok(matrix):
@@ -379,17 +422,17 @@ def csr_matmat(matrix: CSRMatrix, B: FloatArray) -> FloatArray:
     dtype = np.result_type(matrix.data, B)
     if dtype != matrix.dtype:
         return matrix.matmat(B)
-    Bf = np.asfortranarray(B, dtype=dtype)
+    Bc = np.ascontiguousarray(B, dtype=dtype)
     out = np.zeros((matrix.shape[0], k), dtype=dtype, order="F")
-    _compiled.csr_matmat(matrix.data, matrix.indices, matrix.indptr, Bf, out)
+    _compiled.csr_matmat(matrix.data, matrix.indices, matrix.indptr, Bc, out)
     return out
 
 
 def csr_rmatmat(matrix: CSRMatrix, U: FloatArray) -> FloatArray:
     """``A.T @ U`` for a dense block through the selected backend.
 
-    Complexity: O(nnz·c) per call, plus the reference's one-time
-    O(nnz log nnz) transpose build, amortized over every later block.
+    Complexity: O(nnz·c) per call, plus the one-time transpose build
+    (:func:`csr_transpose`), amortized over every later block.
 
     Routed through the (lazily cached) transpose exactly as the
     reference is, so the forward sweep kernel — whichever backend — is
@@ -403,3 +446,27 @@ def csr_rmatmat(matrix: CSRMatrix, U: FloatArray) -> FloatArray:
     if U.shape[1] == 1:
         return csr_rmatvec(matrix, U[:, 0])[:, None]
     return csr_matmat(matrix.T, U)
+
+
+def csr_transpose(
+    matrix: CSRMatrix,
+) -> Tuple[FloatArray, IntArray, IntArray]:
+    """``(data, indices, indptr)`` of ``A.T`` through the selected backend.
+
+    Complexity: O(nnz + m + n) — a stable counting sort by column on
+    the compiled backend; the reference's stable argsort adds a
+    ``log nnz`` factor.
+
+    Both builds return the same bytes.  The compiled one allocates only
+    the three output arrays (through numpy) and fills none of the
+    matrix's cached column segments or row ids.
+    """
+    if active_backend() != "compiled" or not _storage_ok(matrix):
+        return matrix._transpose_arrays()
+    t_data = np.empty(matrix.nnz, dtype=matrix.dtype)
+    t_indices = np.empty(matrix.nnz, dtype=np.int64)
+    t_indptr = np.empty(matrix.shape[1] + 1, dtype=np.int64)
+    _compiled.csr_transpose(
+        matrix.data, matrix.indices, matrix.indptr, t_data, t_indices, t_indptr
+    )
+    return t_data, t_indices, t_indptr

@@ -24,8 +24,7 @@ axis-0 reduction over short ``k``-wide rows does not.  What the block
 kernels amortize across columns — and the single-shot
 ``matvec``/``rmatvec`` deliberately avoid paying for one product — is
 the cached segment structure: non-empty row starts for the forward
-sweep and a lazily cached transpose (``O(nnz log nnz)`` sort, built
-once) for ``rmatmat``.
+sweep and a lazily cached transpose (built once) for ``rmatmat``.
 
 Values are stored in float64 by default; float32 input is preserved
 end-to-end (products, row slicing, transposes) so memory-bound kernels
@@ -234,27 +233,40 @@ class CSRMatrix:
     def T(self) -> "CSRMatrix":
         """Transpose, returned as a CSR matrix.
 
-        Complexity: O(nnz log nnz) on the first call (the column sort);
-        O(1) afterwards.
+        Complexity: O(nnz + m + n) on the first call under the compiled
+        kernel backend (a counting sort; the reference argsort build is
+        O(nnz log nnz)); O(1) afterwards.
 
-        Cached after the first call (and back-linked, so ``A.T.T is A``):
-        ``rmatmat`` reuses it on every block product, and the stored
-        arrays are treated as immutable throughout the package.
+        Built by :func:`repro.linalg.kernels.csr_transpose`, whose
+        backends return the same bytes.  Cached after the first call
+        (and back-linked, so ``A.T.T is A``): ``rmatmat`` reuses it on
+        every block product, and the stored arrays are treated as
+        immutable throughout the package.
         """
         if self._transpose_cache is None:
-            n_rows, n_cols = self.shape
-            order, _, _ = self._col_segments
-            new_indices = self._row_ids[order]
-            new_data = self.data[order]
-            counts = np.bincount(self.indices, minlength=n_cols)
-            new_indptr = np.zeros(n_cols + 1, dtype=np.int64)
-            new_indptr[1:] = np.cumsum(counts)
+            # imported here: the kernels module imports this one
+            from repro.linalg.kernels import csr_transpose
+
+            data, indices, indptr = csr_transpose(self)
             transpose = CSRMatrix(
-                new_data, new_indices, new_indptr, (n_cols, n_rows)
+                data, indices, indptr, (self.shape[1], self.shape[0])
             )
             transpose._transpose_cache = self
             self._transpose_cache = transpose
         return self._transpose_cache
+
+    def _transpose_arrays(self) -> Tuple[FloatArray, IntArray, IntArray]:
+        """``(data, indices, indptr)`` of the transpose: the reference build.
+
+        A stable argsort of the column indices, so entries keep storage
+        order within each column.  This is the ground truth the compiled
+        counting sort is checked against.
+        """
+        order, _, _ = self._col_segments
+        counts = np.bincount(self.indices, minlength=self.shape[1])
+        indptr = np.zeros(self.shape[1] + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum(counts)
+        return self.data[order], self._row_ids[order], indptr
 
     def row_nnz(self) -> IntArray:
         """Number of non-zeros in each row (the paper's ``s`` statistic)."""
@@ -410,9 +422,8 @@ class CSRMatrix:
     def rmatmat(self, U: FloatArray) -> FloatArray:
         """Compute ``A.T @ U`` for a dense block ``U``.
 
-        Complexity: O(nnz·c) per call — plus a first-call
-        ``O(nnz log nnz)`` transpose build, amortized over every later
-        block product.
+        Complexity: O(nnz·c) per call — plus the first-call transpose
+        build (:attr:`T`), amortized over every later block product.
 
         Routed through the (lazily cached) transpose so it reuses the
         forward sweep kernel.

@@ -795,18 +795,35 @@ class ShardedOperator(LinearOperator):
         )
         return _ordered_fold(partials)
 
+    def _block_operand(self, B: FloatArray) -> FloatArray:
+        """``B`` laid out once, before fan-out, as the CSR kernels read it.
+
+        Every shard's forward product reads the whole operand, so a
+        per-shard conversion would copy it once per shard; adjoint
+        shards read contiguous row blocks of the converted operand.
+        """
+        if self._mode != "csr":
+            return B
+        assert self.matrix is not None
+        return kernels.csr_matmat_operand(self.matrix, B)
+
     def _matmat(self, B: FloatArray) -> FloatArray:
         if self._direct is not None:
             return self._direct.matmat(B)
         out_dtype = np.result_type(self.dtype, B.dtype)
         return self._run(
-            "matmat", B, (self.shape[0], B.shape[1]), out_dtype, order="F"
+            "matmat",
+            self._block_operand(B),
+            (self.shape[0], B.shape[1]),
+            out_dtype,
+            order="F",
         )
 
     def _rmatmat(self, U: FloatArray) -> FloatArray:
         if self._direct is not None:
             return self._direct.rmatmat(U)
         out_dtype = np.result_type(self.dtype, U.dtype)
+        U = self._block_operand(U)
         partials = self._run(
             "rmatmat",
             U,

@@ -6,10 +6,17 @@ import pytest
 from repro.complexity.counter import (
     FlamCountingOperator,
     loglog_slope,
+    operator_nnz,
     predicted_lsqr_flam,
 )
+from repro.core.srda import SRDA
 from repro.linalg.lsqr import lsqr
-from repro.linalg.operators import as_operator
+from repro.linalg.operators import (
+    AppendOnesOperator,
+    CenteringOperator,
+    CSROperator,
+    as_operator,
+)
 from repro.linalg.sparse import CSRMatrix
 
 
@@ -29,6 +36,41 @@ class TestFlamCounting:
         op = FlamCountingOperator(as_operator(csr))
         op.matvec(np.ones(6))
         assert op.flam == csr.nnz
+
+    def test_structural_wrappers_see_through_to_the_data(self, rng):
+        dense = rng.standard_normal((10, 6))
+        dense[dense < 0.8] = 0
+        csr = CSRMatrix.from_dense(dense)
+        base = as_operator(csr)
+        assert operator_nnz(AppendOnesOperator(base)) == csr.nnz + 10
+        assert operator_nnz(CenteringOperator(base)) == csr.nnz
+        assert operator_nnz(AppendOnesOperator(as_operator(dense))) == 70
+        op = FlamCountingOperator(AppendOnesOperator(base))
+        op.matmat(np.ones((7, 3)))
+        assert op.flam == 3 * (csr.nnz + 10)
+
+    def test_sparse_fit_charges_kernel_flam_plus_ones_column(
+        self, sparse_classification, monkeypatch
+    ):
+        """srda.flam on a sparse LSQR fit is the flam of the CSR products
+        the solve ran plus the m entries of the appended ones column."""
+        X, _, y = sparse_classification
+        columns = []
+        for name in ("_matvec", "_rmatvec", "_matmat", "_rmatmat"):
+            original = getattr(CSROperator, name)
+
+            def counted(self, x, _original=original):
+                columns.append(1 if x.ndim == 1 else x.shape[1])
+                return _original(self, x)
+
+            monkeypatch.setattr(CSROperator, name, counted)
+        model = SRDA(alpha=1.0, solver="lsqr", trace=True).fit(X, y)
+        assert not model.centered_
+        flam = model.tracer_.metrics.get_counter("srda.flam").value
+        kernel_flam = X.nnz * sum(columns)
+        ones_column = X.shape[0] * sum(columns)
+        assert sum(columns) > 0
+        assert flam == kernel_flam + ones_column
 
     def test_reset(self, rng):
         op = FlamCountingOperator(as_operator(rng.standard_normal((4, 3))))

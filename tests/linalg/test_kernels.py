@@ -23,6 +23,7 @@ from repro.linalg.kernels import (
     csr_reduce_adjoint,
     csr_rmatmat,
     csr_rmatvec,
+    csr_transpose,
     requested_backend,
     use_backend,
 )
@@ -156,6 +157,198 @@ class TestBitwiseParity:
         got = csr_matvec(matrix, v)
         want = matrix.matvec(v)
         assert got.tobytes() == want.tobytes()
+
+
+#: Column-panel width of the compiled block kernels (32 when unbuilt).
+PANEL = getattr(kernels._compiled, "PANEL_WIDTH", 32)
+
+#: Stored entries per row: empty, single, every short (< 8 term) sum,
+#: one 8-accumulator block with and without a tail, the last length
+#: before the recursive split, the first after it, and several levels
+#: of recursion.
+SEGMENT_LENGTHS = (0, 1, 2, 7, 8, 9, 128, 129, 1100)
+
+#: Block widths: small, one SIMD-width edge either side, the paper's
+#: news case (c - 1 = 19), and one and two panels past the first.
+BLOCK_WIDTHS = (2, 3, 16, 17, 19, PANEL + 1, 2 * PANEL + 3)
+
+
+def segment_matrix(dtype, n_cols=40, seed=11):
+    """Rows of exactly ``SEGMENT_LENGTHS`` stored entries, random columns
+    (so duplicates within a row occur)."""
+    rng = np.random.default_rng(seed)
+    lengths = np.asarray(SEGMENT_LENGTHS)
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(lengths)
+    nnz = int(indptr[-1])
+    return CSRMatrix(
+        rng.standard_normal(nnz).astype(dtype),
+        rng.integers(0, n_cols, nnz),
+        indptr,
+        (lengths.size, n_cols),
+    )
+
+
+def reference_rmatmat(matrix, U):
+    """``A.T @ U`` on the argsort-built transpose, under the reference
+    backend, independent of any transpose ``matrix`` has cached."""
+    data, indices, indptr = matrix._transpose_arrays()
+    transpose = CSRMatrix(data, indices, indptr, matrix.shape[::-1])
+    with use_backend("reference"):
+        return transpose.matmat(U)
+
+
+def laid_out(block, layout):
+    """``block`` as a C-ordered, F-ordered or non-contiguous array."""
+    if layout == "C":
+        return np.ascontiguousarray(block)
+    if layout == "F":
+        return np.asfortranarray(block)
+    padded = np.zeros((block.shape[0], 2 * block.shape[1]), block.dtype)
+    padded[:, ::2] = block
+    return padded[:, ::2]
+
+
+class TestOnePassBlockKernels:
+    """The one-pass block kernels against the reference, every segment
+    length and block width, bit for bit."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("k", BLOCK_WIDTHS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_block_products_bitwise(self, backend, dtype, k, layout):
+        matrix = segment_matrix(dtype)
+        rng = np.random.default_rng(k)
+        B = rng.standard_normal((matrix.shape[1], k)).astype(dtype)
+        U = rng.standard_normal((matrix.shape[0], k)).astype(dtype)
+        B[rng.random(B.shape) < 0.1] = -0.0
+        U[rng.random(U.shape) < 0.1] = -0.0
+        got = csr_matmat(matrix, laid_out(B, layout))
+        with use_backend("reference"):
+            want = matrix.matmat(B)
+        assert got.dtype == want.dtype and got.flags.f_contiguous
+        assert got.tobytes() == want.tobytes()
+        got = csr_rmatmat(matrix, laid_out(U, layout))
+        assert got.tobytes() == reference_rmatmat(matrix, U).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_negative_zero_sums(self, backend, dtype):
+        """Sums of negative zeros keep numpy's sign at every length."""
+        matrix = segment_matrix(dtype)
+        matrix.data[:] = np.abs(matrix.data)
+        B = np.full((matrix.shape[1], 19), -0.0, dtype=dtype)
+        B[:, 1] = 0.0
+        got = csr_matmat(matrix, B)
+        with use_backend("reference"):
+            want = matrix.matmat(B)
+        assert np.signbit(want[:, 0]).any()
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_inf_and_nan_entries(self, backend, dtype):
+        """``inf`` and ``nan`` in the matrix and the operand.
+
+        Values stay positive, so no NaN is created inside a sum (no
+        ``inf - inf``, no ``inf * 0``) and every NaN carries numpy's
+        one ``nan`` payload: the result bytes must match.
+        """
+        matrix = segment_matrix(dtype)
+        rng = np.random.default_rng(3)
+        matrix.data[:] = np.abs(matrix.data) + 0.5
+        pick = rng.random(matrix.nnz)
+        matrix.data[pick < 0.01] = np.inf
+        matrix.data[pick > 0.99] = np.nan
+        B = (np.abs(rng.standard_normal((matrix.shape[1], 19))) + 0.5)
+        B = B.astype(dtype)
+        B[rng.random(B.shape) < 0.02] = np.inf
+        B[rng.random(B.shape) < 0.02] = np.nan
+        U = (np.abs(rng.standard_normal((matrix.shape[0], 19))) + 0.5)
+        U = U.astype(dtype)
+        U[0, 3] = np.inf
+        U[1, 4] = np.nan
+        with np.errstate(invalid="ignore"):
+            got = csr_matmat(matrix, B)
+            with use_backend("reference"):
+                want = matrix.matmat(B)
+            assert np.isnan(want).any() and np.isinf(want).any()
+            assert got.tobytes() == want.tobytes()
+            got = csr_rmatmat(matrix, U)
+            assert got.tobytes() == reference_rmatmat(matrix, U).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_nans_of_both_signs(self, backend, dtype):
+        """Where NaNs of both signs meet (``inf - inf`` makes a negative
+        NaN, ``nan`` is positive), the result is NaN in the same places
+        and every other value is the same bits.
+
+        Which NaN's sign survives an addition of two NaNs is the
+        operand order each compiled binary chose, numpy's included, and
+        C does not pin it; that sign is the one bit the backends may
+        disagree on.
+        """
+        matrix = segment_matrix(dtype)
+        rng = np.random.default_rng(4)
+        pick = rng.random(matrix.nnz)
+        matrix.data[pick < 0.02] = np.inf
+        matrix.data[pick > 0.98] = np.nan
+        B = rng.standard_normal((matrix.shape[1], 19)).astype(dtype)
+        B[rng.random(B.shape) < 0.05] = -0.0
+        with np.errstate(invalid="ignore"):
+            got = csr_matmat(matrix, B)
+            with use_backend("reference"):
+                want = matrix.matmat(B)
+        nan = np.isnan(want)
+        assert nan.any()
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@needs_compiled
+class TestCompiledTranspose:
+    """The counting-sort transpose returns the argsort build's bytes."""
+
+    @staticmethod
+    def cases(dtype):
+        yield from corner_matrices(dtype)
+        yield "segments", segment_matrix(dtype)
+        # empty leading/trailing rows and columns around the entries
+        data = np.asarray([2.0, -1.0, 4.0, 0.5, 3.0], dtype=dtype)
+        indices = np.array([5, 1, 5, 1, 3], dtype=np.int64)
+        indptr = np.array([0, 0, 2, 2, 5, 5], dtype=np.int64)
+        yield "empty_rows_cols", CSRMatrix(data, indices, indptr, (5, 8))
+        yield "no_columns", CSRMatrix(
+            np.empty(0, dtype), np.empty(0, np.int64),
+            np.zeros(4, np.int64), (3, 0),
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bytes_equal_argsort_build(self, dtype):
+        for label, matrix in self.cases(dtype):
+            with use_backend("compiled"):
+                got = csr_transpose(matrix)
+            want = matrix._transpose_arrays()
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype, label
+                assert g.tobytes() == w.tobytes(), label
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_T_property(self, dtype):
+        for label, matrix in self.cases(dtype):
+            fresh = CSRMatrix(
+                matrix.data, matrix.indices, matrix.indptr, matrix.shape
+            )
+            with use_backend("compiled"):
+                transpose = fresh.T
+            # the counting sort needs neither cached column order nor
+            # per-entry row ids
+            assert fresh._col_cache is None, label
+            assert fresh._row_ids_cache is None, label
+            assert transpose.T is fresh, label
+            data, indices, indptr = matrix._transpose_arrays()
+            assert transpose.shape == matrix.shape[::-1]
+            assert transpose.data.tobytes() == data.tobytes(), label
+            assert transpose.indices.tobytes() == indices.tobytes(), label
+            assert transpose.indptr.tobytes() == indptr.tobytes(), label
 
 
 class TestMixedDtypeRouting:
