@@ -100,7 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     complexity.add_argument(
         "--update-complexity-baseline",
         action="store_true",
-        help="rewrite the baseline from this run instead of checking it",
+        help=(
+            "rewrite the baseline from this run instead of checking it "
+            "(with --complexity-probes, only those entries are replaced)"
+        ),
     )
     complexity.add_argument(
         "--complexity-report",
@@ -175,6 +178,10 @@ def _run_complexity(args: argparse.Namespace) -> int:
     baseline_path = Path(args.complexity_baseline)
     if args.update_complexity_baseline:
         payload = baseline_payload(results, scale=args.complexity_scale)
+        previous = load_baseline(baseline_path) if names else None
+        if previous is not None:
+            # A probe subset regenerates its own entries and keeps the rest.
+            payload["probes"] = {**previous["probes"], **payload["probes"]}
         with baseline_path.open("w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")

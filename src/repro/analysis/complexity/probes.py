@@ -340,8 +340,8 @@ def _build_srda_partial_fit(m: int, rng: np.random.Generator) -> Thunk:
     # Two batches of m rows each: the thunk pays one cold batch and one
     # warm-started batch over the 2m-row accumulated stream, so the
     # slope measures the incremental path's per-row cost (solve over
-    # accumulated rows + table lookup; the O(c^3) count-space
-    # Gram-Schmidt is size-independent).  A fresh model per call keeps
+    # accumulated rows + table lookup; the O(c^2) closed-form
+    # count-space table is size-independent).  A fresh model per call keeps
     # the thunk re-runnable at constant cost.
     A = _csr_problem(m, rng)
     y_a = _labels(m, rng)
@@ -418,7 +418,7 @@ register_probe(
         qualname="generate_responses",
         couplings={"m": 1.0},
         build=_build_responses,
-        note="6 classes held constant; the paper's O(m·c²) spectral step",
+        note="6 classes held constant; closed-form table plus O(m·c) lookup",
     )
 )
 register_probe(

@@ -21,8 +21,31 @@ label always receive the same response value.  That is the property that
 later makes same-class points collapse to one embedding point in the
 exact-fit regime (Corollary 3).
 
-Cost: ``O(m c²)`` flam and ``O(m c)`` memory, as quoted in Table I's
-derivation — negligible next to the regression step.
+The Gram–Schmidt result has a closed form in the class counts ``m_k``.
+Write ``M_j = Σ_{k≥j} m_k`` for the number of samples in classes ``j``
+onwards (so ``M_0 = m``).  After ``e`` and the indicators of classes
+``0 … j-1`` are taken, they span the indicators of those classes plus
+the indicator ``1_{≥j}`` of classes ``j`` onwards.  The indicator
+``e_j`` of class ``j`` is orthogonal to the earlier indicators, so
+projecting that span out of it removes only its component along
+``1_{≥j}``, ``(m_j / M_j)·1_{≥j}``, and the unnormalized response is::
+
+    ȳʲ = e_j − (m_j / M_j)·1_{≥j}
+       = M_{j+1}/M_j  on class j,   −m_j/M_j  on classes k > j,
+         0            on classes k < j,
+
+with squared norm ``m_j·(M_{j+1}/M_j)² + M_{j+1}·(m_j/M_j)²
+= m_j·M_{j+1}/M_j``.  Response ``j`` is therefore that vector scaled by
+``√(M_j / (m_j·M_{j+1}))``.  The last indicator projects to zero
+(``M_c = 0``) and is dropped, leaving ``c - 1`` responses.
+
+:func:`response_table_from_counts` evaluates this ``(c, c-1)`` table of
+per-class values in ``O(c²)`` and :func:`generate_responses` looks each
+sample's row up, ``O(m·c)``: no length-``m`` Gram–Schmidt runs at all.
+:func:`repro.linalg.gram_schmidt.orthonormalize` of ``[e, indicators]``
+stays the reference the property tests compare against.  Cost:
+``O(m c + c²)`` flam and ``O(m c)`` memory — negligible next to the
+regression step.
 """
 
 from __future__ import annotations
@@ -32,9 +55,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro._typing import FloatArray
-
-from repro.exceptions import InvariantViolationError
-from repro.linalg.gram_schmidt import orthonormalize
 
 
 def indicator_matrix(y_indices: FloatArray, n_classes: int) -> FloatArray:
@@ -64,8 +84,8 @@ def generate_responses(
 ) -> FloatArray:
     """Produce the ``(m, c-1)`` response matrix ``Ȳ = [ȳ¹ … ȳ^{c-1}]``.
 
-    Complexity: O(m·c^2) — Table I's quoted cost for the spectral step
-    (Gram–Schmidt over ``c + 1`` length-``m`` columns).
+    Complexity: O(m·c + c^2) — one count pass over the labels, the
+    closed-form ``(c, c-1)`` table, and one table row per sample.
 
     Parameters
     ----------
@@ -82,73 +102,56 @@ def generate_responses(
     Returns
     -------
     Responses with orthonormal columns, each orthogonal to the all-ones
-    vector and piecewise constant on classes.
+    vector and piecewise constant on classes: the Gram–Schmidt result
+    of the module docstring, ``table[y_indices]``.
     """
     if n_classes < 2:
         raise ValueError("need at least 2 classes to build responses")
     y_indices = np.asarray(y_indices, dtype=np.int64)
-    m = y_indices.shape[0]
-    indicators = indicator_matrix(y_indices, n_classes)
+    if y_indices.ndim != 1:
+        raise ValueError("y_indices must be 1-D")
+    if y_indices.size and (y_indices.min() < 0 or y_indices.max() >= n_classes):
+        raise ValueError("class index out of range")
     counts = np.bincount(y_indices, minlength=n_classes)
-    if np.any(counts == 0):
-        missing = np.flatnonzero(counts == 0)
-        raise ValueError(f"classes with no samples: {missing.tolist()}")
-
-    if rng is not None:
-        order = rng.permutation(n_classes)
-        indicators = indicators[:, order]
-
-    ones = np.ones((m, 1))
-    stacked = np.hstack([ones, indicators])
-    Q, kept = orthonormalize(stacked)
-    if kept[0] != 0:  # pragma: no cover - ones always survives first
-        raise InvariantViolationError("all-ones vector unexpectedly dropped")
-    responses = Q[:, 1:]
-    if responses.shape[1] != n_classes - 1:
-        raise InvariantViolationError(
-            f"expected {n_classes - 1} responses, got {responses.shape[1]}; "
-            "the indicator span degenerated (should be impossible when "
-            "every class is non-empty)"
-        )
-    return responses
+    if rng is None:
+        return response_table_from_counts(counts)[y_indices]
+    # Gram–Schmidt in the order ``order`` is the closed form over the
+    # permuted counts; row ``i`` of that table belongs to class order[i].
+    order = rng.permutation(n_classes)
+    table = np.empty((n_classes, n_classes - 1))
+    table[order] = response_table_from_counts(counts[order])
+    return table[y_indices]
 
 
-def response_table_from_counts(
-    counts: FloatArray, tol: float = 1e-10
-) -> FloatArray:
+def response_table_from_counts(counts: FloatArray) -> FloatArray:
     """The ``(c, c-1)`` per-class response table from class counts alone.
 
-    Complexity: O(c^3) — weighted Gram–Schmidt over ``c + 1``
-    coefficient vectors of length ``c``; independent of ``m``.
+    Complexity: O(c^2) — the closed form of the module docstring,
+    independent of ``m``.
 
-    Every vector in the span of ``[1, e_1 … e_c]`` is piecewise constant
-    on classes, so it is determined by its ``c`` per-class values, and
-    inner products reduce to count-weighted dot products:
-    ``⟨u, w⟩ = Σ_k m_k u_k w_k``.  Running the same modified
-    Gram–Schmidt as :func:`generate_responses` — two projection passes,
-    the same relative drop tolerance — on the ``(c, c+1)`` coefficient
-    matrix ``[1_c, I_c]`` under that weighted inner product reproduces
-    the response *table* without ever materializing a length-``m``
-    vector: the full ``(m, c-1)`` response matrix is
-    ``table[y_indices]``.
+    Column ``j`` is response ``ȳʲ``: ``M_{j+1}/M_j`` on class ``j``,
+    ``−m_j/M_j`` on every later class and 0 on earlier ones, scaled by
+    ``√(M_j / (m_j·M_{j+1}))`` with ``M_j = Σ_{k≥j} m_k``.  This is what
+    Gram–Schmidt of ``[1, indicators]`` produces, so the full
+    ``(m, c-1)`` response matrix is ``table[y_indices]``.
 
-    This is the engine behind :meth:`repro.core.srda.SRDA.partial_fit`:
-    the counts are *integers*, accumulated by commutative addition, so
-    the table is a deterministic function of the class histogram —
-    bitwise identical under any batch ordering of the same data.
+    This is the engine behind both :meth:`repro.core.srda.SRDA.fit` and
+    :meth:`repro.core.srda.SRDA.partial_fit`: the counts are *integers*,
+    accumulated by commutative addition, so the table is a deterministic
+    function of the class histogram — bitwise identical under any batch
+    ordering of the same data.
 
     Parameters
     ----------
     counts:
         Per-class sample counts ``m_k``; every entry must be positive.
-    tol:
-        Relative drop tolerance, as :func:`orthonormalize`.
 
     Returns
     -------
     ``(c, c-1)`` table whose column ``j`` holds response ``ȳʲ``'s value
     on each class; rows indexed by encoded class, columns satisfy the
-    Eqn-16 invariants under the count-weighted inner product.
+    Eqn-16 invariants under the count-weighted inner product
+    ``⟨u, w⟩ = Σ_k m_k u_k w_k``.
     """
     counts = np.asarray(counts)
     if counts.ndim != 1:
@@ -159,41 +162,15 @@ def response_table_from_counts(
     if np.any(counts <= 0):
         missing = np.flatnonzero(counts <= 0)
         raise ValueError(f"classes with no samples: {missing.tolist()}")
-    weights = counts.astype(np.float64)
-
-    # Coefficient columns of [1, e_1 … e_c] in the per-class-value
-    # basis: the all-ones vector is constant 1 on every class, the
-    # indicator of class k is the unit vector delta_k.
-    stacked = np.hstack([np.ones((n_classes, 1)), np.eye(n_classes)])
-    columns = []
-    kept = []
-    for j in range(n_classes + 1):
-        v = stacked[:, j].copy()
-        original_norm = float(np.sqrt(weights @ (v * v)))
-        if original_norm == 0.0:  # pragma: no cover - counts all positive
-            continue
-        for _ in range(2):  # "twice is enough" — as orthonormalize()
-            for q in columns:
-                v -= float(weights @ (q * v)) * q
-        norm = float(np.sqrt(weights @ (v * v)))
-        if norm <= tol * original_norm:
-            continue
-        columns.append(v / norm)
-        kept.append(j)
-    if not kept or kept[0] != 0:  # pragma: no cover - ones survives first
-        raise InvariantViolationError("all-ones vector unexpectedly dropped")
-    table = (
-        np.column_stack(columns[1:])
-        if len(columns) > 1
-        else np.zeros((n_classes, 0))
-    )
-    if table.shape[1] != n_classes - 1:
-        raise InvariantViolationError(
-            f"expected {n_classes - 1} responses, got {table.shape[1]}; "
-            "the indicator span degenerated (should be impossible when "
-            "every class is non-empty)"
-        )
-    return table
+    # Suffix sums in the counts' own dtype, so integer counts stay exact.
+    suffix = np.cumsum(counts[::-1])[::-1].astype(np.float64)
+    head, rest = suffix[:-1], suffix[1:]  # M_j and M_{j+1}, j < c-1
+    size = counts[:-1].astype(np.float64)  # m_j
+    rows = np.arange(n_classes)[:, None]
+    cols = np.arange(n_classes - 1)
+    table = np.where(rows > cols, -size / head, 0.0)
+    table[cols, cols] = rest / head
+    return table * np.sqrt(head / (size * rest))
 
 
 def response_table(

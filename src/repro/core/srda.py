@@ -56,10 +56,7 @@ from repro._typing import FloatArray
 
 from repro.core.base import LinearEmbedder, validate_data
 from repro.core.estimator import ReproDeprecationWarning, warn_deprecated_param
-from repro.core.responses import (
-    generate_responses,
-    response_table_from_counts,
-)
+from repro.core.responses import response_table_from_counts
 from repro.core.solver_config import SolverConfig, config_alias
 from repro.linalg import kernels
 from repro.linalg.block_lsqr import SharedBidiagonalization, block_lsqr
@@ -103,6 +100,18 @@ def _note_parallel_backend(report: FitReport, sharded) -> None:
         "shard layout, and therefore every bit of every product, does "
         "not depend on the backend)"
     )
+
+
+def _note_singletons(counts, report: FitReport, emit: bool) -> None:
+    """Record (and optionally warn) when some classes have one sample."""
+    singletons = int(np.sum(counts == 1))
+    if singletons:
+        report.add_warning(
+            f"{singletons} of {counts.shape[0]} classes have a single "
+            "sample; their within-class scatter is zero and the fit "
+            "may overfit those classes",
+            emit=emit,
+        )
 
 
 def _record_lsqr_columns(columns, report: FitReport, tol: float, alpha: float):
@@ -466,10 +475,11 @@ class SRDA(LinearEmbedder):
     def fit(self, X, y) -> "SRDA":
         """Learn the ``c - 1`` projective functions from labeled data.
 
-        Complexity: O(iters·c·(nnz + m + n) + m·c^2) — the paper's
-        linear-time claim: response generation (``m·c²``) plus
-        ``c - 1`` regressions at ``2·nnz + 3m + 5n`` flam per LSQR
-        iteration.  Dense inputs have ``nnz = m·n``.
+        Complexity: O(iters·c·(nnz + m + n) + m·c + c^2) — the paper's
+        linear-time claim: response generation (a ``c²`` closed-form
+        table and an ``m·c`` lookup) plus ``c - 1`` regressions at
+        ``2·nnz + 3m + 5n`` flam per LSQR iteration.  Dense inputs have
+        ``nnz = m·n``.
         """
         tracer = resolve_tracer(self.trace)
         self.tracer_ = tracer if tracer.enabled else None
@@ -481,51 +491,48 @@ class SRDA(LinearEmbedder):
 
     def _fit_phases(self, X, y, tracer: Tracer, fit_span) -> "SRDA":
         """The fit pipeline, one observability span per phase."""
-        report = FitReport()
-        self.fit_report_ = report
-        # A cold fit discards any partial_fit stream: the model now
-        # describes exactly the data passed here.
-        self._incremental = None
         with tracer.span("srda.validate"):
+            report = FitReport()
+            self.fit_report_ = report
+            # A cold fit discards any partial_fit stream: the model now
+            # describes exactly the data passed here.
+            self._incremental = None
             X, classes, y_indices = validate_data(
                 X,
                 y,
                 on_invalid=self.on_invalid,
                 min_classes=1 if self.on_invalid == "warn" else 2,
             )
-        self.classes_ = classes
-        n_classes = classes.shape[0]
+            n_classes = classes.shape[0]
+            if n_classes >= 2:
+                counts = np.bincount(y_indices, minlength=n_classes)
+                _note_singletons(counts, report, self.on_invalid == "warn")
+            self.classes_ = classes
         if n_classes < 2:
             return self._fit_single_class(X, y_indices, report)
-        counts = np.bincount(y_indices, minlength=n_classes)
-        singletons = int(np.sum(counts == 1))
-        if singletons:
-            report.add_warning(
-                f"{singletons} of {n_classes} classes have a single "
-                "sample; their within-class scatter is zero and the fit "
-                "may overfit those classes",
-                emit=self.on_invalid == "warn",
-            )
         with tracer.span("srda.responses", n_classes=int(n_classes)):
-            responses = generate_responses(y_indices, n_classes)
-        self.responses_ = responses
+            responses = response_table_from_counts(counts)[y_indices]
+            self.responses_ = responses
 
-        sparse_input = isinstance(X, CSRMatrix) or is_sparse(X)
-        solver = self._resolve_solver(X, sparse_input)
-        report.requested_solver = solver
-        center = (
-            not sparse_input if self.centering == "auto" else bool(self.centering)
-        )
-        if center and sparse_input and solver == "normal":
-            raise ValueError(
-                "centering sparse input densifies it; use solver='lsqr' "
-                "(implicit centering) or centering=False"
+        with tracer.span("srda.solve") as solve_span:
+            self.lsqr_iterations_ = None
+            sparse_input = isinstance(X, CSRMatrix) or is_sparse(X)
+            solver = self._resolve_solver(X, sparse_input)
+            report.requested_solver = solver
+            center = (
+                not sparse_input
+                if self.centering == "auto"
+                else bool(self.centering)
             )
-        fit_span.set_attribute("solver_used", solver)
-        fit_span.set_attribute("shape", [int(s) for s in X.shape])
-
-        self.lsqr_iterations_ = None
-        with tracer.span("srda.solve", solver=solver, centered=center):
+            if center and sparse_input and solver == "normal":
+                raise ValueError(
+                    "centering sparse input densifies it; use solver='lsqr' "
+                    "(implicit centering) or centering=False"
+                )
+            solve_span.set_attribute("solver", solver)
+            solve_span.set_attribute("centered", center)
+            fit_span.set_attribute("solver_used", solver)
+            fit_span.set_attribute("shape", [int(s) for s in X.shape])
             if center:
                 components, intercept = self._fit_centered(
                     X, responses, solver, sparse_input, report, tracer
@@ -534,16 +541,16 @@ class SRDA(LinearEmbedder):
                 components, intercept = self._fit_augmented(
                     X, responses, solver, sparse_input, report, tracer
                 )
-        if solver == "sketched_lsqr" and report.solver == "lsqr":
-            # _build_precondition refused (wide data) and the fit
-            # degraded to plain LSQR; solver_used_ reports what ran,
-            # report.requested_solver keeps what was asked for.
-            solver = "lsqr"
-            fit_span.set_attribute("solver_used", solver)
-        self.solver_used_ = solver
-        self.centered_ = center
-        self.components_ = components
-        self.intercept_ = intercept
+            if solver == "sketched_lsqr" and report.solver == "lsqr":
+                # _build_precondition refused (wide data) and the fit
+                # degraded to plain LSQR; solver_used_ reports what ran,
+                # report.requested_solver keeps what was asked for.
+                solver = "lsqr"
+                fit_span.set_attribute("solver_used", solver)
+            self.solver_used_ = solver
+            self.centered_ = center
+            self.components_ = components
+            self.intercept_ = intercept
         with tracer.span("srda.embed"):
             self._store_centroids(self.transform(X), y_indices)
         return self
@@ -554,11 +561,11 @@ class SRDA(LinearEmbedder):
     def partial_fit(self, X, y) -> "SRDA":
         """Absorb one labeled batch and refresh the model incrementally.
 
-        Complexity: O(iters·c·(nnz + m + n) + m·c + c^3) — one
+        Complexity: O(iters·c·(nnz + m + n) + m·c + c^2) — one
         warm-started solve over the *accumulated* ``m`` rows / ``nnz``
-        entries, a table lookup (``m·c``) for the responses, and a
-        count-space Gram–Schmidt (``c^3``) independent of ``m``.  The
-        win over a cold refit is in ``iters``: the solve starts from
+        entries, a table lookup (``m·c``) for the responses, and the
+        closed-form count-space table (``c^2``) independent of ``m``.
+        The win over a cold refit is in ``iters``: the solve starts from
         the previous batch's coefficients, so typically converges in a
         small fraction of the cold iteration count (asserted by the
         incremental benchmarks).
@@ -678,14 +685,7 @@ class SRDA(LinearEmbedder):
         if n_classes < 2:
             return self._fit_single_class(full_X, y_indices, report)
 
-        singletons = int(np.sum(state.counts == 1))
-        if singletons:
-            report.add_warning(
-                f"{singletons} of {n_classes} classes have a single "
-                "sample; their within-class scatter is zero and the fit "
-                "may overfit those classes",
-                emit=self.on_invalid == "warn",
-            )
+        _note_singletons(state.counts, report, self.on_invalid == "warn")
         with tracer.span("srda.responses", n_classes=int(n_classes)):
             table = response_table_from_counts(state.counts)
             responses = table[y_indices]
@@ -1176,8 +1176,7 @@ def srda_alpha_path(
         return [make_model(alpha).fit(X, y) for alpha in alphas]
 
     counts = np.bincount(y_indices, minlength=n_classes)
-    singletons = int(np.sum(counts == 1))
-    responses = generate_responses(y_indices, n_classes)
+    responses = response_table_from_counts(counts)[y_indices]
 
     sparse_input = isinstance(X, CSRMatrix) or is_sparse(X)
     center = not sparse_input if centering == "auto" else bool(centering)
@@ -1236,13 +1235,7 @@ def srda_alpha_path(
                 # Already emitted once for the shared pass; the
                 # per-alpha copies are record-only.
                 report.add_warning(note, emit=False)
-            if singletons:
-                report.add_warning(
-                    f"{singletons} of {n_classes} classes have a single "
-                    "sample; their within-class scatter is zero and the fit "
-                    "may overfit those classes",
-                    emit=on_invalid == "warn",
-                )
+            _note_singletons(counts, report, on_invalid == "warn")
             model.lsqr_iterations_ = _record_lsqr_columns(
                 columns, report, tol, alpha
             )

@@ -1,7 +1,8 @@
 """Linear-algebra substrates used by SRDA and the LDA baselines.
 
 Everything numerically interesting in the paper is built from a small set
-of kernels, each implemented here from scratch on top of numpy primitives:
+of kernels, each implemented here on top of numpy primitives (the
+Cholesky factor and triangular solves call LAPACK through scipy):
 
 - :mod:`repro.linalg.sparse` — a minimal CSR matrix (the sparse substrate
   that lets SRDA exploit text-like data).
@@ -9,8 +10,9 @@ of kernels, each implemented here from scratch on top of numpy primitives:
   the implicit-centering and append-ones tricks from the paper.
 - :mod:`repro.linalg.gram_schmidt` — modified Gram–Schmidt, used for the
   response-generation step (Eqn 15/16).
-- :mod:`repro.linalg.cholesky` — Cholesky factorization and triangular
-  solves, used by the normal-equations solver (Eqn 20/21).
+- :mod:`repro.linalg.cholesky` — LAPACK Cholesky factorization and
+  triangular solves behind the positive-definiteness checks the
+  normal-equations solver (Eqn 20/21) relies on.
 - :mod:`repro.linalg.lsqr` — the Paige–Saunders LSQR iteration, the
   linear-time solver of the paper's title.
 - :mod:`repro.linalg.block_lsqr` — the blocked multi-RHS variant that

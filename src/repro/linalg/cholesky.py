@@ -2,18 +2,24 @@
 
 The normal-equations path of SRDA (Section III-C.1) factors the
 regularized Gram matrix ``XᵀX + αI`` (or its ``m×m`` dual ``XXᵀ + αI``
-when ``n > m``) as ``R R ᵀ`` with ``R`` triangular, at ``n³/3`` flam, and
-then back-substitutes each of the ``c-1`` responses at ``n²`` flam each.
-This module implements that substrate from scratch:
+when ``n > m``) as ``L Lᵀ`` with ``L`` lower triangular, at ``n³/6``
+flam, and then substitutes each of the ``c-1`` responses at ``n²`` flam
+each.
 
-- :func:`cholesky` — blocked right-looking Cholesky (lower triangular),
-  with an explicit positive-definiteness check.
-- :func:`solve_triangular` — forward/back substitution, vector or matrix
-  right-hand sides.
-- :func:`solve_cholesky` — factor once, solve many.
+- :func:`cholesky` — LAPACK ``dpotrf`` on the lower triangle, with an
+  explicit positive-definiteness and finite-pivot check.
+- :func:`solve_triangular` — LAPACK triangular solve (``dtrtrs``), vector
+  or matrix right-hand sides.
+- :func:`solve_cholesky` / :func:`solve_factored` — factor once, solve
+  many.
 
-The blocked factorization does its inner updates with matrix products, so
-the from-scratch code runs at BLAS speed for the sizes in the paper.
+The factorization and the substitutions are LAPACK's, reached through
+``scipy.linalg`` (imported on first use, so importing the package still
+needs only numpy).  What counts as positive definite stays here: the
+leading minor that failed is named in :class:`NotPositiveDefiniteError`,
+and so is a NaN or infinite pivot, which ``dpotrf`` itself lets through
+with ``info = 0``.  The fallback chain built on that error lives in
+:mod:`repro.robustness.guarded`.
 """
 
 from __future__ import annotations
@@ -28,107 +34,70 @@ class NotPositiveDefiniteError(ReproError, ValueError):
     """Raised when a matrix handed to :func:`cholesky` is not SPD."""
 
 
-def cholesky(A: ArrayLike, block_size: int = 64) -> Float64Array:
+def cholesky(A: ArrayLike) -> Float64Array:
     """Compute the lower-triangular Cholesky factor ``L`` with ``A = L Lᵀ``.
 
     Complexity: O(n^3) — the dense-baseline cost SRDA's iterative
-    regression avoids (``n³/3`` flam, blocked or not).
+    regression avoids (``n³/6`` flam).
 
     Parameters
     ----------
     A:
         Symmetric positive-definite matrix.  Only the lower triangle is
         read.
-    block_size:
-        Panel width of the blocked algorithm.  Each diagonal panel is
-        factored unblocked, then the trailing submatrix is updated with
-        one triangular solve and one symmetric rank-k update.
+
+    Returns
+    -------
+    The lower factor (Fortran-ordered, as LAPACK writes it), with the
+    strict upper triangle zeroed.
 
     Raises
     ------
     NotPositiveDefiniteError
-        If a non-positive pivot is encountered.
+        If a non-positive, NaN or infinite pivot is encountered; the
+        message names the leading minor it belongs to.
     """
+    from scipy.linalg import lapack
+
     matrix = np.asarray(A, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("cholesky requires a square matrix")
-    n = matrix.shape[0]
-    L = np.tril(matrix).astype(np.float64, copy=True)
-    for start in range(0, n, block_size):
-        stop = min(start + block_size, n)
-        _factor_panel(L, start, stop)
-        if stop < n:
-            # L21 <- A21 * L11^{-T}
-            L11 = L[start:stop, start:stop]
-            L[stop:, start:stop] = solve_triangular(
-                L11, L[stop:, start:stop].T, lower=True
-            ).T
-            # A22 <- A22 - L21 L21ᵀ  (lower triangle only matters)
-            L21 = L[stop:, start:stop]
-            L[stop:, stop:] -= L21 @ L21.T
-    return np.tril(L)
-
-
-def _factor_panel(L: Float64Array, start: int, stop: int) -> None:
-    """Unblocked Cholesky of the diagonal panel ``L[start:stop, start:stop]``."""
-    for j in range(start, stop):
-        pivot = L[j, j]
-        if pivot <= 0.0 or not np.isfinite(pivot):
-            raise NotPositiveDefiniteError(
-                f"leading minor {j + 1} is not positive definite "
-                f"(pivot={pivot!r})"
-            )
-        L[j, j] = np.sqrt(pivot)
-        if j + 1 < stop:
-            L[j + 1 : stop, j] /= L[j, j]
-            rows = slice(j + 1, stop)
-            L[rows, rows] -= np.outer(L[rows, j], L[rows, j])
+    L, info = lapack.dpotrf(matrix, lower=True, clean=True)
+    if info < 0:  # pragma: no cover - the arguments above are always legal
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    # ``dpotrf`` stops at the first non-positive pivot (``info`` names
+    # its minor and leaves the pivot on the diagonal) but passes NaN and
+    # infinite pivots through; the first non-finite entry of the factored
+    # diagonal is the earliest pivot that failed.
+    factored = info - 1 if info > 0 else matrix.shape[0]
+    bad = np.flatnonzero(~np.isfinite(np.diagonal(L)[:factored]))
+    j = int(bad[0]) if bad.size else info - 1
+    if j >= 0:
+        raise NotPositiveDefiniteError(
+            f"leading minor {j + 1} is not positive definite "
+            f"(pivot={L[j, j]!r})"
+        )
+    return L
 
 
 def solve_triangular(
     L: ArrayLike, b: ArrayLike, lower: bool = True
 ) -> Float64Array:
-    """Solve ``L x = b`` for triangular ``L`` by substitution.
+    """Solve ``L x = b`` for triangular ``L`` by LAPACK substitution.
 
     Complexity: O(n^2) per right-hand side (O(n^2·c) for a ``c``-column
     block).
 
-    Accepts a vector or matrix right-hand side.  Row-block substitution
-    (64 rows at a time) keeps the inner work in matrix products.
+    Accepts a vector or matrix right-hand side and returns a new array
+    of the same shape.  A transposed view such as ``L.T`` costs no
+    copy: LAPACK solves the transposed system on the underlying array.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        If ``L`` has a zero on its diagonal.
     """
-    factor = np.asarray(L, dtype=np.float64)
-    rhs = np.asarray(b, dtype=np.float64)
-    n = factor.shape[0]
-    if factor.ndim != 2 or factor.shape[1] != n:
-        raise ValueError("triangular solve requires a square matrix")
-    vector_input = rhs.ndim == 1
-    B = rhs.reshape(n, -1).astype(np.float64, copy=True)
-    block = 64
-    if lower:
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            if start:
-                B[start:stop] -= factor[start:stop, :start] @ B[:start]
-            for i in range(start, stop):
-                if start < i:
-                    B[i] -= factor[i, start:i] @ B[start:i]
-                diag = factor[i, i]
-                if diag == 0.0:
-                    raise np.linalg.LinAlgError("singular triangular matrix")
-                B[i] /= diag
-    else:
-        for stop in range(n, 0, -block):
-            start = max(stop - block, 0)
-            if stop < n:
-                B[start:stop] -= factor[start:stop, stop:] @ B[stop:]
-            for i in range(stop - 1, start - 1, -1):
-                if i + 1 < stop:
-                    B[i] -= factor[i, i + 1 : stop] @ B[i + 1 : stop]
-                diag = factor[i, i]
-                if diag == 0.0:
-                    raise np.linalg.LinAlgError("singular triangular matrix")
-                B[i] /= diag
-    return B[:, 0] if vector_input else B
+    return _substitute(L, b, lower, "N")
 
 
 def solve_cholesky(A: ArrayLike, b: ArrayLike) -> Float64Array:
@@ -136,9 +105,7 @@ def solve_cholesky(A: ArrayLike, b: ArrayLike) -> Float64Array:
 
     Complexity: O(n^3) — dominated by the factorization.
     """
-    L = cholesky(A)
-    y = solve_triangular(L, b, lower=True)
-    return solve_triangular(L.T, y, lower=False)
+    return solve_factored(cholesky(A), b)
 
 
 def solve_factored(L: ArrayLike, b: ArrayLike) -> Float64Array:
@@ -148,7 +115,22 @@ def solve_factored(L: ArrayLike, b: ArrayLike) -> Float64Array:
 
     This is the "factor once, solve ``c-1`` right-hand sides" pattern the
     complexity analysis counts: the factorization dominates, each extra
-    response costs only two triangular solves.
+    response costs only two triangular solves, both on ``L`` itself
+    (the second as ``Lᵀ x = y``).
     """
-    y = solve_triangular(L, b, lower=True)
-    return solve_triangular(L.T, y, lower=False)
+    return _substitute(L, _substitute(L, b, True, "N"), True, "T")
+
+
+def _substitute(
+    L: ArrayLike, b: ArrayLike, lower: bool, trans: str
+) -> Float64Array:
+    """``L x = b`` (``trans="N"``) or ``Lᵀ x = b`` (``trans="T"``)."""
+    from scipy import linalg
+
+    factor = np.asarray(L, dtype=np.float64)
+    if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
+        raise ValueError("triangular solve requires a square matrix")
+    return linalg.solve_triangular(
+        factor, np.asarray(b, dtype=np.float64), lower=lower, trans=trans,
+        check_finite=False,
+    )

@@ -43,13 +43,13 @@ def ridge_solution(A: FloatArray, b: FloatArray, alpha: float) -> FloatArray:
 
     Complexity: O(m·n^2 + n^3) — Gram build plus one factorization.
 
-    The normal-equations matrix is factored once by the repo's blocked
-    Cholesky and the factor is reused for every right-hand-side column
-    of ``b`` — the triangular solves handle ``b`` as a matrix, so a
-    multi-column call pays one O(n³) factorization total.  When the
-    shifted Gram matrix is numerically semidefinite (e.g. ``alpha = 0``
-    on rank-deficient data) it falls back to the minimum-norm
-    least-squares solution.
+    The normal-equations matrix is factored once by the LAPACK
+    Cholesky of :mod:`repro.linalg.cholesky` and the factor is reused
+    for every right-hand-side column of ``b`` — the triangular solves
+    handle ``b`` as a matrix, so a multi-column call pays one O(n³)
+    factorization total.  When the shifted Gram matrix is numerically
+    semidefinite (e.g. ``alpha = 0`` on rank-deficient data) it falls
+    back to the minimum-norm least-squares solution.
     """
     from repro.linalg.cholesky import (
         NotPositiveDefiniteError,

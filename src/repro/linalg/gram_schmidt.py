@@ -3,8 +3,11 @@
 SRDA's response-generation step (Section III, Eqn 15/16) takes the ``c``
 class-indicator eigenvectors of the graph matrix ``W`` together with the
 all-ones vector, orthogonalizes them, and discards the all-ones direction.
-The paper quotes this step at ``O(m c²)`` flam and ``O(m c)`` memory — it
-is the cheap half of the algorithm, and this module provides it.
+The paper quotes this step at ``O(m c²)`` flam and ``O(m c)`` memory.
+:mod:`repro.core.responses` evaluates its result in closed form from the
+class counts instead; this module's :func:`orthonormalize` of
+``[1, indicators]`` stays the reference the response tests compare
+against.
 
 We use *modified* Gram–Schmidt with one optional re-orthogonalization pass
 (the classical variant loses orthogonality catastrophically for nearly

@@ -55,9 +55,9 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
-from typing import Iterator, Optional, Tuple
+from typing import ContextManager, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -186,8 +186,7 @@ def active_backend() -> str:
     return "reference"
 
 
-@contextmanager
-def use_backend(name: Optional[str]) -> Iterator[None]:
+def use_backend(name: Optional[str]) -> ContextManager[None]:
     """Scope a kernel-backend selection to a ``with`` block.
 
     The selection rides a ``ContextVar``: thread-backend shard workers
@@ -199,9 +198,13 @@ def use_backend(name: Optional[str]) -> Iterator[None]:
     Complexity: O(1) — one ContextVar set/reset pair.
     """
     if name is None:
-        yield
-        return
-    token = _BACKEND_OVERRIDE.set(_validate_backend(name))
+        return nullcontext()
+    return _backend_scope(_validate_backend(name))
+
+
+@contextmanager
+def _backend_scope(name: str) -> Iterator[None]:
+    token = _BACKEND_OVERRIDE.set(name)
     try:
         yield
     finally:

@@ -35,7 +35,7 @@ Three sketch families, each a first-class
 :class:`~repro.linalg.operators.AppendOnesOperator` /
 :class:`~repro.linalg.operators.CenteringOperator` wrappers so the
 structural tricks stay matrix-free), forms the small ``n × n`` Gram of
-the sketch, factors it with the repo's blocked
+the sketch, factors it with LAPACK through
 :func:`~repro.linalg.cholesky.cholesky`, and returns a
 :class:`SketchPreconditioner` whose triangular solves the solvers apply
 per iteration.  ``lsqr``/``block_lsqr`` accept it via their
@@ -659,11 +659,11 @@ def preconditioner_from_gram(
 ) -> SketchPreconditioner:
     """Factor a precomputed sketch Gram ``(S X)ᵀ(S X)`` into ``R⁻¹``.
 
-    Complexity: O(n^3) — one blocked Cholesky of the shifted Gram.
+    Complexity: O(n^3) — one LAPACK Cholesky of the shifted Gram.
 
     The alpha sweep uses this to share one sketch across a whole grid:
     the ``O(s·n²)`` Gram is built once, and each alpha pays only the
-    ``O(n³/3)`` Cholesky of ``gram + α I``.
+    ``O(n³/6)`` Cholesky of ``gram + α I``.
     """
     gram = np.asarray(gram, dtype=np.float64)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:

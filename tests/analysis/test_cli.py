@@ -157,3 +157,20 @@ def test_complexity_check_against_baseline(tmp_path, capsys):
     assert main(args) == 0
     out = capsys.readouterr().out
     assert "0 finding(s)" in out
+
+
+def test_probe_subset_update_keeps_other_entries(tmp_path, capsys):
+    baseline = tmp_path / "complexity_baseline.json"
+    args = [
+        "--complexity",
+        "--complexity-baseline",
+        str(baseline),
+        "--update-complexity-baseline",
+    ]
+    assert main(args + ["--complexity-probes", "csr_matvec"]) == 0
+    first = json.loads(baseline.read_text())["probes"]["csr_matvec"]
+    assert main(args + ["--complexity-probes", "csr_rmatvec"]) == 0
+    capsys.readouterr()
+    probes = json.loads(baseline.read_text())["probes"]
+    assert set(probes) == {"csr_matvec", "csr_rmatvec"}
+    assert probes["csr_matvec"] == first

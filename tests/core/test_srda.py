@@ -5,6 +5,8 @@ import pytest
 from scipy import sparse as sp
 
 from repro.core.base import NotFittedError
+from repro.core.responses import response_table_from_counts
+from repro.core.solver_config import SolverConfig
 from repro.core.srda import SRDA
 from repro.linalg.sparse import CSRMatrix
 
@@ -30,6 +32,17 @@ class TestBasicBehavior:
         model = SRDA(alpha=1.0).fit(X, y)
         assert set(model.predict(X)) <= {"cat", "dog"}
         assert model.score(X, y) == 1.0
+
+    def test_responses_are_rows_of_the_count_table(self, rng):
+        # fit and partial_fit build responses one way: the closed-form
+        # table of the class counts, one row per sample, bit for bit.
+        y = rng.permutation(np.repeat(np.arange(5), [3, 11, 7, 1, 18]))
+        X = rng.standard_normal((y.shape[0], 6)) + y[:, None]
+        expected = response_table_from_counts(np.bincount(y))[y]
+        assert np.array_equal(SRDA(alpha=1.0).fit(X, y).responses_, expected)
+        streamed = SRDA(alpha=1.0, config=SolverConfig(solver="lsqr"))
+        streamed.partial_fit(X, y)
+        assert np.array_equal(streamed.responses_, expected)
 
     def test_unfitted_raises(self, rng):
         with pytest.raises(NotFittedError):

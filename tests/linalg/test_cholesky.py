@@ -1,4 +1,4 @@
-"""Unit tests for the blocked Cholesky and triangular solves."""
+"""Unit tests for the Cholesky factorization and triangular solves."""
 
 import numpy as np
 import pytest
@@ -32,18 +32,30 @@ class TestCholesky:
         A = spd_matrix(rng, 30)
         assert np.allclose(cholesky(A), np.linalg.cholesky(A), atol=1e-9)
 
-    @pytest.mark.parametrize("block_size", [1, 3, 16, 200])
-    def test_block_size_invariance(self, rng, block_size):
-        A = spd_matrix(rng, 40)
-        assert np.allclose(
-            cholesky(A, block_size=block_size), np.linalg.cholesky(A),
-            atol=1e-9,
-        )
+    @pytest.mark.parametrize("n", [1, 3, 16, 200])
+    def test_size_sweep_matches_numpy(self, rng, n):
+        A = spd_matrix(rng, n)
+        assert np.allclose(cholesky(A), np.linalg.cholesky(A), atol=1e-9)
 
     def test_rejects_indefinite(self, rng):
         A = spd_matrix(rng, 10)
         A -= 100.0 * np.eye(10)
         with pytest.raises(NotPositiveDefiniteError):
+            cholesky(A)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_pivot(self, rng, bad):
+        # LAPACK's dpotrf reports success on a NaN or infinite pivot;
+        # the factor must still be refused, naming the minor it hit.
+        A = spd_matrix(rng, 6)
+        A[2, 2] = bad
+        with pytest.raises(NotPositiveDefiniteError, match="leading minor 3 "):
+            cholesky(A)
+
+    def test_names_the_failing_minor(self, rng):
+        A = spd_matrix(rng, 6)
+        A[4, 4] = -100.0
+        with pytest.raises(NotPositiveDefiniteError, match="leading minor 5 "):
             cholesky(A)
 
     def test_rejects_negative_identity(self):

@@ -125,6 +125,20 @@ class TestFallbackChain:
             guarded_solve(G, np.ones(4))
         assert excinfo.value.attempts  # the full attempt log is attached
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pivot_exhausts_the_chain(self, rng, bad):
+        # One poisoned diagonal entry: every Cholesky rung must refuse
+        # the same minor, then the rescue fails on the poisoned system.
+        G = _spd(rng, 6)
+        G[2, 2] = bad
+        with pytest.raises(SolverFailure) as excinfo:
+            guarded_solve(G, np.ones(6), alpha=0.1)
+        attempts = excinfo.value.attempts
+        assert len(attempts) == 8
+        assert all("leading minor 3 " in step for step in attempts[:7])
+        assert attempts[0].startswith("cholesky failed")
+        assert attempts[-1].startswith("lsqr rescue")
+
 
 class TestConditionEstimate:
     def test_identity_is_one(self):
