@@ -3,9 +3,9 @@
 Measures what the parallel layer claims and what it must not break:
 
 1. **Wall time** of :func:`repro.linalg.block_lsqr.block_lsqr` through a
-   :class:`repro.parallel.ShardedOperator` on the serial, thread, and
-   process backends at several worker counts, against the pre-PR direct
-   (unsharded) path on the paper's 20Newsgroups-like shape
+   :class:`repro.parallel.ShardedOperator` on the serial and thread
+   backends at several worker counts, against the direct (unsharded)
+   path on the paper's 20Newsgroups-like shape
    (m=20000, n=26000, c=20).
 2. **Parity**: every sharded variant must be *bitwise identical* to the
    sharded serial run (``max_rel_diff_vs_serial == 0``), and within the
@@ -53,7 +53,7 @@ from repro.linalg import kernels
 from repro.linalg.block_lsqr import block_lsqr
 from repro.linalg.operators import as_operator
 from repro.linalg.sparse import CSRMatrix
-from repro.parallel import ShardedOperator, resolve_backend
+from repro.parallel import ShardedOperator
 
 try:
     from benchmarks._provenance import multicore_gates_enforced, provenance
@@ -118,8 +118,8 @@ def solve(op, B, iter_lim, repeats):
     )
 
 
-def run_solver_grid(case, iter_lim, repeats, worker_counts, include_process):
-    """Direct vs sharded serial/thread/process at each worker count."""
+def run_solver_grid(case, iter_lim, repeats, worker_counts):
+    """Direct vs sharded serial, and sharded threads at each worker count."""
     matrix = make_problem(case["m"], case["n"], case["row_nnz"])
     B = make_rhs(case["m"], case["classes"])
 
@@ -132,36 +132,31 @@ def run_solver_grid(case, iter_lim, repeats, worker_counts, include_process):
         serial_seconds, serial_x = solve(op, B, iter_lim, repeats)
 
     variants = []
-    for backend_name in ("thread", "process") if include_process else ("thread",):
-        for workers in worker_counts:
-            backend = resolve_backend(backend_name, workers)
-            try:
-                with ShardedOperator(matrix, backend=backend) as op:
-                    seconds, X = solve(op, B, iter_lim, repeats)
-            finally:
-                backend.close()
-            vs_serial = rel_diff(X, serial_x)
-            vs_direct = rel_diff(X, direct_x)
-            assert vs_serial == 0.0, (
-                f"{backend_name} x{workers} diverged from the sharded "
-                f"serial run (max_rel_diff={vs_serial:.3e}); sharded "
-                "results must not depend on the backend"
-            )
-            assert vs_direct <= 1e-12, (
-                f"{backend_name} x{workers} drifted {vs_direct:.3e} from "
-                "the direct path; adjoint fold tolerance is 1e-12"
-            )
-            variants.append(
-                {
-                    "backend": backend_name,
-                    "n_workers": workers,
-                    "seconds": seconds,
-                    "speedup_vs_serial": serial_seconds / seconds,
-                    "speedup_vs_direct": direct_seconds / seconds,
-                    "max_rel_diff_vs_serial": vs_serial,
-                    "max_rel_diff_vs_direct": vs_direct,
-                }
-            )
+    for workers in worker_counts:
+        with ShardedOperator(matrix, backend="thread", n_jobs=workers) as op:
+            seconds, X = solve(op, B, iter_lim, repeats)
+        vs_serial = rel_diff(X, serial_x)
+        vs_direct = rel_diff(X, direct_x)
+        assert vs_serial == 0.0, (
+            f"thread x{workers} diverged from the sharded serial run "
+            f"(max_rel_diff={vs_serial:.3e}); sharded results must not "
+            "depend on the backend"
+        )
+        assert vs_direct <= 1e-12, (
+            f"thread x{workers} drifted {vs_direct:.3e} from the direct "
+            "path; adjoint fold tolerance is 1e-12"
+        )
+        variants.append(
+            {
+                "backend": "thread",
+                "n_workers": workers,
+                "seconds": seconds,
+                "speedup_vs_serial": serial_seconds / seconds,
+                "speedup_vs_direct": direct_seconds / seconds,
+                "max_rel_diff_vs_serial": vs_serial,
+                "max_rel_diff_vs_direct": vs_direct,
+            }
+        )
 
     return {
         **case,
@@ -335,11 +330,6 @@ def main(argv=None):
         "--out", default="BENCH_parallel.json", help="output JSON path"
     )
     parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument(
-        "--no-process",
-        action="store_true",
-        help="skip the process backend (slow spawn on tiny runners)",
-    )
     args = parser.parse_args(argv)
 
     case = SMOKE_CASE if args.smoke else FULL_CASE
@@ -352,7 +342,6 @@ def main(argv=None):
         iter_lim=iter_lim,
         repeats=repeats,
         worker_counts=worker_counts,
-        include_process=not args.no_process,
     )
     print(
         f"m={case['m']} n={case['n']} c={case['classes']} "

@@ -291,6 +291,8 @@ def cmd_info(_args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.parallel.backends import BACKEND_NAMES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SRDA paper reproduction toolkit",
@@ -343,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--backend", default=None,
-        choices=("serial", "thread", "process", "distributed"),
+        choices=BACKEND_NAMES,
         help="execution backend for SRDA's operator products; "
         "'distributed' ships shards once to supervised localhost "
         "worker processes and degrades to a local backend (recorded "

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.parallel import Backend, effective_n_jobs
+from repro.parallel.backends import check_backend_name
 
 __all__ = ["SOLVER_NAMES", "SolverConfig", "config_alias"]
 
@@ -86,8 +87,9 @@ class SolverConfig:
         direct, ``-1`` every core).
     backend:
         Execution backend for sharded products: ``None``, a name
-        (``"serial"``/``"thread"``/``"process"``/``"distributed"``), or
-        a live :class:`repro.parallel.Backend`.
+        (``"serial"``/``"thread"`` in-host, ``"distributed"`` across
+        processes), or a live :class:`repro.parallel.Backend`.  Unknown
+        names fail here, at construction.
     kernel_backend:
         CSR kernel backend for operator products: ``None`` (defer to
         the ``REPRO_KERNEL_BACKEND`` environment variable, default
@@ -123,12 +125,7 @@ class SolverConfig:
             raise ValueError("sketch_size must be positive or None")
         object.__setattr__(self, "sketch_seed", int(self.sketch_seed))
         effective_n_jobs(self.n_jobs)  # validates; value stored verbatim
-        if self.backend is not None and not isinstance(
-            self.backend, (str, Backend)
-        ):
-            raise ValueError(
-                "backend must be None, a backend name, or a Backend"
-            )
+        check_backend_name(self.backend)
         if self.kernel_backend is not None:
             from repro.linalg.kernels import KERNEL_BACKENDS
 

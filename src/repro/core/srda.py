@@ -60,7 +60,7 @@ from repro.core.responses import response_table_from_counts
 from repro.core.solver_config import SolverConfig, config_alias
 from repro.linalg import kernels
 from repro.linalg.block_lsqr import SharedBidiagonalization, block_lsqr
-from repro.linalg.lsqr import FAILURE_ISTOPS, ISTOP_REASONS, lsqr
+from repro.linalg.lsqr import FAILURE_ISTOPS, ISTOP_REASONS
 from repro.linalg.operators import (
     AppendOnesOperator,
     CenteringOperator,
@@ -117,10 +117,10 @@ def _note_singletons(counts, report: FitReport, emit: bool) -> None:
 def _record_lsqr_columns(columns, report: FitReport, tol: float, alpha: float):
     """Fold per-column LSQR results into a :class:`FitReport`.
 
-    Shared by the blocked and sequential solver paths and by
-    :func:`srda_alpha_path`, so the diagnostics and warning text are
-    identical no matter which engine produced the columns.  Returns the
-    per-column iteration counts.
+    Shared by :meth:`SRDA._ridge_lsqr` and :func:`srda_alpha_path`, so
+    the diagnostics and warning text are identical no matter which
+    engine produced the columns.  Returns the per-column iteration
+    counts.
     """
     iterations: List[int] = []
     istops: List[int] = []
@@ -320,16 +320,6 @@ class SRDA(LinearEmbedder):
         paper's IDR/QR comparison is named for: when data arrives in
         batches, refitting converges in a handful of iterations instead
         of starting cold.  Ignored by the normal-equations solver.
-    block:
-        When True (default) the LSQR path solves all ``c - 1`` response
-        columns in one blocked Golub–Kahan iteration
-        (:func:`repro.linalg.block_lsqr.block_lsqr`): two sparse
-        mat-mats per iteration instead of ``2(c-1)`` mat-vecs, so the
-        data streams through memory once per iteration regardless of
-        the number of classes.  ``block=False`` is the escape hatch
-        back to one :func:`~repro.linalg.lsqr.lsqr` call per column.
-        Per-column termination codes, damping, warm starts, and the
-        istop-8/9 failure semantics are identical on both paths.
     on_invalid:
         Degradation policy for degenerate input: ``"raise"`` (default)
         rejects non-finite features and single-class problems;
@@ -395,7 +385,6 @@ class SRDA(LinearEmbedder):
         max_iter: int = 20,
         tol: float = 1e-10,
         warm_start: bool = False,
-        block: bool = True,
         on_invalid: str = "raise",
         trace=None,
         validate_operators: bool = False,
@@ -437,7 +426,6 @@ class SRDA(LinearEmbedder):
         self.max_iter = int(max_iter)
         self.tol = float(tol)
         self.warm_start = bool(warm_start)
-        self.block = bool(block)
         self.on_invalid = on_invalid
         self.trace = trace
         self.validate_operators = bool(validate_operators)
@@ -955,11 +943,12 @@ class SRDA(LinearEmbedder):
     ) -> FloatArray:
         """LSQR with damping √α over all target columns.
 
-        The default (``block=True``) carries every column through one
-        blocked Golub–Kahan iteration; ``block=False`` falls back to a
-        sequential :func:`~repro.linalg.lsqr.lsqr` call per column.
-        Both paths feed the same per-column diagnostics into the
-        report.  When tracing is enabled, every solver iteration lands
+        Every column runs through one blocked Golub–Kahan iteration
+        (:func:`~repro.linalg.block_lsqr.block_lsqr`): two mat-mats per
+        iteration instead of ``2(c-1)`` mat-vecs, so the data streams
+        through memory once per iteration regardless of the number of
+        classes.  Per-column termination codes feed the report.  When
+        tracing is enabled, every solver iteration lands
         as an event on the enclosing ``srda.solve`` span.  (The tracer
         rides ``self._fit_tracer`` rather than the signature so that
         fault-injection wrappers around this method keep working.)
@@ -969,37 +958,19 @@ class SRDA(LinearEmbedder):
         tracer = getattr(self, "_fit_tracer", None)
         hook = tracer.iteration_hook() if tracer is not None else None
         precondition = getattr(self, "_precondition", None)
-        if self.block:
-            blocked = block_lsqr(
-                op,
-                targets,
-                damp=damp,
-                atol=self.tol,
-                btol=self.tol,
-                iter_lim=self.max_iter,
-                X0=starts,
-                on_iteration=hook,
-                precondition=precondition,
-            )
-            weights = np.asarray(blocked.X, dtype=np.float64)
-            columns = [blocked.column(j) for j in range(targets.shape[1])]
-        else:
-            weights = np.empty((op.shape[1], targets.shape[1]))
-            columns = []
-            for j in range(targets.shape[1]):
-                result = lsqr(
-                    op,
-                    targets[:, j],
-                    damp=damp,
-                    atol=self.tol,
-                    btol=self.tol,
-                    iter_lim=self.max_iter,
-                    x0=None if starts is None else starts[:, j],
-                    on_iteration=hook,
-                    precondition=precondition,
-                )
-                weights[:, j] = result.x
-                columns.append(result)
+        blocked = block_lsqr(
+            op,
+            targets,
+            damp=damp,
+            atol=self.tol,
+            btol=self.tol,
+            iter_lim=self.max_iter,
+            X0=starts,
+            on_iteration=hook,
+            precondition=precondition,
+        )
+        weights = np.asarray(blocked.X, dtype=np.float64)
+        columns = [blocked.column(j) for j in range(targets.shape[1])]
         self.lsqr_iterations_ = _record_lsqr_columns(
             columns, report, self.tol, self.alpha
         )

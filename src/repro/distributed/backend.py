@@ -11,8 +11,8 @@ linear-time claim needs to survive a network hop.
 
 Two surfaces:
 
-- The generic :meth:`map` (module-level functions only, like the
-  process backend) — used by ``run_experiment`` fan-out.
+- The generic :meth:`map` (module-level functions only: tasks cross
+  a process boundary, so closures cannot be pickled).
 - The remote-shard surface (:attr:`remote` = True):
   :meth:`ship_shards` + :meth:`run_tasks`, used by
   :class:`~repro.parallel.sharded.ShardedOperator` to pin shards to
@@ -68,7 +68,6 @@ class DistributedBackend(Backend):
     """
 
     name = "distributed"
-    supports_closures = False
     #: Shards must be *shipped* (no shared address space); the sharded
     #: layer checks this flag to pick the remote transport path.
     remote = True

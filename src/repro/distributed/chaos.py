@@ -175,10 +175,6 @@ class ChaosBackend(Backend):
         return self.inner.n_workers
 
     @property
-    def supports_closures(self) -> bool:  # type: ignore[override]
-        return self.inner.supports_closures
-
-    @property
     def remote(self) -> bool:
         return getattr(self.inner, "remote", False)
 
@@ -229,11 +225,6 @@ class ChaosBackend(Backend):
                 time.sleep(plan.delay_seconds)
             return fn(item)
 
-        if not self.inner.supports_closures:
-            # A process pool cannot run the closure; fall back to the
-            # undecorated map (kills/corruption don't apply locally
-            # anyway — SharedArena transport has its own tests).
-            return self.inner.map(fn, tasks)
         return self.inner.map(chaotic, tasks)
 
     def close(self) -> None:

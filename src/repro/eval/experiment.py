@@ -343,9 +343,9 @@ def run_experiment(
     backend:
         Execution backend for the parallel cells: ``None`` (pick from
         ``n_jobs``), ``"serial"``/``"thread"``, or a live
-        :class:`repro.parallel.Backend` (shared, not closed).  The
-        process backend is rejected — cells close over live estimators
-        and dataset views that must stay in-process.
+        :class:`repro.parallel.Backend` (shared, not closed).  A remote
+        backend (``"distributed"``) is rejected — cells close over live
+        estimators and dataset views that must stay in-process.
     """
     if retries < 0:
         raise ValueError("retries must be non-negative")
@@ -380,13 +380,13 @@ def run_experiment(
 
     runner = resolve_backend(backend, n_jobs)
     owns_runner = not isinstance(backend, Backend)
-    if not runner.supports_closures:
+    if runner.remote:
         if owns_runner:
             runner.close()
         raise ValueError(
             "run_experiment parallelizes cells with in-process closures; "
-            "use a serial or thread backend (the process backend is for "
-            "operator products)"
+            "use a serial or thread backend (the distributed backend is "
+            "for operator products)"
         )
 
     tracer = current_tracer()

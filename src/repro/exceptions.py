@@ -77,10 +77,8 @@ class ProtocolError(TransportError):
 class WorkerCrashError(TransportError):
     """A worker process died while it held in-flight work.
 
-    Raised by the process backend when its pool breaks mid-map (after
-    eagerly unlinking every shared-memory segment), and used internally
-    by the distributed supervisor to classify a dead worker before
-    reassignment.
+    Used by the distributed supervisor to classify a dead worker before
+    reassigning its shards.
     """
 
 

@@ -6,8 +6,9 @@ operator into contiguous row shards
 (:class:`~repro.parallel.sharded.ShardedOperator`) and fans the
 per-shard kernels out on an execution
 :class:`~repro.parallel.backends.Backend`: serial (the default, a pure
-refactoring), threads (numpy kernels release the GIL), or processes
-(shard data broadcast once through ``multiprocessing.shared_memory``).
+refactoring) or threads (the CSR kernels release the GIL) in-host, and
+:mod:`repro.distributed` (shards shipped once to supervised worker
+processes) across processes.
 
 Entry points most callers want:
 
@@ -18,13 +19,12 @@ Entry points most callers want:
 - :func:`~repro.parallel.backends.resolve_backend` +
   :class:`ShardedOperator` for direct operator-level control.
 
-See ``docs/PARALLEL.md`` for backend selection, the shared-memory
-lifecycle, and the determinism guarantees.
+See ``docs/PARALLEL.md`` for backend selection and the determinism
+guarantees.
 """
 
 from repro.parallel.backends import (
     Backend,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     effective_n_jobs,
@@ -37,17 +37,12 @@ from repro.parallel.sharded import (
     nnz_shard_bounds,
     shard_bounds,
 )
-from repro.parallel.shm import SharedArena, SharedArrayRef, attach_array
 
 __all__ = [
     "Backend",
-    "ProcessBackend",
     "SerialBackend",
-    "SharedArena",
-    "SharedArrayRef",
     "ShardedOperator",
     "ThreadBackend",
-    "attach_array",
     "csr_row_slice",
     "default_shard_count",
     "effective_n_jobs",

@@ -1,25 +1,22 @@
 """Execution backends for the sharded solver layer.
 
-One protocol, three implementations:
+One protocol, two in-host implementations:
 
 - :class:`SerialBackend` — runs tasks inline in submission order.  The
   default everywhere; a :class:`~repro.parallel.sharded.ShardedOperator`
   on the serial backend is a pure refactoring of the unsharded product.
 - :class:`ThreadBackend` — a persistent ``ThreadPoolExecutor``.  The CSR
-  kernels spend their time inside numpy ufuncs (``bincount``,
-  ``reduceat``, fancy gather, elementwise multiply), all of which drop
-  the GIL on large arrays, so row shards genuinely overlap.  Tasks run
-  inside a *copy* of the caller's ``contextvars`` context, so ambient
-  tracers (and therefore spans opened in a worker) nest under the span
-  that was open at the fan-out point.
-- :class:`ProcessBackend` — a persistent ``ProcessPoolExecutor`` plus a
-  :class:`~repro.parallel.shm.SharedArena`.  Shard payloads are shipped
-  into shared memory once; per-call traffic is small picklable task
-  tuples, with operands and results travelling through reusable
-  shared-memory mailboxes.  Task callables must be module-level
-  (picklable) functions — closures are rejected by pickling, which is
-  why :func:`Backend.map` users check :attr:`Backend.supports_closures`
-  first.
+  kernels spend their time inside GIL-free compiled loops or numpy
+  ufuncs (``bincount``, ``reduceat``, fancy gather, elementwise
+  multiply), all of which drop the GIL on large arrays, so row shards
+  genuinely overlap without copying any data.  Tasks run inside a
+  *copy* of the caller's ``contextvars`` context, so ambient tracers
+  (and therefore spans opened in a worker) nest under the span that was
+  open at the fan-out point.
+
+Cross-process execution is :class:`repro.distributed.DistributedBackend`
+(``backend="distributed"``), the one backend with :attr:`Backend.remote`
+set: its tasks cross a process boundary, so it cannot run closures.
 
 Determinism: a backend never changes *what* is computed, only *where*.
 ``map`` always returns results in submission order, and the sharded
@@ -37,21 +34,21 @@ from __future__ import annotations
 
 import contextvars
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, List, Optional, Type, Union
 
-from repro.exceptions import WorkerCrashError
-from repro.parallel.shm import SharedArena
-
 __all__ = [
+    "BACKEND_NAMES",
     "Backend",
-    "ProcessBackend",
     "SerialBackend",
     "ThreadBackend",
+    "check_backend_name",
     "effective_n_jobs",
     "resolve_backend",
 ]
+
+#: Accepted string spellings for :func:`resolve_backend`.
+BACKEND_NAMES = ("serial", "thread", "distributed")
 
 
 def effective_n_jobs(n_jobs: Optional[int]) -> int:
@@ -79,19 +76,16 @@ class Backend:
     :meth:`close`\\ d when owned (context-manager support is provided).
     """
 
-    #: Display name ("serial" / "thread" / "process").
+    #: Display name ("serial" / "thread" / "distributed").
     name: str = "backend"
 
     #: Worker count this backend fans out to.
     n_workers: int = 1
 
-    #: False when task callables must be picklable module-level
-    #: functions (the process backend); closures are fine otherwise.
-    supports_closures: bool = True
-
-    #: True when shard payloads must be *shipped* to workers (no shared
-    #: address space at all — the distributed backend).  The sharded
-    #: layer checks this to pick the remote transport path.
+    #: True when tasks run in another process (the distributed
+    #: backend): shard payloads must be *shipped* to workers and task
+    #: callables cannot be closures.  The sharded layer checks this to
+    #: pick the remote transport path.
     remote: bool = False
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> List[Any]:
@@ -167,72 +161,27 @@ class ThreadBackend(Backend):
             self._executor = None
 
 
-class ProcessBackend(Backend):
-    """A persistent process pool with shared-memory data transport.
+def check_backend_name(backend: Union[None, str, Backend]) -> None:
+    """Reject a backend spelling :func:`resolve_backend` cannot build.
 
-    Parameters
-    ----------
-    n_workers:
-        Pool size (default: every available core).
-    start_method:
-        ``multiprocessing`` start method.  Defaults to ``"spawn"``:
-        fork duplicates arbitrary parent state (and is deprecated in
-        multithreaded processes from Python 3.12), while spawn costs a
-        short one-time worker startup that the persistent pool
-        amortizes over the whole solve.
-
-    The :attr:`arena` owns every shared-memory block this backend
-    ships; :meth:`close` shuts the pool down and unlinks them all.
+    ``None`` and :class:`Backend` instances always pass; anything else
+    must be one of the strings in :data:`BACKEND_NAMES`.  ``"process"``
+    gets a message naming its replacements, ``"thread"`` (in-host) and
+    ``"distributed"`` (cross-process).
     """
-
-    name = "process"
-    supports_closures = False
-
-    def __init__(
-        self, n_workers: Optional[int] = None, start_method: str = "spawn"
-    ) -> None:
-        self.n_workers = effective_n_jobs(-1 if n_workers is None else n_workers)
-        self._start_method = start_method
-        self._executor: Optional[Executor] = None
-        self.arena = SharedArena()
-
-    def _pool(self) -> Executor:
-        if self._executor is None:
-            import multiprocessing
-
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                mp_context=multiprocessing.get_context(self._start_method),
-            )
-        return self._executor
-
-    def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> List[Any]:
-        tasks = list(items)
-        if not tasks:
-            return []
-        try:
-            return list(self._pool().map(fn, tasks))
-        except BrokenProcessPool as exc:
-            # A worker died mid-map (OOM-kill, segfault, SIGKILL).  The
-            # pool is unusable and — critically — the dead worker can
-            # never detach its shared-memory mappings, so unlink every
-            # segment *now* (close() tears down the arena) instead of
-            # leaking them until interpreter exit.
-            self.close()
-            raise WorkerCrashError(
-                f"process-pool worker died mid-map: {exc}; shared-memory "
-                "segments unlinked, backend closed"
-            ) from exc
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        self.arena.close()
-
-
-#: Accepted string spellings for :func:`resolve_backend`.
-_BACKEND_NAMES = ("serial", "thread", "process", "distributed")
+    if backend is None or isinstance(backend, Backend):
+        return
+    if backend == "process":
+        raise ValueError(
+            "the process backend was removed; use backend='thread' for "
+            "in-host parallelism or backend='distributed' to run shards "
+            "in other processes"
+        )
+    if backend not in BACKEND_NAMES:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of {BACKEND_NAMES} "
+            "or a Backend instance"
+        )
 
 
 def resolve_backend(
@@ -245,9 +194,11 @@ def resolve_backend(
       keeps ownership and is responsible for closing it);
     - ``None`` picks :class:`SerialBackend` for one job and
       :class:`ThreadBackend` otherwise;
-    - ``"serial"``/``"thread"``/``"process"``/``"distributed"`` select
-      explicitly, sized by ``n_jobs``.
+    - ``"serial"``/``"thread"``/``"distributed"`` select explicitly,
+      sized by ``n_jobs``; any other name raises ``ValueError`` (see
+      :func:`check_backend_name`).
     """
+    check_backend_name(backend)
     if isinstance(backend, Backend):
         return backend
     jobs = effective_n_jobs(n_jobs)
@@ -257,15 +208,8 @@ def resolve_backend(
         return SerialBackend()
     if backend == "thread":
         return ThreadBackend(jobs)
-    if backend == "process":
-        return ProcessBackend(jobs)
-    if backend == "distributed":
-        # Imported lazily: the distributed stack (sockets, subprocess
-        # supervision) stays out of the import graph until requested.
-        from repro.distributed.backend import DistributedBackend
+    # Imported lazily: the distributed stack (sockets, subprocess
+    # supervision) stays out of the import graph until requested.
+    from repro.distributed.backend import DistributedBackend
 
-        return DistributedBackend(jobs)
-    raise ValueError(
-        f"unknown backend {backend!r}; expected one of {_BACKEND_NAMES} "
-        "or a Backend instance"
-    )
+    return DistributedBackend(jobs)

@@ -34,15 +34,6 @@ count, plus — for CSR — the nnz profile via
   forward products go through BLAS, whose internal reduction order can
   depend on the block's row count.
 
-Process transport
------------------
-On a backend without closure support (the process backend), shard
-payloads are broadcast into shared memory **once** at construction;
-each product ships only small picklable task dicts, with the operand
-and result travelling through two reusable shared-memory mailboxes.
-Workers rebuild shard objects lazily and cache them (including their
-transpose caches) for the life of the pool.
-
 Per-shard wall times are recorded into the current tracer's metrics
 (histogram ``parallel.shard_seconds``, counter
 ``parallel.shard_products``), so shard balance shows up in the same
@@ -51,8 +42,6 @@ trace as the fit spans.
 
 from __future__ import annotations
 
-import atexit
-import gc
 import time
 from typing import (
     Any,
@@ -74,7 +63,6 @@ from repro.linalg.operators import LinearOperator, as_operator
 from repro.linalg.sparse import CSRMatrix
 from repro.observability import current_tracer
 from repro.parallel.backends import Backend, SerialBackend, resolve_backend
-from repro.parallel.shm import attach_array
 
 __all__ = [
     "ShardedOperator",
@@ -258,8 +246,7 @@ def _apply_shard_kernel(
     """Run one shard's share of a product, writing into ``out``.
 
     The write-into-buffer form of :func:`shard_kernel_result` used by
-    in-process backends (including process workers writing into
-    shared-memory views).  Forward kernels write their disjoint row
+    in-process backends.  Forward kernels write their disjoint row
     block; adjoint kernels write either their slice of the CSR products
     buffer (``rmatvec``) or their partial into slot ``slot`` for the
     coordinator's ordered fold.
@@ -272,67 +259,6 @@ def _apply_shard_kernel(
         out[p0:p1] = shard_kernel_result(mode, shard, kernel, operand[r0:r1])
     else:
         out[slot] = shard_kernel_result(mode, shard, kernel, operand[r0:r1])
-
-
-# ----------------------------------------------------------------------
-# Process-worker side
-# ----------------------------------------------------------------------
-
-#: Shards this worker has rebuilt from shared memory, keyed by bundle
-#: key; cached so transpose/segment caches survive across products.
-_SHARD_CACHE: Dict[str, Any] = {}
-
-
-def _clear_shard_cache() -> None:
-    """Drop rebuilt shards so their views release the shm buffers.
-
-    Registered *after* :mod:`repro.parallel.shm`'s attachment cleanup
-    (atexit is LIFO), so by the time the worker unmaps its attached
-    blocks no cached ndarray still pins a buffer.  The explicit
-    collection matters: a CSR shard and its lazily built transpose
-    back-link each other (``A.T.T is A``), a cycle refcounting alone
-    never frees.
-    """
-    _SHARD_CACHE.clear()
-    gc.collect()
-
-
-atexit.register(_clear_shard_cache)
-
-
-def _materialize_shard(bundle: Dict[str, Any]) -> Any:
-    key = bundle["key"]
-    shard = _SHARD_CACHE.get(key)
-    if shard is None:
-        refs = bundle["refs"]
-        if bundle["kind"] == "csr":
-            shard = CSRMatrix(
-                attach_array(refs["data"]),
-                attach_array(refs["indices"]),
-                attach_array(refs["indptr"]),
-                bundle["shape"],
-            )
-        else:
-            shard = attach_array(refs["block"])
-        _SHARD_CACHE[key] = shard
-    return shard
-
-
-def _process_shard_task(task: Dict[str, Any]) -> float:
-    """Worker entry point: one shard kernel on shared-memory views."""
-    t0 = time.perf_counter()
-    shard = _materialize_shard(task["bundle"])
-    _apply_shard_kernel(
-        task["bundle"]["kind"],
-        shard,
-        task["kernel"],
-        attach_array(task["operand"]),
-        attach_array(task["out"]),
-        task["rows"],
-        task["nnz"],
-        task["slot"],
-    )
-    return time.perf_counter() - t0
 
 
 class ShardedOperator(LinearOperator):
@@ -442,26 +368,16 @@ class ShardedOperator(LinearOperator):
         self.degraded_from: Optional[str] = None
         self.degradation_reason: Optional[str] = None
 
-        self._uses_remote = bool(getattr(self.backend, "remote", False))
-        self._uses_shm = (
-            not self.backend.supports_closures and not self._uses_remote
-        )
-        self._bundles: List[Dict[str, Any]] = []
+        self._uses_remote = self.backend.remote
         self._remote_keys: List[str] = []
-        if not self._single:
-            if self._uses_shm:
-                self._broadcast_shards()
-            elif self._uses_remote:
-                try:
-                    self._ship_remote_shards()
-                except TransportError as exc:
-                    if (
-                        getattr(self.backend, "on_unhealthy", "degrade")
-                        != "degrade"
-                    ):
-                        self.close()
-                        raise
-                    self._degrade(exc)
+        if self._uses_remote and not self._single:
+            try:
+                self._ship_remote_shards()
+            except TransportError as exc:
+                if getattr(self.backend, "on_unhealthy", "degrade") != "degrade":
+                    self.close()
+                    raise
+                self._degrade(exc)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -480,7 +396,7 @@ class ShardedOperator(LinearOperator):
             raise ValueError(
                 f"n_shards={n_shards} conflicts with {len(ops)} row blocks"
             )
-        if not self.backend.supports_closures:
+        if self.backend.remote:
             raise ValueError(
                 "operator-sequence sharding cannot cross a process "
                 "boundary; use a serial or thread backend"
@@ -516,42 +432,11 @@ class ShardedOperator(LinearOperator):
             (int(indptr[r0]), int(indptr[r1])) for r0, r1 in self._bounds
         ]
 
-    def _broadcast_shards(self) -> None:
-        """One-time shared-memory broadcast of every shard's payload."""
-        arena = getattr(self.backend, "arena", None)
-        if arena is None:
-            raise ValueError(
-                f"backend {self.backend.name!r} does not support closures "
-                "and has no shared-memory arena"
-            )
-        for i, shard in enumerate(self._local_shards):
-            if self._mode == "csr":
-                refs = arena.share(
-                    {
-                        "data": shard.data,
-                        "indices": shard.indices,
-                        "indptr": shard.indptr,
-                    }
-                )
-                shape: Tuple[int, ...] = shard.shape
-            else:
-                refs = arena.share({"block": shard})
-                shape = shard.shape
-            # The data block's shm name is globally unique — it doubles
-            # as the worker-side cache key for the rebuilt shard.
-            key = refs["data" if self._mode == "csr" else "block"].name
-            self._bundles.append(
-                {"kind": self._mode, "refs": refs, "shape": shape, "key": key}
-            )
-        self._role_in = f"{self._bundles[0]['key']}:in"
-        self._role_out = f"{self._bundles[0]['key']}:out"
-
     def _ship_remote_shards(self) -> None:
         """One-time checksummed shipment of every shard to the cluster.
 
-        Mirrors :meth:`_broadcast_shards` for remote backends: shard
-        payloads cross the wire exactly once; per-product traffic is
-        limited to operand and result vectors.
+        Shard payloads cross the wire exactly once; per-product traffic
+        is limited to operand and result vectors.
         """
         payloads: List[Dict[str, Any]] = []
         for shard in self._local_shards:
@@ -600,7 +485,6 @@ class ShardedOperator(LinearOperator):
         self.backend = SerialBackend()
         self._owns_backend = True
         self._uses_remote = False
-        self._uses_shm = False
 
     # ------------------------------------------------------------------
     # Operator contract
@@ -656,51 +540,25 @@ class ShardedOperator(LinearOperator):
                 # same kernels — the product below is bit-for-bit what
                 # the cluster would have returned.
                 self._degrade(exc)
-        if self._uses_shm:
-            arena = getattr(self.backend, "arena")
-            in_view, in_ref = arena.ndarray(
-                self._role_in, operand.shape, operand.dtype
-            )
-            in_view[...] = operand
-            out_view, out_ref = arena.ndarray(
-                self._role_out, out_shape, out_dtype
-            )
-            tasks = [
-                {
-                    "bundle": self._bundles[i],
-                    "kernel": kernel,
-                    "operand": in_ref,
-                    "out": out_ref,
-                    "rows": self._bounds[i],
-                    "nnz": self._nnz_bounds[i],
-                    "slot": i,
-                }
-                for i in range(self.n_shards)
-            ]
-            timings = self.backend.map(_process_shard_task, tasks)
-            # Copy out before the mailbox is reused by the next product.
-            result = np.array(out_view, order=order)
-        else:
-            out = self._fan_in_buffer(kernel, out_shape, out_dtype, order)
+        out = self._fan_in_buffer(kernel, out_shape, out_dtype, order)
 
-            def run_shard(index: int) -> float:
-                t0 = time.perf_counter()
-                _apply_shard_kernel(
-                    self._mode,
-                    self._local_shards[index],
-                    kernel,
-                    operand,
-                    out,
-                    self._bounds[index],
-                    self._nnz_bounds[index],
-                    index,
-                )
-                return time.perf_counter() - t0
+        def run_shard(index: int) -> float:
+            t0 = time.perf_counter()
+            _apply_shard_kernel(
+                self._mode,
+                self._local_shards[index],
+                kernel,
+                operand,
+                out,
+                self._bounds[index],
+                self._nnz_bounds[index],
+                index,
+            )
+            return time.perf_counter() - t0
 
-            timings = self.backend.map(run_shard, list(range(self.n_shards)))
-            result = out
+        timings = self.backend.map(run_shard, list(range(self.n_shards)))
         self._record(timings)
-        return result
+        return out
 
     def _run_remote(
         self,
@@ -838,10 +696,8 @@ class ShardedOperator(LinearOperator):
     def close(self) -> None:
         """Close the backend if this operator owns it.  Idempotent.
 
-        Shared-memory broadcast blocks live in the backend's arena and
-        are unlinked when the backend closes — a caller-supplied
-        backend therefore keeps shard payloads mapped (by design: it
-        may be serving several operators) until the caller closes it.
+        A caller-supplied backend stays open (it may be serving several
+        operators) until the caller closes it.
         """
         if self._closed:
             return

@@ -62,3 +62,45 @@ def sparse_classification(rng):
         cols = slice(8 * k, 8 * k + 4)
         dense[y == k, cols] += 2.0
     return CSRMatrix.from_dense(dense), dense, y
+
+
+@pytest.fixture
+def sequential_lsqr_srda():
+    """An SRDA subclass that solves one response column at a time.
+
+    Its ``_ridge_lsqr`` runs the reference :func:`repro.linalg.lsqr`
+    once per column with the same damping, tolerances, warm starts and
+    tracer hook as the blocked solver, and feeds the same per-column
+    diagnostics into the report — an independent reference to check
+    SRDA's blocked Golub–Kahan fit against.
+    """
+    from repro.core.srda import SRDA, _record_lsqr_columns
+    from repro.linalg.lsqr import lsqr
+
+    class SequentialLsqrSRDA(SRDA):
+        def _ridge_lsqr(self, op, targets, report):
+            starts = self._warm_start_matrix(op.shape[1], targets.shape[1])
+            damp = float(np.sqrt(self.alpha))
+            tracer = getattr(self, "_fit_tracer", None)
+            hook = tracer.iteration_hook() if tracer is not None else None
+            weights = np.empty((op.shape[1], targets.shape[1]))
+            columns = []
+            for j in range(targets.shape[1]):
+                result = lsqr(
+                    op,
+                    targets[:, j],
+                    damp=damp,
+                    atol=self.tol,
+                    btol=self.tol,
+                    iter_lim=self.max_iter,
+                    x0=None if starts is None else starts[:, j],
+                    on_iteration=hook,
+                )
+                weights[:, j] = result.x
+                columns.append(result)
+            self.lsqr_iterations_ = _record_lsqr_columns(
+                columns, report, self.tol, self.alpha
+            )
+            return weights
+
+    return SequentialLsqrSRDA

@@ -296,3 +296,19 @@ class TestSolverConfigAliases:
             model.set_params(config=SolverConfig(solver="normal"))
             clone(model)
         assert model.config.solver == "normal"
+
+
+class TestSolverConfigValidation:
+    @pytest.mark.parametrize(
+        "name, message",
+        [("bogus", "unknown backend"), ("process", "process backend was removed")],
+    )
+    def test_unknown_backend_name_fails_at_construction(self, name, message):
+        # solver="normal" never resolves the backend, so only the
+        # construction-time check can catch the bad name.
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(solver="normal", backend=name)
+
+    @pytest.mark.parametrize("name", [None, "serial", "thread", "distributed"])
+    def test_known_backend_name_constructs(self, name):
+        assert SolverConfig(backend=name).backend == name

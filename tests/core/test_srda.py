@@ -288,15 +288,18 @@ class TestInvariances:
 
 
 class TestBlockPath:
-    """The blocked LSQR fit is the default; block=False is the escape
-    hatch back to one sequential solve per response column.  Both must
-    produce the same model and the same fit diagnostics."""
+    """SRDA's LSQR fit carries every response column through one blocked
+    Golub–Kahan iteration.  It must produce the same model and the same
+    fit diagnostics as one sequential reference LSQR solve per column
+    (the ``sequential_lsqr_srda`` fixture)."""
 
-    def test_block_matches_sequential_dense(self, small_classification):
+    def test_block_matches_sequential_dense(
+        self, small_classification, sequential_lsqr_srda
+    ):
         X, y = small_classification
         kwargs = dict(alpha=0.5, solver="lsqr", max_iter=15, tol=0.0)
-        blocked = SRDA(block=True, **kwargs).fit(X, y)
-        sequential = SRDA(block=False, **kwargs).fit(X, y)
+        blocked = SRDA(**kwargs).fit(X, y)
+        sequential = sequential_lsqr_srda(**kwargs).fit(X, y)
         assert np.allclose(
             blocked.components_, sequential.components_, atol=1e-10
         )
@@ -310,14 +313,16 @@ class TestBlockPath:
         )
         assert np.array_equal(blocked.predict(X), sequential.predict(X))
 
-    def test_block_matches_sequential_sparse(self, sparse_classification):
+    def test_block_matches_sequential_sparse(
+        self, sparse_classification, sequential_lsqr_srda
+    ):
         # 12 iterations: past that, the fixture's ill conditioning
         # amplifies summation-order rounding through the Golub–Kahan
         # recurrence (both paths drift from exact arithmetic equally).
         matrix, _, y = sparse_classification
         kwargs = dict(alpha=1.0, solver="lsqr", max_iter=12, tol=0.0)
-        blocked = SRDA(block=True, **kwargs).fit(matrix, y)
-        sequential = SRDA(block=False, **kwargs).fit(matrix, y)
+        blocked = SRDA(**kwargs).fit(matrix, y)
+        sequential = sequential_lsqr_srda(**kwargs).fit(matrix, y)
         assert np.allclose(
             blocked.components_, sequential.components_, atol=1e-10
         )
@@ -326,12 +331,12 @@ class TestBlockPath:
         )
 
     def test_block_matches_sequential_tolerance_stopping(
-        self, sparse_classification
+        self, sparse_classification, sequential_lsqr_srda
     ):
         matrix, _, y = sparse_classification
         kwargs = dict(alpha=1.0, solver="lsqr", max_iter=200, tol=1e-8)
-        blocked = SRDA(block=True, **kwargs).fit(matrix, y)
-        sequential = SRDA(block=False, **kwargs).fit(matrix, y)
+        blocked = SRDA(**kwargs).fit(matrix, y)
+        sequential = sequential_lsqr_srda(**kwargs).fit(matrix, y)
         scale = max(1.0, np.max(np.abs(sequential.components_)))
         assert (
             np.max(np.abs(blocked.components_ - sequential.components_))
@@ -339,13 +344,13 @@ class TestBlockPath:
             < 5e-8
         )
 
-    def test_block_warm_start(self, small_classification):
+    def test_block_warm_start(self, small_classification, sequential_lsqr_srda):
         X, y = small_classification
         kwargs = dict(
             alpha=0.5, solver="lsqr", max_iter=10, tol=0.0, warm_start=True
         )
-        blocked = SRDA(block=True, **kwargs)
-        sequential = SRDA(block=False, **kwargs)
+        blocked = SRDA(**kwargs)
+        sequential = sequential_lsqr_srda(**kwargs)
         for model in (blocked, sequential):
             model.fit(X, y)
             model.fit(X, y)  # second fit starts from the first solution
@@ -353,6 +358,13 @@ class TestBlockPath:
             blocked.components_, sequential.components_, atol=1e-9
         )
         assert blocked.lsqr_iterations_ == sequential.lsqr_iterations_
+
+    def test_block_knob_is_gone(self):
+        # Blocked LSQR is the only LSQR engine; the old escape hatch
+        # must not linger as a silently ignored parameter.
+        assert "block" not in SRDA().get_params()
+        with pytest.raises(TypeError, match="block"):
+            SRDA(block=False)
 
 
 class TestAlphaPath:

@@ -81,12 +81,13 @@ class TestSRDATracing:
         assert len(iteration_events) == max(model.lsqr_iterations_)
 
     def test_sequential_lsqr_event_count_matches_iterations(
-        self, small_classification
+        self, small_classification, sequential_lsqr_srda
     ):
+        # A solver swapped in through _ridge_lsqr reaches the tracer via
+        # _fit_tracer: one lsqr.iteration event per column iteration.
         X, y = small_classification
-        model = SRDA(
-            alpha=1.0, solver="lsqr", block=False, max_iter=12, tol=1e-8,
-            trace=True,
+        model = sequential_lsqr_srda(
+            alpha=1.0, solver="lsqr", max_iter=12, tol=1e-8, trace=True,
         ).fit(X, y)
         events = model.tracer_.sink.find("srda.solve")[0]["events"]
         iteration_events = [

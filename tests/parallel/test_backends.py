@@ -1,16 +1,21 @@
 """Unit tests for the execution backends."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.observability import InMemorySink, Tracer, current_tracer
+from repro.distributed import DistributedBackend
 from repro.parallel import (
-    Backend,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     effective_n_jobs,
     resolve_backend,
 )
+from repro.parallel.backends import BACKEND_NAMES, check_backend_name
 
 pytestmark = pytest.mark.parallel
 
@@ -39,7 +44,7 @@ class TestSerialBackend:
     def test_shape(self):
         backend = SerialBackend()
         assert backend.n_workers == 1
-        assert backend.supports_closures
+        assert not backend.remote
         backend.close()
 
     def test_exceptions_propagate(self):
@@ -99,7 +104,7 @@ class TestResolveBackend:
         [
             ("serial", SerialBackend),
             ("thread", ThreadBackend),
-            ("process", ProcessBackend),
+            ("distributed", DistributedBackend),
         ],
     )
     def test_names(self, name, cls):
@@ -116,8 +121,31 @@ class TestResolveBackend:
         with pytest.raises(ValueError, match="backend"):
             resolve_backend("quantum", 2)
 
-    def test_process_backend_refuses_closures(self):
-        backend = resolve_backend("process", 2)
-        assert isinstance(backend, Backend)
-        assert not backend.supports_closures
-        backend.close()
+    def test_removed_process_backend_names_replacements(self):
+        with pytest.raises(ValueError, match="process backend was removed") as err:
+            resolve_backend("process", 2)
+        assert "'thread'" in str(err.value)
+        assert "'distributed'" in str(err.value)
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_check_accepts_every_buildable_name(self, name):
+        check_backend_name(name)
+
+    def test_import_loads_no_multiprocessing(self):
+        # In-host fan-out is threads; nothing on the import path may pull
+        # in the multiprocessing machinery the process backend needed.
+        code = (
+            "import sys, repro, repro.parallel; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing'))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.dirname(os.path.dirname(repro.__file__)),
+                        env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert out.strip() == "[]"

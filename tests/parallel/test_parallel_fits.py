@@ -128,8 +128,14 @@ class TestExperimentParallel:
             )
         assert not result.cell("SRDA", "5").failed
 
-    def test_process_backend_rejected(self, tiny_dataset):
-        with pytest.raises(ValueError, match="process"):
+    def test_removed_process_backend_rejected(self, tiny_dataset):
+        with pytest.raises(ValueError, match="process backend was removed"):
             run_experiment(
                 tiny_dataset, ALGOS, n_splits=2, seed=3, backend="process"
+            )
+
+    def test_remote_backend_rejected(self, tiny_dataset, remote_backend):
+        with pytest.raises(ValueError, match="in-process closures"):
+            run_experiment(
+                tiny_dataset, ALGOS, n_splits=2, seed=3, backend=remote_backend
             )

@@ -177,13 +177,20 @@ class TestContract:
         assert report.ok
 
     @pytest.mark.slow
-    def test_verify_operator_process_backend(self, rng):
+    @pytest.mark.distributed
+    def test_verify_operator_distributed_backend(self, rng):
         matrix, _ = random_csr(rng, m=32, n=9)
         with ShardedOperator(
-            matrix, n_shards=2, backend="process", n_jobs=2
+            matrix, n_shards=2, backend="distributed", n_jobs=2
         ) as op:
             report = verify_operator(op, rng=0)
+            assert op.degraded_from is None
         assert report.ok
+
+    def test_removed_process_backend_rejected(self, rng):
+        matrix, _ = random_csr(rng)
+        with pytest.raises(ValueError, match="process backend was removed"):
+            ShardedOperator(matrix, n_shards=2, backend="process", n_jobs=2)
 
 
 class TestOpsMode:
@@ -204,10 +211,10 @@ class TestOpsMode:
         with pytest.raises(ValueError, match="column count"):
             ShardedOperator(ops)
 
-    def test_process_backend_rejected(self, rng):
+    def test_remote_backend_rejected(self, rng, remote_backend):
         ops = [DenseOperator(rng.standard_normal((5, 4)))]
-        with pytest.raises(ValueError, match="process"):
-            ShardedOperator(ops, backend="process", n_jobs=2)
+        with pytest.raises(ValueError, match="cannot cross a process boundary"):
+            ShardedOperator(ops, backend=remote_backend)
 
     def test_nan_fault_in_one_shard_sets_failure_istop(self, rng):
         A = rng.standard_normal((40, 8))

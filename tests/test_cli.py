@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.parallel.backends import BACKEND_NAMES
 
 
 class TestParser:
@@ -23,6 +24,15 @@ class TestParser:
     def test_table1_requires_sizes(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1"])
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_bench_backend_choices(self, name):
+        args = build_parser().parse_args(["bench", "pie", "--backend", name])
+        assert args.backend == name
+
+    def test_bench_removed_process_backend_rejected(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "pie", "--backend", "process"])
 
 
 class TestCommands:
