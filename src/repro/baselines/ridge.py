@@ -2,8 +2,9 @@
 
 SRDA's central move is replacing an eigenproblem with ridge regressions.
 This module provides the *plain* regression classifier — one-hot targets,
-same solvers — as a control: it shares every line of numerical machinery
-with SRDA but regresses on raw indicators instead of the spectral
+same solvers — as a control: it runs SRDA's own regression stage
+(:func:`repro.core.srda.solve_ridge`, bias absorbed by an appended ones
+column) but regresses on raw indicators instead of the spectral
 responses, so ablations can isolate what the response construction buys.
 """
 
@@ -14,12 +15,12 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.base import NotFittedError, validate_data, working_dtype
-from repro.linalg.lsqr import FAILURE_ISTOPS, ISTOP_REASONS, lsqr
-from repro.linalg.operators import AppendOnesOperator, as_operator
-from repro.linalg.sparse import CSRMatrix, is_sparse
 from repro.core.estimator import ReproEstimator, warn_deprecated_param
 from repro.core.solver_config import SolverConfig, config_alias
-from repro.robustness import FitReport, guarded_solve
+from repro.core.srda import solve_ridge
+from repro.linalg.sparse import CSRMatrix, is_sparse
+from repro.observability import resolve_tracer
+from repro.robustness import FitReport
 
 
 class RidgeClassifier(ReproEstimator):
@@ -28,7 +29,9 @@ class RidgeClassifier(ReproEstimator):
     Parameters
     ----------
     alpha:
-        Tikhonov regularization (> 0 for the normal path).
+        Tikhonov regularization ``α ≥ 0``.  At ``α = 0`` a singular
+        Gram matrix degrades through the guarded fallback chain, as in
+        :class:`repro.core.srda.SRDA`.
     config:
         A :class:`~repro.core.solver_config.SolverConfig`; only its
         ``solver`` field is consulted here — ``"normal"``, ``"lsqr"``,
@@ -87,73 +90,22 @@ class RidgeClassifier(ReproEstimator):
         targets = -np.ones((m, n_classes))
         targets[np.arange(m), y_indices] = 1.0
 
-        sparse_input = isinstance(X, CSRMatrix) or is_sparse(X)
         solver = self.solver
         if solver == "auto":
+            sparse_input = isinstance(X, CSRMatrix) or is_sparse(X)
             solver = "lsqr" if sparse_input else "normal"
-
-        if solver == "normal":
-            if sparse_input:
-                X = (
-                    X.to_dense()
-                    if isinstance(X, CSRMatrix)
-                    else np.asarray(X.todense(), dtype=np.float64)
-                )
-            X_aug = np.hstack([X, np.ones((m, 1))])
-            n_aug = X_aug.shape[1]
-            if self.alpha == 0.0:
-                # Minimum-norm least squares is the α→0 limit and never
-                # fails; record it as the solver used.
-                weights, _, _, _ = np.linalg.lstsq(X_aug, targets, rcond=None)
-                report.solver = "lstsq"
-                report.effective_alpha = 0.0
-            elif n_aug <= m:
-                gram = X_aug.T @ X_aug
-                solve = guarded_solve(
-                    gram, X_aug.T @ targets, alpha=self.alpha, report=report
-                )
-                weights = solve.x
-            else:
-                outer = X_aug @ X_aug.T
-                solve = guarded_solve(
-                    outer, targets, alpha=self.alpha, report=report
-                )
-                weights = X_aug.T @ solve.x
-            self.lsqr_iterations_ = None
-        else:
-            op = AppendOnesOperator(as_operator(X))
-            weights = np.empty((op.shape[1], n_classes))
-            iterations = []
-            istops = []
-            residuals = []
-            for k in range(n_classes):
-                result = lsqr(
-                    op,
-                    targets[:, k],
-                    damp=float(np.sqrt(self.alpha)),
-                    atol=self.tol,
-                    btol=self.tol,
-                    iter_lim=self.max_iter,
-                )
-                weights[:, k] = result.x
-                iterations.append(result.itn)
-                istops.append(result.istop)
-                residuals.append(float(result.r2norm))
-                if result.istop in FAILURE_ISTOPS:
-                    report.converged = False
-                    report.add_warning(
-                        f"LSQR failed on class {k}: istop={result.istop} "
-                        f"({ISTOP_REASONS[result.istop]})"
-                    )
-            self.lsqr_iterations_ = iterations
-            report.solver = "lsqr"
-            report.effective_alpha = self.alpha
-            report.lsqr_istop = istops
-            report.lsqr_iterations = iterations
-            report.lsqr_residuals = residuals
-
-        self.coef_ = weights[:-1]
-        self.intercept_ = weights[-1]
+        self.coef_, self.intercept_, _, self.lsqr_iterations_ = solve_ridge(
+            X,
+            targets,
+            self.alpha,
+            solver,
+            False,
+            SolverConfig(solver=solver),
+            self.max_iter,
+            self.tol,
+            report,
+            resolve_tracer(None),
+        )
         return self
 
     def decision_function(self, X) -> np.ndarray:

@@ -79,7 +79,7 @@ class ReproEstimator:
     #: them back as ``None`` — the serving layer relies on this to
     #: deep-copy a fitted model before ``partial_fit`` so the served
     #: original is never mutated.
-    _runtime_attrs: ClassVar[tuple] = ("tracer_", "_fit_tracer")
+    _runtime_attrs: ClassVar[tuple] = ("tracer_",)
 
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__.copy()

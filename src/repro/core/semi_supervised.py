@@ -23,10 +23,9 @@ from repro.core.base import LinearEmbedder, as_dense, encode_labels
 from repro.core.estimator import warn_deprecated_param
 from repro.core.graph import graph_responses, semi_supervised_affinity
 from repro.core.solver_config import SolverConfig, config_alias
-from repro.linalg.cholesky import cholesky, solve_factored
-from repro.linalg.lsqr import lsqr
-from repro.linalg.operators import CenteringOperator, as_operator
+from repro.core.srda import solve_ridge
 from repro.observability import Tracer, resolve_tracer
+from repro.robustness import FitReport
 
 
 class SemiSupervisedSRDA(LinearEmbedder):
@@ -56,6 +55,11 @@ class SemiSupervisedSRDA(LinearEmbedder):
         parameter of the same name.  When enabled, ``fit`` emits
         ``semi_srda.fit`` with nested affinity/responses/solve/embed
         spans and per-iteration LSQR events on the iterative path.
+
+    The regression step is SRDA's own
+    (:func:`repro.core.srda.solve_ridge` on the centered data), so
+    ``fit_report_`` records the guarded-solve rungs or per-response
+    LSQR codes exactly as for :class:`repro.core.srda.SRDA`.
 
     Notes
     -----
@@ -109,6 +113,7 @@ class SemiSupervisedSRDA(LinearEmbedder):
         self.centroids_ = None
         self.responses_ = None
         self.lsqr_iterations_: Optional[List[int]] = None
+        self.fit_report_: Optional[FitReport] = None
 
     solver = config_alias("solver")
 
@@ -166,53 +171,29 @@ class SemiSupervisedSRDA(LinearEmbedder):
             responses = graph_responses(W, n_components=n_components)
         self.responses_ = responses
 
-        # regression step — identical machinery to supervised SRDA
-        mean = X.mean(axis=0)
-        centered = X - mean
+        # regression step — SRDA's own, on the centered data
+        report = FitReport(requested_solver=self.solver)
+        self.fit_report_ = report
         with tracer.span("semi_srda.solve", solver=self.solver):
-            if self.solver == "normal":
-                components = self._ridge_normal(centered, responses)
-            else:
-                op = CenteringOperator(as_operator(X), column_means=mean)
-                components = self._ridge_lsqr(op, responses, tracer)
-        self.components_ = components
-        self.intercept_ = -(mean @ components)
+            (
+                self.components_,
+                self.intercept_,
+                _,
+                self.lsqr_iterations_,
+            ) = solve_ridge(
+                X,
+                responses,
+                self.alpha,
+                self.solver,
+                True,
+                SolverConfig(solver=self.solver),
+                self.max_iter,
+                self.tol,
+                report,
+                tracer,
+            )
 
         with tracer.span("semi_srda.embed"):
             Z_labeled = self.transform(X[labeled_mask])
             self._store_centroids(Z_labeled, encoded)
         return self
-
-    def _ridge_normal(self, X: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        m, n = X.shape
-        if self.alpha == 0.0:
-            solution, _, _, _ = np.linalg.lstsq(X, targets, rcond=None)
-            return solution
-        if n <= m:
-            gram = X.T @ X
-            gram[np.diag_indices_from(gram)] += self.alpha
-            return solve_factored(cholesky(gram), X.T @ targets)
-        outer = X @ X.T
-        outer[np.diag_indices_from(outer)] += self.alpha
-        return X.T @ solve_factored(cholesky(outer), targets)
-
-    def _ridge_lsqr(
-        self, op, targets: np.ndarray, tracer: Optional[Tracer] = None
-    ) -> np.ndarray:
-        weights = np.empty((op.shape[1], targets.shape[1]))
-        iterations = []
-        hook = tracer.iteration_hook() if tracer is not None else None
-        for j in range(targets.shape[1]):
-            result = lsqr(
-                op,
-                targets[:, j],
-                damp=float(np.sqrt(self.alpha)),
-                atol=self.tol,
-                btol=self.tol,
-                iter_lim=self.max_iter,
-                on_iteration=hook,
-            )
-            weights[:, j] = result.x
-            iterations.append(result.itn)
-        self.lsqr_iterations_ = iterations
-        return weights

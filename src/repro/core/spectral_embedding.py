@@ -19,12 +19,13 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.base import NotFittedError, as_dense, working_dtype
-from repro.core.graph import knn_affinity
-from repro.linalg.cholesky import cholesky, solve_factored
-from repro.linalg.eigen import lanczos_eigsh
 from repro.core.estimator import ReproEstimator
-from repro.linalg.lsqr import lsqr
-from repro.linalg.operators import CenteringOperator, as_operator
+from repro.core.graph import knn_affinity
+from repro.core.solver_config import SolverConfig
+from repro.core.srda import solve_ridge
+from repro.linalg.eigen import lanczos_eigsh
+from repro.observability import resolve_tracer
+from repro.robustness import FitReport
 
 
 class SpectralRegressionEmbedding(ReproEstimator):
@@ -41,7 +42,9 @@ class SpectralRegressionEmbedding(ReproEstimator):
     affinity:
         ``"binary"`` or ``"heat"`` (see :func:`knn_affinity`).
     solver:
-        ``"normal"`` or ``"lsqr"`` for the regression step.
+        ``"normal"`` or ``"lsqr"`` for the regression step, which is
+        SRDA's own (:func:`repro.core.srda.solve_ridge` on the centered
+        data); ``fit_report_`` records its diagnostics.
     max_iter, tol:
         LSQR controls.
     """
@@ -73,6 +76,7 @@ class SpectralRegressionEmbedding(ReproEstimator):
         self.intercept_: Optional[np.ndarray] = None
         self.responses_: Optional[np.ndarray] = None
         self.lsqr_iterations_: Optional[List[int]] = None
+        self.fit_report_: Optional[FitReport] = None
 
     def _graph_responses_lanczos(self, W: np.ndarray) -> np.ndarray:
         """Top non-trivial eigenvectors of D^{-1/2} W D^{-1/2} via Lanczos."""
@@ -98,46 +102,26 @@ class SpectralRegressionEmbedding(ReproEstimator):
         responses = self._graph_responses_lanczos(W)
         self.responses_ = responses
 
-        mean = X.mean(axis=0)
-        centered = X - mean
-        if self.solver == "normal":
-            components = self._ridge_normal(centered, responses)
-        else:
-            op = CenteringOperator(as_operator(X), column_means=mean)
-            components = self._ridge_lsqr(op, responses)
-        self.components_ = components
-        self.intercept_ = -(mean @ components)
+        report = FitReport(requested_solver=self.solver)
+        self.fit_report_ = report
+        (
+            self.components_,
+            self.intercept_,
+            _,
+            self.lsqr_iterations_,
+        ) = solve_ridge(
+            X,
+            responses,
+            self.alpha,
+            self.solver,
+            True,
+            SolverConfig(solver=self.solver),
+            self.max_iter,
+            self.tol,
+            report,
+            resolve_tracer(None),
+        )
         return self
-
-    def _ridge_normal(self, X: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        m, n = X.shape
-        if self.alpha == 0.0:
-            solution, _, _, _ = np.linalg.lstsq(X, targets, rcond=None)
-            return solution
-        if n <= m:
-            gram = X.T @ X
-            gram[np.diag_indices_from(gram)] += self.alpha
-            return solve_factored(cholesky(gram), X.T @ targets)
-        outer = X @ X.T
-        outer[np.diag_indices_from(outer)] += self.alpha
-        return X.T @ solve_factored(cholesky(outer), targets)
-
-    def _ridge_lsqr(self, op, targets: np.ndarray) -> np.ndarray:
-        weights = np.empty((op.shape[1], targets.shape[1]))
-        iterations = []
-        for j in range(targets.shape[1]):
-            result = lsqr(
-                op,
-                targets[:, j],
-                damp=float(np.sqrt(self.alpha)),
-                atol=self.tol,
-                btol=self.tol,
-                iter_lim=self.max_iter,
-            )
-            weights[:, j] = result.x
-            iterations.append(result.itn)
-        self.lsqr_iterations_ = iterations
-        return weights
 
     def transform(self, X) -> np.ndarray:
         """Embed (possibly unseen) samples linearly.

@@ -43,27 +43,39 @@ Two solvers, matching Section III-C:
 ``min(m, n)`` is large, normal equations otherwise — mirroring how the
 paper ran its experiments (closed form on PIE/Isolet/MNIST, LSQR on
 20Newsgroups).
+
+Step 2 is :func:`solve_ridge`, the package's one regression stage.
+:class:`~repro.core.semi_supervised.SemiSupervisedSRDA`,
+:class:`~repro.core.spectral_embedding.SpectralRegressionEmbedding` and
+:class:`~repro.baselines.ridge.RidgeClassifier` regress through it too,
+and :func:`srda_alpha_path` shares its operator lifetime.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import List, Optional, Union
+from contextlib import contextmanager
+from typing import Any, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro._typing import FloatArray
+from repro._typing import FloatArray, MatrixLike
 
-from repro.core.base import LinearEmbedder, validate_data
+from repro.core.base import LinearEmbedder, as_dense, validate_data
 from repro.core.estimator import ReproDeprecationWarning, warn_deprecated_param
 from repro.core.responses import response_table_from_counts
 from repro.core.solver_config import SolverConfig, config_alias
 from repro.linalg import kernels
-from repro.linalg.block_lsqr import SharedBidiagonalization, block_lsqr
+from repro.linalg.block_lsqr import (
+    BlockLSQRResult,
+    SharedBidiagonalization,
+    block_lsqr,
+)
 from repro.linalg.lsqr import FAILURE_ISTOPS, ISTOP_REASONS
 from repro.linalg.operators import (
     AppendOnesOperator,
     CenteringOperator,
+    LinearOperator,
     as_operator,
 )
 from repro.linalg.sparse import CSRMatrix, is_sparse
@@ -117,10 +129,9 @@ def _note_singletons(counts, report: FitReport, emit: bool) -> None:
 def _record_lsqr_columns(columns, report: FitReport, tol: float, alpha: float):
     """Fold per-column LSQR results into a :class:`FitReport`.
 
-    Shared by :meth:`SRDA._ridge_lsqr` and :func:`srda_alpha_path`, so
-    the diagnostics and warning text are identical no matter which
-    engine produced the columns.  Returns the per-column iteration
-    counts.
+    Shared by :func:`solve_ridge` and :func:`srda_alpha_path`, so the
+    diagnostics and warning text are identical no matter which engine
+    produced the columns.  Returns the per-column iteration counts.
     """
     iterations: List[int] = []
     istops: List[int] = []
@@ -151,6 +162,231 @@ def _record_lsqr_columns(columns, report: FitReport, tol: float, alpha: float):
     report.lsqr_residuals = residuals
     report.effective_alpha = alpha
     return iterations
+
+
+# ----------------------------------------------------------------------
+# The regression stage (step 2), shared by every estimator
+# ----------------------------------------------------------------------
+@contextmanager
+def _ridge_operator(
+    X: MatrixLike, center: bool, config: SolverConfig
+) -> Iterator[Tuple[Any, Optional[ShardedOperator]]]:
+    """The LSQR system operator, inside the sharded operator's lifetime.
+
+    Yields ``(op, sharded)``: the :class:`CenteringOperator` (Eqn 14)
+    or :class:`AppendOnesOperator` (Section III-B) around the data
+    operator, and the :class:`~repro.parallel.ShardedOperator` serving
+    its products — ``None`` on the direct path, which adds no wrapper
+    and no overhead.  The sharded operator closes when the block exits,
+    on error too (the centering pass already runs inside it).
+    """
+    wrap = CenteringOperator if center else AppendOnesOperator
+    if config.backend is None and effective_n_jobs(config.n_jobs) <= 1:
+        yield wrap(as_operator(X)), None
+        return
+    with ShardedOperator(
+        X, backend=config.backend, n_jobs=config.n_jobs
+    ) as sharded:
+        yield wrap(sharded), sharded
+
+
+def _sketch_pays(op: LinearOperator, report: FitReport) -> bool:
+    """Whether a sketch preconditioner is worth building for ``op``.
+
+    On wide data (``n >= m``) the preconditioner's ``(n, n)`` Gram and
+    Cholesky factor would dominate the data itself, and its
+    per-iteration triangular solves cost more than the products they
+    save: record a :class:`~repro.robustness.RobustnessWarning` and
+    answer ``False`` so the caller runs plain LSQR.
+    """
+    m_rows, n_cols = op.shape
+    if n_cols < m_rows:
+        return True
+    report.add_warning(
+        f"sketched_lsqr right-preconditions through an (n x n) sketch "
+        f"Gram, which only pays for tall systems; X is {m_rows} x "
+        f"{n_cols} (n >= m), so the fit fell back to plain LSQR"
+    )
+    return False
+
+
+def _contract_check(op: LinearOperator, tracer: Tracer) -> None:
+    """Run :func:`verify_operator` on the actual solve operator."""
+    from repro.analysis.contracts import verify_operator
+
+    with tracer.span(
+        "srda.contract_check", operator=type(op).__name__
+    ) as span:
+        contract = verify_operator(op)
+        span.set_attribute("checks", len(contract.checks))
+        span.set_attribute("ok", contract.ok)
+
+
+def _normal_equations(
+    X: FloatArray, targets: FloatArray, alpha: float, report: FitReport
+) -> FloatArray:
+    """Normal equations (Eqn 20), dual (Eqn 21) when wide, on dense X.
+
+    Both systems go through :func:`repro.robustness.guarded_solve`, so
+    a rank-deficient Gram matrix (including the ``alpha = 0`` limit of
+    Theorem 2) degrades through the fallback chain — jittered ridge,
+    then a minimum-norm LSQR rescue — instead of raising
+    ``NotPositiveDefiniteError``.
+    """
+    m, n = X.shape
+    if n <= m:
+        result = guarded_solve(X.T @ X, X.T @ targets, alpha=alpha, report=report)
+        solution = result.x
+    else:
+        # Dual: (XXᵀ + αI) B = Ȳ in m dims, then A = Xᵀ B — exact
+        # because Xᵀ(XXᵀ + αI)⁻¹ = (XᵀX + αI)⁻¹Xᵀ.
+        result = guarded_solve(X @ X.T, targets, alpha=alpha, report=report)
+        solution = X.T @ result.x
+    if result.fallbacks:
+        report.add_warning(
+            f"normal-equations solve degraded to {result.solver} "
+            f"(effective_alpha={result.effective_alpha:.3g}, "
+            f"condition~{result.condition_estimate:.3g})"
+        )
+    return solution
+
+
+def _split_weights(
+    weights: FloatArray, mean: Optional[FloatArray]
+) -> Tuple[FloatArray, FloatArray]:
+    """``(components, intercept)`` of solved weights.
+
+    Centered fits (``mean`` given) have ``b = -μᵀA`` (Eqn 14);
+    augmented fits carry the intercept as the last weight row.
+    """
+    if mean is not None:
+        return weights, -(mean @ weights)
+    return weights[:-1], weights[-1]
+
+
+def solve_ridge(
+    X: MatrixLike,
+    targets: FloatArray,
+    alpha: float,
+    solver: str,
+    center: bool,
+    config: SolverConfig,
+    max_iter: int,
+    tol: float,
+    report: FitReport,
+    tracer: Tracer,
+    x0: Optional[FloatArray] = None,
+    validate: bool = False,
+    emit_warnings: bool = False,
+) -> Tuple[FloatArray, FloatArray, str, Optional[List[int]]]:
+    """SRDA's regression stage: ridge-regress every target column on X.
+
+    Complexity: O(iters·k·(nnz + m + n)) on the LSQR path for ``k``
+    target columns; O(m·n·min(m, n) + min(m, n)^3) on the normal path.
+
+    Solves ``min_A ‖X̄A - T‖² + α‖A‖²`` (Eqn 14/19) for all ``k`` columns
+    of ``targets`` at once, where ``X̄`` is ``X`` centered (``center``,
+    intercept outside the penalty) or ``X`` with a constant column
+    appended (Section III-B, intercept inside the penalty).  Every
+    estimator that regresses onto responses or indicators goes through
+    here:
+
+    - ``solver="normal"`` — :func:`_normal_equations` on the explicit
+      dense matrix: primal ``n × n`` or dual ``m × m`` Gram, whichever
+      is smaller, through the guarded fallback chain;
+    - ``"lsqr"`` — one blocked Golub–Kahan run
+      (:func:`~repro.linalg.block_lsqr.block_lsqr`, damping ``√α``)
+      over the implicit centering / append-ones operator, sharded when
+      ``config.n_jobs``/``config.backend`` ask for it, warm-started
+      from ``x0`` (``(n, k)`` centered, ``(n+1, k)`` augmented);
+    - ``"sketched_lsqr"`` — the same run right-preconditioned by a
+      sketch of the actual system (``config.sketch*``), or plain LSQR
+      with a recorded warning when the data is wide.
+
+    Diagnostics (guarded-solve rungs, per-column LSQR codes, the
+    backend that served the products) land in ``report``; ``tracer``
+    receives per-iteration events and the ``srda.flam`` counter.
+    ``validate`` contract-checks the solve operator first;
+    ``emit_warnings`` also emits the zero-variance note as a warning.
+
+    Returns ``(components, intercept, solver_used, lsqr_iterations)``,
+    the last ``None`` off the LSQR path.
+    """
+    if solver == "normal":
+        mean = None
+        if center:
+            if isinstance(X, CSRMatrix) or is_sparse(X):
+                raise ValueError(
+                    "centering sparse input densifies it; use "
+                    "solver='lsqr' (implicit centering) or centering=False"
+                )
+            X = np.asarray(X, dtype=np.float64)
+            mean = X.mean(axis=0)
+            matrix = X - mean
+            zero_var = int(np.sum(~matrix.any(axis=0)))
+            if zero_var:
+                report.add_warning(
+                    f"{zero_var} features have zero variance; they carry "
+                    "no discriminant information and make the Gram "
+                    "matrix singular at alpha=0",
+                    emit=emit_warnings,
+                )
+        else:
+            matrix = np.hstack([as_dense(X), np.ones((X.shape[0], 1))])
+        if validate:
+            _contract_check(as_operator(matrix), tracer)
+        weights = _normal_equations(matrix, targets, alpha, report)
+        return _split_weights(weights, mean) + (solver, None)
+
+    with _ridge_operator(X, center, config) as (system, sharded):
+        precondition = None
+        if solver == "sketched_lsqr":
+            if _sketch_pays(system, report):
+                from repro.linalg.sketch import build_preconditioner
+
+                # Sketch the structural operator before instrumentation:
+                # the sketch pass sees the exact system the solver
+                # iterates on, the flam counter meters only the solve.
+                precondition = build_preconditioner(
+                    system,
+                    alpha=alpha,
+                    sketch=config.sketch,
+                    sketch_size=config.sketch_size,
+                    seed=config.sketch_seed,
+                )
+            else:
+                solver = "lsqr"
+        op = system
+        if validate:
+            _contract_check(op, tracer)
+        if tracer.enabled:
+            from repro.complexity.counter import FlamCountingOperator
+
+            op = FlamCountingOperator(
+                op, metrics=tracer.metrics, metric="srda.flam"
+            )
+        blocked = block_lsqr(
+            op,
+            targets,
+            damp=float(np.sqrt(alpha)),
+            atol=tol,
+            btol=tol,
+            iter_lim=max_iter,
+            X0=x0,
+            on_iteration=tracer.iteration_hook(),
+            precondition=precondition,
+        )
+        iterations = _record_lsqr_columns(
+            [blocked.column(j) for j in range(targets.shape[1])],
+            report,
+            tol,
+            alpha,
+        )
+        report.solver = solver
+        _note_parallel_backend(report, sharded)
+    weights = np.asarray(blocked.X, dtype=np.float64)
+    mean = system.column_means if center else None
+    return _split_weights(weights, mean) + (solver, iterations)
 
 
 class _IncrementalState:
@@ -441,9 +677,6 @@ class SRDA(LinearEmbedder):
         self.fit_report_: Optional[FitReport] = None
         # partial_fit accumulator; None until the first partial_fit call
         self._incremental: Optional[_IncrementalState] = None
-        # set (and always reset) by partial_fit around its solve so the
-        # incremental path warm-starts regardless of the warm_start param
-        self._force_warm_start = False
 
     # ------------------------------------------------------------------
     # Config-field aliases.  Reading ``model.solver`` etc. stays cheap
@@ -471,7 +704,6 @@ class SRDA(LinearEmbedder):
         """
         tracer = resolve_tracer(self.trace)
         self.tracer_ = tracer if tracer.enabled else None
-        self._fit_tracer = tracer
         with kernels.use_backend(self.config.kernel_backend), tracer.span(
             "srda.fit", alpha=self.alpha, solver=self.solver
         ) as fit_span:
@@ -503,42 +735,15 @@ class SRDA(LinearEmbedder):
             self.responses_ = responses
 
         with tracer.span("srda.solve") as solve_span:
-            self.lsqr_iterations_ = None
             sparse_input = isinstance(X, CSRMatrix) or is_sparse(X)
             solver = self._resolve_solver(X, sparse_input)
             report.requested_solver = solver
-            center = (
-                not sparse_input
-                if self.centering == "auto"
-                else bool(self.centering)
-            )
-            if center and sparse_input and solver == "normal":
-                raise ValueError(
-                    "centering sparse input densifies it; use solver='lsqr' "
-                    "(implicit centering) or centering=False"
-                )
+            center = self._center(sparse_input)
             solve_span.set_attribute("solver", solver)
             solve_span.set_attribute("centered", center)
-            fit_span.set_attribute("solver_used", solver)
             fit_span.set_attribute("shape", [int(s) for s in X.shape])
-            if center:
-                components, intercept = self._fit_centered(
-                    X, responses, solver, sparse_input, report, tracer
-                )
-            else:
-                components, intercept = self._fit_augmented(
-                    X, responses, solver, sparse_input, report, tracer
-                )
-            if solver == "sketched_lsqr" and report.solver == "lsqr":
-                # _build_precondition refused (wide data) and the fit
-                # degraded to plain LSQR; solver_used_ reports what ran,
-                # report.requested_solver keeps what was asked for.
-                solver = "lsqr"
-                fit_span.set_attribute("solver_used", solver)
-            self.solver_used_ = solver
-            self.centered_ = center
-            self.components_ = components
-            self.intercept_ = intercept
+            self._solve(X, responses, solver, center, report, tracer)
+            fit_span.set_attribute("solver_used", self.solver_used_)
         with tracer.span("srda.embed"):
             self._store_centroids(self.transform(X), y_indices)
         return self
@@ -599,7 +804,6 @@ class SRDA(LinearEmbedder):
         """
         tracer = resolve_tracer(self.trace)
         self.tracer_ = tracer if tracer.enabled else None
-        self._fit_tracer = tracer
         with kernels.use_backend(self.config.kernel_backend), tracer.span(
             "srda.partial_fit", alpha=self.alpha, solver=self.solver
         ) as fit_span:
@@ -688,80 +892,20 @@ class SRDA(LinearEmbedder):
             self.intercept_ = self.intercept_ @ rebase
 
         report.requested_solver = solver
-        center = (
-            not sparse_input
-            if self.centering == "auto"
-            else bool(self.centering)
-        )
-        fit_span.set_attribute("solver_used", solver)
+        center = self._center(sparse_input)
         fit_span.set_attribute("shape", [int(s) for s in full_X.shape])
-
-        self.lsqr_iterations_ = None
-        self._force_warm_start = True
-        try:
-            with tracer.span("srda.solve", solver=solver, centered=center):
-                if center:
-                    components, intercept = self._fit_centered(
-                        full_X, responses, solver, sparse_input, report,
-                        tracer,
-                    )
-                else:
-                    components, intercept = self._fit_augmented(
-                        full_X, responses, solver, sparse_input, report,
-                        tracer,
-                    )
-        finally:
-            self._force_warm_start = False
-        if solver == "sketched_lsqr" and report.solver == "lsqr":
-            solver = "lsqr"
-            fit_span.set_attribute("solver_used", solver)
-        self.solver_used_ = solver
-        self.centered_ = center
-        self.components_ = components
-        self.intercept_ = intercept
+        with tracer.span("srda.solve", solver=solver, centered=center):
+            self._solve(
+                full_X, responses, solver, center, report, tracer,
+                force_warm=True,
+            )
+        fit_span.set_attribute("solver_used", self.solver_used_)
         state.solved_classes = classes
         state.solved_counts = state.counts.copy()
         state.solved_table = table
         with tracer.span("srda.embed"):
             self._store_centroids(self.transform(full_X), y_indices)
         return self
-
-    def _contract_check(self, op, tracer: Tracer) -> None:
-        """Run :func:`verify_operator` on the actual solve operator."""
-        from repro.analysis.contracts import verify_operator
-
-        with tracer.span(
-            "srda.contract_check", operator=type(op).__name__
-        ) as span:
-            contract = verify_operator(op)
-            span.set_attribute("checks", len(contract.checks))
-            span.set_attribute("ok", contract.ok)
-
-    def _instrument_operator(self, op, tracer: Tracer):
-        """Contract-check and/or flam-count the operator fit solves with."""
-        if self.validate_operators:
-            self._contract_check(op, tracer)
-        if tracer.enabled:
-            from repro.complexity.counter import FlamCountingOperator
-
-            op = FlamCountingOperator(
-                op, metrics=tracer.metrics, metric="srda.flam"
-            )
-        return op
-
-    def _base_operator(self, X):
-        """Data operator for the LSQR path, sharded when parallel.
-
-        Returns ``(op, sharded)`` where ``sharded`` is the
-        :class:`~repro.parallel.ShardedOperator` to close after the
-        solve, or ``None`` on the direct path.  The direct path is
-        byte-for-byte the pre-parallel code — ``n_jobs=None`` adds no
-        wrapper and no overhead.
-        """
-        if self.backend is None and effective_n_jobs(self.n_jobs) <= 1:
-            return as_operator(X), None
-        sharded = ShardedOperator(X, backend=self.backend, n_jobs=self.n_jobs)
-        return sharded, sharded
 
     def _fit_single_class(self, X, y_indices, report: FitReport) -> "SRDA":
         """Degenerate one-class fit: a zero-dimensional embedding.
@@ -795,201 +939,52 @@ class SRDA(LinearEmbedder):
         m, n = X.shape
         return "normal" if min(m, n) <= _AUTO_NORMAL_LIMIT else "lsqr"
 
-    # ------------------------------------------------------------------
-    # Centered path — exactly Eqn 14 (dense data, or sparse via LSQR)
-    # ------------------------------------------------------------------
-    def _fit_centered(self, X, responses, solver, sparse_input, report, tracer):
-        if solver == "normal":
-            X = np.asarray(X, dtype=np.float64)
-            mean = X.mean(axis=0)
-            centered = X - mean
-            zero_var = int(np.sum(~centered.any(axis=0)))
-            if zero_var:
-                report.add_warning(
-                    f"{zero_var} features have zero variance; they carry "
-                    "no discriminant information and make the Gram "
-                    "matrix singular at alpha=0",
-                    emit=self.on_invalid == "warn",
-                )
-            if self.validate_operators:
-                self._contract_check(as_operator(centered), tracer)
-            components = self._ridge_normal(centered, responses, report)
-        else:
-            base, sharded = self._base_operator(X)
-            try:
-                centering_op = CenteringOperator(base)
-                mean = centering_op.column_means
-                if solver == "sketched_lsqr":
-                    self._precondition = self._build_precondition(
-                        centering_op, report
-                    )
-                op = self._instrument_operator(centering_op, tracer)
-                components = self._ridge_lsqr(op, responses, report)
-                _note_parallel_backend(report, sharded)
-            finally:
-                self._precondition = None
-                if sharded is not None:
-                    sharded.close()
-        intercept = -(mean @ components)
-        return components, intercept
+    def _center(self, sparse_input: bool) -> bool:
+        """Centering (Eqn 14) or bias absorption (Section III-B)."""
+        if self.centering == "auto":
+            return not sparse_input
+        return bool(self.centering)
 
-    # ------------------------------------------------------------------
-    # Augmented path — Section III-B bias absorption
-    # ------------------------------------------------------------------
-    def _fit_augmented(self, X, responses, solver, sparse_input, report, tracer):
-        if solver == "normal":
-            if sparse_input:
-                X = (
-                    X.to_dense()
-                    if isinstance(X, CSRMatrix)
-                    else np.asarray(X.todense(), dtype=np.float64)
-                )
-            X_aug = np.hstack([X, np.ones((X.shape[0], 1))])
-            if self.validate_operators:
-                self._contract_check(as_operator(X_aug), tracer)
-            weights = self._ridge_normal(X_aug, responses, report)
-        else:
-            base, sharded = self._base_operator(X)
-            try:
-                augmented = AppendOnesOperator(base)
-                if solver == "sketched_lsqr":
-                    self._precondition = self._build_precondition(
-                        augmented, report
-                    )
-                op = self._instrument_operator(augmented, tracer)
-                weights = self._ridge_lsqr(op, responses, report)
-                _note_parallel_backend(report, sharded)
-            finally:
-                self._precondition = None
-                if sharded is not None:
-                    sharded.close()
-        return weights[:-1], weights[-1]
-
-    def _build_precondition(self, op, report):
-        """Sketch the actual fit operator into a right preconditioner.
-
-        Runs on the structural operator (centering / append-ones
-        wrapper, possibly around a sharded operator) *before*
-        instrumentation, so the sketch pass sees the exact system the
-        solver will iterate on while the flam counter only meters the
-        iteration itself.  ``alpha`` is folded into the sketch Gram so
-        the factor preconditions the damped system exactly.
-
-        Returns ``None`` — degrading the fit to plain LSQR, with a
-        :class:`~repro.robustness.RobustnessWarning` — when the data is
-        wide (``n >= m``): the preconditioner's ``(n, n)`` Gram and
-        Cholesky factor would then dominate the data itself, and its
-        per-iteration triangular solves cost more than the products
-        they save.
-        """
-        m_rows, n_cols = op.shape
-        if n_cols >= m_rows:
-            report.add_warning(
-                f"sketched_lsqr right-preconditions through an "
-                f"(n x n) sketch Gram, which only pays for tall "
-                f"systems; X is {m_rows} x {n_cols} (n >= m), so the "
-                "fit fell back to plain LSQR"
-            )
-            return None
-        from repro.linalg.sketch import build_preconditioner
-
-        return build_preconditioner(
-            op,
-            alpha=self.alpha,
-            sketch=self.sketch,
-            sketch_size=self.sketch_size,
-            seed=self.sketch_seed,
+    def _solve(
+        self, X, responses, solver, center, report, tracer, force_warm=False
+    ) -> None:
+        """Run :func:`solve_ridge` and store its solution on the model."""
+        n_weights = X.shape[1] + (0 if center else 1)
+        (
+            self.components_,
+            self.intercept_,
+            self.solver_used_,
+            self.lsqr_iterations_,
+        ) = solve_ridge(
+            X,
+            responses,
+            self.alpha,
+            solver,
+            center,
+            self.config,
+            self.max_iter,
+            self.tol,
+            report,
+            tracer,
+            x0=self._warm_start_matrix(
+                n_weights, responses.shape[1], force_warm
+            ),
+            validate=self.validate_operators,
+            emit_warnings=self.on_invalid == "warn",
         )
+        self.centered_ = center
 
-    # ------------------------------------------------------------------
-    # Ridge solvers shared by both paths
-    # ------------------------------------------------------------------
-    def _ridge_normal(
-        self, X: FloatArray, targets: FloatArray, report: FitReport
-    ) -> FloatArray:
-        """Normal equations (Eqn 20), dual (Eqn 21) when wide, on dense X.
-
-        Both systems go through :func:`repro.robustness.guarded_solve`,
-        so a rank-deficient Gram matrix (including the ``alpha = 0``
-        limit of Theorem 2) degrades through the fallback chain —
-        jittered ridge, then a minimum-norm LSQR rescue — instead of
-        raising ``NotPositiveDefiniteError``.
-        """
-        m, n = X.shape
-        if n <= m:
-            gram = X.T @ X
-            result = guarded_solve(
-                gram, X.T @ targets, alpha=self.alpha, report=report
-            )
-            solution = result.x
-        else:
-            # Dual: (XXᵀ + αI) B = Ȳ in m dims, then A = Xᵀ B — exact
-            # because Xᵀ(XXᵀ + αI)⁻¹ = (XᵀX + αI)⁻¹Xᵀ.
-            outer = X @ X.T
-            result = guarded_solve(
-                outer, targets, alpha=self.alpha, report=report
-            )
-            solution = X.T @ result.x
-        if result.fallbacks:
-            report.add_warning(
-                f"normal-equations solve degraded to {result.solver} "
-                f"(effective_alpha={result.effective_alpha:.3g}, "
-                f"condition~{result.condition_estimate:.3g})"
-            )
-        return solution
-
-    def _ridge_lsqr(
-        self, op, targets: FloatArray, report: FitReport
-    ) -> FloatArray:
-        """LSQR with damping √α over all target columns.
-
-        Every column runs through one blocked Golub–Kahan iteration
-        (:func:`~repro.linalg.block_lsqr.block_lsqr`): two mat-mats per
-        iteration instead of ``2(c-1)`` mat-vecs, so the data streams
-        through memory once per iteration regardless of the number of
-        classes.  Per-column termination codes feed the report.  When
-        tracing is enabled, every solver iteration lands
-        as an event on the enclosing ``srda.solve`` span.  (The tracer
-        rides ``self._fit_tracer`` rather than the signature so that
-        fault-injection wrappers around this method keep working.)
-        """
-        starts = self._warm_start_matrix(op.shape[1], targets.shape[1])
-        damp = float(np.sqrt(self.alpha))
-        tracer = getattr(self, "_fit_tracer", None)
-        hook = tracer.iteration_hook() if tracer is not None else None
-        precondition = getattr(self, "_precondition", None)
-        blocked = block_lsqr(
-            op,
-            targets,
-            damp=damp,
-            atol=self.tol,
-            btol=self.tol,
-            iter_lim=self.max_iter,
-            X0=starts,
-            on_iteration=hook,
-            precondition=precondition,
-        )
-        weights = np.asarray(blocked.X, dtype=np.float64)
-        columns = [blocked.column(j) for j in range(targets.shape[1])]
-        self.lsqr_iterations_ = _record_lsqr_columns(
-            columns, report, self.tol, self.alpha
-        )
-        if precondition is not None:
-            report.solver = "sketched_lsqr"
-        return weights
-
-    def _warm_start_matrix(self, n_weights: int, n_targets: int):
+    def _warm_start_matrix(self, n_weights: int, n_targets: int, force: bool):
         """Previous solution as LSQR starting points, when compatible.
 
-        ``partial_fit`` forces this on (``_force_warm_start``), and on
-        that path a changed class count zero-pads/truncates the target
-        columns instead of bailing: the leading columns stay aligned
+        ``partial_fit`` forces this on (``force``), and on that path a
+        changed class count zero-pads/truncates the target columns
+        instead of bailing: the leading columns stay aligned
         (exactly so when new labels sort after the old ones; otherwise
         the start is merely a worse guess — a warm start moves only the
         iteration count, never the converged solution), and brand-new
         response columns start cold at zero.
         """
-        force = self._force_warm_start
         if not (self.warm_start or force) or self.components_ is None:
             return None
         previous = self.components_
@@ -1110,11 +1105,6 @@ def srda_alpha_path(
             )
     config = config.merge_legacy(legacy)
     solver = config.solver
-    sketch = config.sketch
-    sketch_size = config.sketch_size
-    sketch_seed = config.sketch_seed
-    n_jobs = config.n_jobs
-    backend = config.backend
     if solver not in ("lsqr", "sketched_lsqr"):
         raise ValueError(
             f"alpha-path solver must be 'lsqr' or 'sketched_lsqr', "
@@ -1151,26 +1141,11 @@ def srda_alpha_path(
 
     sparse_input = isinstance(X, CSRMatrix) or is_sparse(X)
     center = not sparse_input if centering == "auto" else bool(centering)
-    if backend is None and effective_n_jobs(n_jobs) <= 1:
-        base = as_operator(X)
-        sharded = None
-    else:
-        sharded = ShardedOperator(X, backend=backend, n_jobs=n_jobs)
-        base = sharded
-    if center:
-        op = CenteringOperator(base)
-        mean = op.column_means
-    else:
-        op = AppendOnesOperator(base)
-        mean = None
-
     # Per-class means of the raw features (one block product): the
     # embedding centroid of class k is linear in the class mean, so
     # every per-alpha model gets its centroids without another pass.
     indicator = np.zeros((X.shape[0], n_classes))
     indicator[np.arange(X.shape[0]), y_indices] = 1.0 / counts[y_indices]
-    with kernels.use_backend(config.kernel_backend):
-        class_means = base.rmatmat(indicator).T
 
     with kernels.use_backend(config.kernel_backend), tracer.span(
         "srda.alpha_path",
@@ -1179,25 +1154,47 @@ def srda_alpha_path(
         solver=solver,
     ):
         backend_report = FitReport()
-        models: List[SRDA] = []
-
-        engine = solver
-        if solver == "sketched_lsqr":
-            op_rows, op_cols = op.shape
-            if op_cols >= op_rows:
-                backend_report.add_warning(
-                    f"sketched_lsqr right-preconditions through an "
-                    f"(n x n) sketch Gram, which only pays for tall "
-                    f"systems; X is {op_rows} x {op_cols} (n >= m), "
-                    "so the alpha path fell back to the replayed "
-                    "bidiagonalization engine"
-                )
+        with _ridge_operator(X, center, config) as (op, sharded):
+            class_means = op.base.rmatmat(indicator).T
+            mean = op.column_means if center else None
+            engine = solver
+            if solver == "sketched_lsqr" and not _sketch_pays(
+                op, backend_report
+            ):
                 engine = "lsqr"
+            if engine == "sketched_lsqr":
+                # Unlike the replayed path, the per-alpha solves here
+                # DO touch the data, inside the operator's lifetime.
+                solved = _sketched_alpha_solves(
+                    op, responses, alphas, config, max_iter, tol, tracer
+                )
+            else:
+                with tracer.span("srda.bidiagonalize"):
+                    shared = SharedBidiagonalization(
+                        op, responses, iter_lim=max_iter
+                    )
+            _note_parallel_backend(backend_report, sharded)
 
-        def assemble(alpha: float, weights, columns) -> None:
-            # Shared per-alpha model assembly: identical for the
-            # replayed and the sketched engines, so the fitted models
-            # differ only in how the weights were produced.
+        if engine == "lsqr":
+            # The per-alpha replays touch no data: the sharded operator
+            # (and any pool it owns) is already closed.
+            solved = []
+            for alpha in alphas:
+                with tracer.span("srda.replay", alpha=alpha):
+                    solved.append(
+                        shared.solve(
+                            damp=float(np.sqrt(alpha)),
+                            atol=tol,
+                            btol=tol,
+                            on_iteration=tracer.iteration_hook(),
+                        )
+                    )
+
+        models: List[SRDA] = []
+        for alpha, result in zip(alphas, solved):
+            # Identical assembly for the replayed and the sketched
+            # engines: the models differ only in how the weights were
+            # produced.
             model = make_model(alpha)
             report = FitReport()
             report.requested_solver = solver
@@ -1208,16 +1205,15 @@ def srda_alpha_path(
                 report.add_warning(note, emit=False)
             _note_singletons(counts, report, on_invalid == "warn")
             model.lsqr_iterations_ = _record_lsqr_columns(
-                columns, report, tol, alpha
+                [result.column(j) for j in range(responses.shape[1])],
+                report,
+                tol,
+                alpha,
             )
-            if engine == "sketched_lsqr":
-                report.solver = "sketched_lsqr"
-            if center:
-                components = weights
-                intercept = -(mean @ components)
-            else:
-                components = weights[:-1]
-                intercept = weights[-1]
+            report.solver = engine
+            components, intercept = _split_weights(
+                np.asarray(result.X, dtype=np.float64), mean
+            )
             model.fit_report_ = report
             model.classes_ = classes
             model.responses_ = responses
@@ -1227,88 +1223,61 @@ def srda_alpha_path(
             model.intercept_ = intercept
             model.centroids_ = class_means @ components + intercept[None, :]
             models.append(model)
+    return models
 
-        if engine == "sketched_lsqr":
-            from repro.linalg.sketch import (
-                default_sketch_size,
-                preconditioner_from_gram,
-                sketch_apply,
-                sketch_operator,
+
+def _sketched_alpha_solves(
+    op: LinearOperator,
+    responses: FloatArray,
+    alphas: List[float],
+    config: SolverConfig,
+    max_iter: int,
+    tol: float,
+    tracer: Tracer,
+) -> List[BlockLSQRResult]:
+    """One sketch pass and Gram for the grid, a short solve per alpha."""
+    from repro.linalg.sketch import (
+        default_sketch_size,
+        preconditioner_from_gram,
+        sketch_apply,
+        sketch_operator,
+    )
+
+    m_rows, n_cols = op.shape
+    size = (
+        default_sketch_size(m_rows, n_cols)
+        if config.sketch_size is None
+        else max(1, min(int(config.sketch_size), m_rows))
+    )
+    S = sketch_operator(config.sketch, m_rows, size, seed=config.sketch_seed)
+    # One sketch pass and one Gram serve the whole grid; each alpha
+    # below only re-factors gram + alpha*I.
+    with tracer.span(
+        "sketch.build",
+        kind=S.kind,
+        sketch_size=int(size),
+        rows=int(m_rows),
+        cols=int(n_cols),
+        alpha=0.0,
+    ):
+        sketched = sketch_apply(S, op)
+        gram = sketched.T @ sketched
+    solved = []
+    for alpha in alphas:
+        with tracer.span("srda.sketched_solve", alpha=alpha):
+            pre = preconditioner_from_gram(
+                gram, alpha=alpha, kind=S.kind, sketch_size=size
             )
-
-            try:
-                m_rows, n_cols = op.shape
-                size = (
-                    default_sketch_size(m_rows, n_cols)
-                    if sketch_size is None
-                    else max(1, min(int(sketch_size), m_rows))
-                )
-                S = sketch_operator(sketch, m_rows, size, seed=sketch_seed)
-                # One sketch pass and one Gram serve the whole grid;
-                # each alpha below only re-factors gram + alpha*I.
-                with tracer.span(
-                    "sketch.build",
-                    kind=S.kind,
-                    sketch_size=int(size),
-                    rows=int(m_rows),
-                    cols=int(n_cols),
-                    alpha=0.0,
-                ):
-                    sketched = sketch_apply(S, op)
-                    gram = sketched.T @ sketched
-                _note_parallel_backend(backend_report, sharded)
-                for alpha in alphas:
-                    with tracer.span("srda.sketched_solve", alpha=alpha):
-                        pre = preconditioner_from_gram(
-                            gram,
-                            alpha=alpha,
-                            kind=S.kind,
-                            sketch_size=size,
-                        )
-                        solved = block_lsqr(
-                            op,
-                            responses,
-                            damp=float(np.sqrt(alpha)),
-                            atol=tol,
-                            btol=tol,
-                            iter_lim=max_iter,
-                            on_iteration=tracer.iteration_hook(),
-                            precondition=pre,
-                        )
-                    weights = np.asarray(solved.X, dtype=np.float64)
-                    columns = [
-                        solved.column(j) for j in range(responses.shape[1])
-                    ]
-                    assemble(alpha, weights, columns)
-            finally:
-                # Unlike the replayed path, the per-alpha solves here
-                # DO touch the data — the sharded operator must stay
-                # open until the whole grid is solved.
-                if sharded is not None:
-                    sharded.close()
-            return models
-
-        try:
-            with tracer.span("srda.bidiagonalize"):
-                shared = SharedBidiagonalization(
-                    op, responses, iter_lim=max_iter
-                )
-            _note_parallel_backend(backend_report, sharded)
-        finally:
-            # The per-alpha replays touch no data — the sharded
-            # operator (and any pool it owns) can go away right here.
-            if sharded is not None:
-                sharded.close()
-
-        for alpha in alphas:
-            with tracer.span("srda.replay", alpha=alpha):
-                solved = shared.solve(
+            solved.append(
+                block_lsqr(
+                    op,
+                    responses,
                     damp=float(np.sqrt(alpha)),
                     atol=tol,
                     btol=tol,
+                    iter_lim=max_iter,
                     on_iteration=tracer.iteration_hook(),
+                    precondition=pre,
                 )
-            weights = np.asarray(solved.X, dtype=np.float64)
-            columns = [solved.column(j) for j in range(responses.shape[1])]
-            assemble(alpha, weights, columns)
-    return models
+            )
+    return solved

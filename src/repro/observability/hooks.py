@@ -8,7 +8,10 @@ callback.  When provided, the solver invokes it with one
 always equals the iteration count the solver reports (``result.itn``
 for :func:`lsqr`, ``max(result.itn)`` block iterations for the block
 solver).  When ``None`` (the default), no per-iteration work happens
-at all.
+at all.  Every estimator's regression stage
+(:func:`repro.core.srda.solve_ridge`) passes its tracer's hook, so with
+tracing enabled the events land on the span enclosing the solve
+(``srda.solve``, ``semi_srda.solve``).
 
 Hooks must be cheap and must not raise: an exception from a hook
 propagates out of the solver, by design — observability callbacks that

@@ -66,41 +66,59 @@ def sparse_classification(rng):
 
 @pytest.fixture
 def sequential_lsqr_srda():
-    """An SRDA subclass that solves one response column at a time.
+    """An SRDA subclass whose fits solve one response column at a time.
 
-    Its ``_ridge_lsqr`` runs the reference :func:`repro.linalg.lsqr`
-    once per column with the same damping, tolerances, warm starts and
-    tracer hook as the blocked solver, and feeds the same per-column
-    diagnostics into the report — an independent reference to check
-    SRDA's blocked Golub–Kahan fit against.
+    While its ``fit`` runs, the regression stage's ``block_lsqr`` (the
+    name :func:`repro.core.srda.solve_ridge` calls) is replaced by the
+    reference :func:`repro.linalg.lsqr`, run once per column with the
+    same damping, tolerances, warm starts, preconditioner and tracer
+    hook — an independent reference to check SRDA's blocked
+    Golub–Kahan fit against.  The per-column results feed the same
+    report diagnostics.  A test that never reaches the reference fails
+    at teardown, so the seam cannot silently stop overriding anything.
     """
-    from repro.core.srda import SRDA, _record_lsqr_columns
+    from repro.core import srda as srda_module
+    from repro.core.srda import SRDA
     from repro.linalg.lsqr import lsqr
 
-    class SequentialLsqrSRDA(SRDA):
-        def _ridge_lsqr(self, op, targets, report):
-            starts = self._warm_start_matrix(op.shape[1], targets.shape[1])
-            damp = float(np.sqrt(self.alpha))
-            tracer = getattr(self, "_fit_tracer", None)
-            hook = tracer.iteration_hook() if tracer is not None else None
-            weights = np.empty((op.shape[1], targets.shape[1]))
-            columns = []
-            for j in range(targets.shape[1]):
-                result = lsqr(
-                    op,
-                    targets[:, j],
-                    damp=damp,
-                    atol=self.tol,
-                    btol=self.tol,
-                    iter_lim=self.max_iter,
-                    x0=None if starts is None else starts[:, j],
-                    on_iteration=hook,
-                )
-                weights[:, j] = result.x
-                columns.append(result)
-            self.lsqr_iterations_ = _record_lsqr_columns(
-                columns, report, self.tol, self.alpha
-            )
-            return weights
+    solved_columns = []
 
-    return SequentialLsqrSRDA
+    class ColumnResults:
+        """The slice of ``BlockLSQRResult`` the regression stage reads."""
+
+        def __init__(self, columns):
+            self.X = np.column_stack([result.x for result in columns])
+            self._columns = columns
+
+        def column(self, j):
+            return self._columns[j]
+
+    def sequential_lsqr(
+        A, B, damp, atol, btol, iter_lim, X0=None, on_iteration=None,
+        precondition=None,
+    ):
+        columns = [
+            lsqr(
+                A,
+                B[:, j],
+                damp=damp,
+                atol=atol,
+                btol=btol,
+                iter_lim=iter_lim,
+                x0=None if X0 is None else X0[:, j],
+                on_iteration=on_iteration,
+                precondition=precondition,
+            )
+            for j in range(B.shape[1])
+        ]
+        solved_columns.extend(columns)
+        return ColumnResults(columns)
+
+    class SequentialLsqrSRDA(SRDA):
+        def fit(self, X, y):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(srda_module, "block_lsqr", sequential_lsqr)
+                return super().fit(X, y)
+
+    yield SequentialLsqrSRDA
+    assert solved_columns, "the sequential LSQR reference never ran"

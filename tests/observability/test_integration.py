@@ -83,8 +83,8 @@ class TestSRDATracing:
     def test_sequential_lsqr_event_count_matches_iterations(
         self, small_classification, sequential_lsqr_srda
     ):
-        # A solver swapped in through _ridge_lsqr reaches the tracer via
-        # _fit_tracer: one lsqr.iteration event per column iteration.
+        # A solver swapped in for the regression stage's block_lsqr gets
+        # the tracer's hook: one lsqr.iteration event per column iteration.
         X, y = small_classification
         model = sequential_lsqr_srda(
             alpha=1.0, solver="lsqr", max_iter=12, tol=1e-8, trace=True,

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.solver_config import SolverConfig
 from repro.core.srda import SRDA, srda_alpha_path
 from repro.datasets import Dataset
 from repro.eval.experiment import run_experiment
 from repro.linalg.sparse import CSRMatrix
-from repro.parallel import SerialBackend
+from repro.parallel import SerialBackend, ShardedOperator
 
 pytestmark = pytest.mark.parallel
 
@@ -93,6 +94,29 @@ class TestAlphaPathParallel:
             np.testing.assert_allclose(
                 b.components_, a.components_, rtol=1e-8, atol=1e-10
             )
+
+    def test_sharded_operator_closed_when_a_product_raises(
+        self, sparse_blobs, monkeypatch
+    ):
+        X, y = sparse_blobs
+        closed = []
+        close = ShardedOperator.close
+
+        def counting_close(self):
+            closed.append(self)
+            close(self)
+
+        def failing_rmatmat(self, U):
+            raise RuntimeError("injected product failure")
+
+        monkeypatch.setattr(ShardedOperator, "close", counting_close)
+        monkeypatch.setattr(ShardedOperator, "_rmatmat", failing_rmatmat)
+        with pytest.raises(RuntimeError, match="injected product failure"):
+            srda_alpha_path(
+                X, y, [0.1, 1.0],
+                config=SolverConfig(solver="lsqr", backend="thread", n_jobs=2),
+            )
+        assert len(closed) == 1
 
 
 class TestExperimentParallel:

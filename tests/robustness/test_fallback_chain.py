@@ -5,10 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import SemiSupervisedSRDA, SpectralRegressionEmbedding
 from repro.baselines.ridge import RidgeClassifier
 from repro.core.kernel_srda import KernelSRDA
 from repro.core.solver_config import SolverConfig
 from repro.core.srda import SRDA
+from repro.eval.classifiers import NearestCentroid
 from repro.robustness import RobustnessWarning
 
 pytestmark = pytest.mark.robustness
@@ -133,7 +135,51 @@ class TestRidgeClassifierReport:
         assert model.fit_report_.solver == "lsqr"
         assert len(model.fit_report_.lsqr_istop) == 3
 
-    def test_alpha_zero_uses_lstsq(self, small_classification):
+    def test_alpha_zero_uses_guarded_chain(self, small_classification):
+        """α = 0 goes through the same guarded chain as SRDA: on a
+        full-rank Gram the plain Cholesky rung succeeds and gives the
+        least-squares solution."""
         X, y = small_classification
         model = RidgeClassifier(alpha=0.0, config=SolverConfig(solver="normal")).fit(X, y)
-        assert model.fit_report_.solver == "lstsq"
+        assert model.fit_report_.solver == "cholesky"
+        targets = -np.ones((y.shape[0], 3))
+        targets[np.arange(y.shape[0]), y] = 1.0
+        augmented = np.hstack([X, np.ones((X.shape[0], 1))])
+        reference, *_ = np.linalg.lstsq(augmented, targets, rcond=None)
+        np.testing.assert_allclose(model.coef_, reference[:-1], atol=1e-8)
+        np.testing.assert_allclose(model.intercept_, reference[-1], atol=1e-8)
+
+
+def _fit_semi_supervised(X, y):
+    partial = y.copy()
+    partial[::4] = -1
+    model = SemiSupervisedSRDA(alpha=0.0).fit(X, partial)
+    return model, model.score(X, y)
+
+
+def _fit_spectral(X, y):
+    model = SpectralRegressionEmbedding(alpha=0.0).fit(X)
+    Z = model.transform(X)
+    return model, NearestCentroid().fit(Z, y).score(Z, y)
+
+
+def _fit_ridge(X, y):
+    model = RidgeClassifier(alpha=0.0, config=SolverConfig(solver="normal")).fit(X, y)
+    return model, model.score(X, y)
+
+
+class TestSharedStageFallback:
+    """The estimators on SRDA's regression stage inherit its ladder."""
+
+    @pytest.mark.parametrize(
+        "fit", [_fit_semi_supervised, _fit_spectral, _fit_ridge]
+    )
+    def test_rank_deficient_alpha_zero_degrades(self, rank_deficient, fit):
+        X, y = rank_deficient
+        with pytest.warns(RobustnessWarning, match="degraded"):
+            model, score = fit(X, y)
+        report = model.fit_report_
+        assert report.solver in ("cholesky+jitter", "lsqr-rescue")
+        assert any("cholesky failed" in step for step in report.fallbacks)
+        assert report.degraded
+        assert score > 0.9

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core import srda as srda_module
 from repro.core.solver_config import SolverConfig
 from repro.core.srda import SRDA
+from repro.linalg.block_lsqr import block_lsqr
 from repro.linalg.lsqr import FAILURE_ISTOPS, ISTOP_REASONS, lsqr
 from repro.linalg.operators import (
     DenseOperator,
@@ -103,21 +105,22 @@ class TestLSQRUnderFaults:
 
 
 class TestSRDAUnderFaults:
-    def test_lsqr_fault_surfaces_on_report(self, rng):
+    def test_lsqr_fault_surfaces_on_report(self, rng, monkeypatch):
         X = rng.standard_normal((30, 10))
         y = np.arange(30) % 3
         model = SRDA(alpha=1.0, config=SolverConfig(solver="lsqr"), max_iter=15)
+        poisoned_solves = []
 
-        original_fit_lsqr = model._ridge_lsqr
-
-        def poisoned(op, targets, report):
-            return original_fit_lsqr(
-                FaultyOperator(op, fail_at={3}, mode="nan"), targets, report
+        def poisoned(op, targets, **kwargs):
+            poisoned_solves.append(op)
+            return block_lsqr(
+                FaultyOperator(op, fail_at={3}, mode="nan"), targets, **kwargs
             )
 
-        model._ridge_lsqr = poisoned
+        monkeypatch.setattr(srda_module, "block_lsqr", poisoned)
         with pytest.warns(RobustnessWarning, match="istop=8"):
             model.fit(X, y)
+        assert len(poisoned_solves) == 1
         assert not model.fit_report_.converged
         assert 8 in model.fit_report_.lsqr_istop
         assert model.fit_report_.warnings
