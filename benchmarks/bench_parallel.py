@@ -7,16 +7,18 @@ Measures what the parallel layer claims and what it must not break:
    backends at several worker counts, against the direct (unsharded)
    path on the paper's 20Newsgroups-like shape
    (m=20000, n=26000, c=20).
-2. **Parity**: every sharded variant must be *bitwise identical* to the
-   sharded serial run (``max_rel_diff_vs_serial == 0``), and within the
-   adjoint fold tolerance of the direct path
-   (``max_rel_diff_vs_direct <= 1e-12``).  Both are asserted, not just
-   recorded.
-3. **Serial overhead**: a single-shard ShardedOperator is a passthrough
+2. **Parity**: every sharded CSR variant must be *bitwise identical* to
+   the direct path (``max_rel_diff_vs_direct == 0``) and so to the
+   sharded serial run (``max_rel_diff_vs_serial == 0``).  Both are
+   asserted, not just recorded.
+3. **Weak scaling**: the thread-backend solve with ``m`` grown in
+   proportion to the worker count, as total and per-iteration seconds
+   next to the direct solve of the same problem (bitwise equal to it).
+4. **Serial overhead**: a single-shard ShardedOperator is a passthrough
    and must cost <2% over the direct path.
-4. **Experiment grids**: ``run_experiment(n_jobs=...)`` error grids must
+5. **Experiment grids**: ``run_experiment(n_jobs=...)`` error grids must
    be bitwise identical across worker counts.
-5. **Kernel microbench**: compiled vs reference CSR kernels
+6. **Kernel microbench**: compiled vs reference CSR kernels
    (``matvec``, ``rmatvec``, ``matmat``, ``rmatmat``, first
    ``transpose``), single-threaded and bitwise-checked; when the
    extension is built the compiled ``matvec``/``matmat`` must be ≥1.5×
@@ -66,6 +68,12 @@ SMOKE_CASE = dict(m=1200, n=900, classes=5, row_nnz=30)
 FULL_WORKERS = [1, 2, 4, 8]
 SMOKE_WORKERS = [2]
 
+#: Weak scaling: rows per worker (``m = ROWS_PER_WORKER × workers``);
+#: ``n``, classes and nnz per row are the solver case's.
+FULL_ROWS_PER_WORKER = 5000
+SMOKE_ROWS_PER_WORKER = 300
+SMOKE_WEAK_WORKERS = [1, 2]
+
 #: Single-threaded per-kernel microbench problem — large enough that
 #: the O(nnz) loop dominates python call overhead on both backends.
 MICRO_CASE = dict(m=20000, n=2000, row_nnz=32)
@@ -110,6 +118,13 @@ def rel_diff(X, reference):
     return float(np.max(np.abs(X - reference)) / scale)
 
 
+def assert_bitwise_direct(label, vs_direct):
+    assert vs_direct == 0.0, (
+        f"{label} drifted {vs_direct:.3e} from the direct path; every "
+        "sharded CSR product must equal the direct one bit for bit"
+    )
+
+
 def solve(op, B, iter_lim, repeats):
     return best_of(
         repeats,
@@ -142,10 +157,7 @@ def run_solver_grid(case, iter_lim, repeats, worker_counts):
             f"(max_rel_diff={vs_serial:.3e}); sharded results must not "
             "depend on the backend"
         )
-        assert vs_direct <= 1e-12, (
-            f"thread x{workers} drifted {vs_direct:.3e} from the direct "
-            "path; adjoint fold tolerance is 1e-12"
-        )
+        assert_bitwise_direct(f"thread x{workers}", vs_direct)
         variants.append(
             {
                 "backend": "thread",
@@ -158,6 +170,8 @@ def run_solver_grid(case, iter_lim, repeats, worker_counts):
             }
         )
 
+    serial_vs_direct = rel_diff(serial_x, direct_x)
+    assert_bitwise_direct("sharded serial", serial_vs_direct)
     return {
         **case,
         "nnz": matrix.nnz,
@@ -167,9 +181,52 @@ def run_solver_grid(case, iter_lim, repeats, worker_counts):
         "sharded_serial": {
             "seconds": serial_seconds,
             "overhead_vs_direct": serial_seconds / direct_seconds - 1.0,
-            "max_rel_diff_vs_direct": rel_diff(serial_x, direct_x),
+            "max_rel_diff_vs_direct": serial_vs_direct,
         },
         "variants": variants,
+    }
+
+
+def run_weak_scaling(case, rows_per_worker, iter_lim, repeats, worker_counts):
+    """The thread-backend solve with ``m`` grown by the worker count.
+
+    Total and per-iteration seconds at ``m = rows_per_worker × workers``
+    — a flat per-iteration time means the sharded layer scales with its
+    workers — beside the direct solve of the same problem, which the
+    sharded one must equal bit for bit.
+    """
+    entries = []
+    for workers in worker_counts:
+        m = rows_per_worker * workers
+        matrix = make_problem(m, case["n"], case["row_nnz"])
+        B = make_rhs(m, case["classes"])
+        direct_seconds, direct_x = solve(
+            as_operator(matrix), B, iter_lim, repeats
+        )
+        with ShardedOperator(matrix, backend="thread", n_jobs=workers) as op:
+            n_shards = op.n_shards
+            seconds, X = solve(op, B, iter_lim, repeats)
+        vs_direct = rel_diff(X, direct_x)
+        assert_bitwise_direct(f"weak-scaling thread x{workers}", vs_direct)
+        entries.append(
+            {
+                "n_workers": workers,
+                "m": m,
+                "nnz": matrix.nnz,
+                "n_shards": n_shards,
+                "total_seconds": seconds,
+                "seconds_per_iteration": seconds / iter_lim,
+                "direct_seconds": direct_seconds,
+                "max_rel_diff_vs_direct": vs_direct,
+            }
+        )
+    return {
+        "rows_per_worker": rows_per_worker,
+        "n": case["n"],
+        "classes": case["classes"],
+        "row_nnz": case["row_nnz"],
+        "iter_lim": iter_lim,
+        "entries": entries,
     }
 
 
@@ -180,9 +237,9 @@ def run_kernel_microbench(case, repeats, min_speedup=MIN_KERNEL_SPEEDUP):
     compiled extension is importable, asserts its raison d'être —
     ``matvec`` and ``matmat`` at least ``min_speedup``× the reference
     (``rmatvec``, ``rmatmat`` and ``transpose`` are recorded).
-    ``rmatmat`` reuses the cached transpose (its first call builds it;
-    best-of drops that call); ``transpose`` times the first ``.T`` of a
-    fresh matrix, which is what a fit pays once.
+    ``rmatvec``/``rmatmat`` reuse the cached transpose (built up front);
+    ``transpose`` times the first ``.T`` of a fresh matrix, which is
+    what a fit pays once.
     """
     matrix = make_problem(case["m"], case["n"], case["row_nnz"])
     rng = np.random.default_rng(3)
@@ -190,7 +247,7 @@ def run_kernel_microbench(case, repeats, min_speedup=MIN_KERNEL_SPEEDUP):
     u = rng.standard_normal(case["m"])
     B = rng.standard_normal((case["n"], 5))
     U = rng.standard_normal((case["m"], 5))
-    matrix.rmatvec(u)  # build the transpose/segment caches up front
+    matrix.rmatvec(u)  # build the cached transpose up front
 
     def first_transpose():
         fresh = CSRMatrix(
@@ -378,6 +435,21 @@ def main(argv=None):
             f"thread x4 recorded {thread_x4[0]['speedup_vs_direct']:.2f}x"
         )
 
+    weak = run_weak_scaling(
+        case,
+        SMOKE_ROWS_PER_WORKER if args.smoke else FULL_ROWS_PER_WORKER,
+        iter_lim=iter_lim,
+        repeats=repeats,
+        worker_counts=SMOKE_WEAK_WORKERS if args.smoke else FULL_WORKERS,
+    )
+    for entry in weak["entries"]:
+        print(
+            f"  weak scaling x{entry['n_workers']} (m={entry['m']}): "
+            f"{entry['total_seconds']:.3f}s total, "
+            f"{entry['seconds_per_iteration'] * 1e3:.2f}ms/iteration "
+            f"(direct {entry['direct_seconds']:.3f}s)"
+        )
+
     micro = run_kernel_microbench(
         SMOKE_MICRO_CASE if args.smoke else MICRO_CASE,
         repeats=max(repeats * 3, 5),
@@ -419,6 +491,7 @@ def main(argv=None):
         "repeats": repeats,
         "kernel_microbench": micro,
         "solver": solver,
+        "weak_scaling": weak,
         "serial_passthrough": passthrough,
         "experiment_grid": grid,
     }

@@ -248,7 +248,7 @@ def _kernel_dispatch_builder(kernel: str) -> Builder:
             return lambda: kernels.csr_matvec(A, x)
         if kernel == "rmatvec":
             u = rng.standard_normal(m)
-            kernels.csr_rmatvec(A, u)
+            kernels.csr_rmatvec(A, u)  # warm the cached transpose
             return lambda: kernels.csr_rmatvec(A, u)
         B = rng.standard_normal((_N_COLS, _BLOCK_COLS))
         kernels.csr_matmat(A, B)
@@ -309,7 +309,9 @@ def _build_sharded_matvec(m: int, rng: np.random.Generator) -> Thunk:
     A = _csr_problem(m, rng)
     op = ShardedOperator(A, n_shards=4, backend="serial")
     x = rng.standard_normal(_N_COLS)
-    op.matvec(x)  # warm per-shard scratch buffers
+    # warm each block's row-id cache; the adjoint blocks (row slices
+    # of the one cached transpose) were built with the operator
+    op.matvec(x)
     return lambda: op.matvec(x)
 
 

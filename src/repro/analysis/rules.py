@@ -43,8 +43,8 @@ RPR010    a float64 temporary allocated inside a loop in a kernel
           module — ``np.zeros``/``np.empty``/``.astype`` without a
           dtype threaded from an argument.
 RPR011    an allocation call inside the per-iteration body of the
-          lsqr / block_lsqr / sharded hot loops, which must reuse
-          scratch buffers (docs/PARALLEL.md).
+          lsqr / block_lsqr / sharded hot loops, which must allocate
+          their buffers outside the loop.
 ========  ==============================================================
 """
 
@@ -105,8 +105,7 @@ KERNEL_LOOP_MODULE_SUFFIXES: Tuple[str, ...] = KERNEL_MODULE_SUFFIXES + (
     "core/responses.py",
 )
 
-#: The solver hot loops with an explicit scratch-buffer contract
-#: (docs/PARALLEL.md): any allocation per iteration is a regression
+#: The solver hot loops: any allocation per iteration is a regression
 #: (RPR011's scope).
 HOT_LOOP_MODULE_SUFFIXES: Tuple[str, ...] = (
     "linalg/lsqr.py",
@@ -891,9 +890,7 @@ class HotLoopAllocationRule(Rule):
     )
     rationale = (
         "The solver iteration bodies are the O(ms)-per-iteration bound "
-        "itself: docs/PARALLEL.md commits them to reused scratch "
-        "buffers (the PR 7 adjoint fan-in rework exists for exactly "
-        "this).  A fresh np.zeros/np.empty/np.concatenate per "
+        "itself.  A fresh np.zeros/np.empty/np.concatenate per "
         "iteration adds allocator traffic and page faults that grow "
         "with the operand, silently degrading the measured constant — "
         "allocate once outside the loop and write into the buffer."
@@ -911,8 +908,7 @@ class HotLoopAllocationRule(Rule):
                     path,
                     call,
                     f"np.{name}(...) inside a solver hot loop; reuse a "
-                    "scratch buffer allocated outside the iteration "
-                    "(docs/PARALLEL.md scratch-buffer contract)",
+                    "scratch buffer allocated outside the iteration",
                 )
 
 

@@ -4,10 +4,11 @@
 :class:`~repro.parallel.backends.Backend` protocol over a
 :class:`~repro.distributed.supervisor.Supervisor`-managed pool of
 worker subprocesses.  It follows the tiled-array playbook the ROADMAP
-sketched: shard payloads ship **once** (checksummed) at operator
-construction, and each LSQR iteration moves only the ``c-1`` RHS
-vectors and their per-shard results — the traffic pattern the paper's
-linear-time claim needs to survive a network hop.
+sketched: shard payloads (row blocks of ``X`` and of ``X.T``) ship
+**once** (checksummed) at operator construction, and each product
+moves only its operand block (``c-1`` columns in LSQR) to every
+block's worker and each block's rows of the result back — the traffic
+pattern the paper's linear-time claim needs to survive a network hop.
 
 Two surfaces:
 

@@ -17,10 +17,11 @@ Request handling:
   with the arrays' checksum so the coordinator can verify the shard
   survived the trip.  Shards arrive once (or again, after a
   reassignment) and live for the worker's whole life.
-- ``TASK`` → run one shard kernel via
+- ``TASK`` → run one block's product against the whole operand via
   :func:`repro.parallel.sharded.shard_kernel_result` — the *same*
   arithmetic body the in-process backends execute, which is the whole
-  bitwise-determinism argument — and reply ``RESULT``.  A task whose
+  bitwise-determinism argument — and reply ``RESULT`` with that
+  block's rows of the output.  A task whose
   propagated deadline budget is already spent is refused with an
   in-band ``ERROR`` (kind ``"deadline"``) instead of computing an
   answer nobody is waiting for.

@@ -6,10 +6,10 @@
  * implementation in repro.linalg.sparse.CSRMatrix.  That contract pins
  * the accumulation order exactly:
  *
- * - float64 mat-vec / adjoint reductions mirror numpy's ``bincount``:
- *   a zero-initialized output receives one sequential scatter-add per
- *   stored entry, in storage order.
- * - float32 reductions and every ``matmat`` column sweep mirror
+ * - the float64 mat-vec mirrors numpy's ``bincount``: each row adds
+ *   its products one by one, in storage order, onto the zero the
+ *   caller's output holds.
+ * - the float32 mat-vec and every ``matmat`` column sweep mirror
  *   ``np.add.reduceat``: each segment reduces as
  *   ``seg[0] + pairwise_sum(seg[1:])`` where ``pairwise_sum`` is
  *   numpy's pairwise algorithm (8-accumulator blocks up to 128
@@ -27,8 +27,11 @@
  *   ``-ffp-contract=off`` so no compiler fuses ``acc += a * b`` into an
  *   FMA, which would skip that rounding.
  *
- * Block products (``matmat``; ``rmatmat`` runs it on the transpose)
- * read the CSR matrix once per product, not once per operand column.
+ * There are no adjoint kernels: ``A.T @ u`` and ``A.T @ U`` are the
+ * forward kernels run over the transpose, which ``csr_transpose``
+ * builds once.
+ *
+ * Block products (``matmat``) read the CSR matrix once per product, not once per operand column.
  * The operand block is row-major, so the ``k`` values a stored entry
  * multiplies sit in one contiguous run; each row then runs the
  * reduceat tree above in all ``k`` lanes at once, streaming products
@@ -117,7 +120,8 @@ static npy_double pairwise_seed = -0.0;
         return seg[0] + pairwise_sum_##SUF(seg + 1, n - 1);              \
     }
 
-DEFINE_PAIRWISE(npy_double, f64)
+/* Only the float32 mat-vec reduces whole segments; the float64 one is
+ * bincount-ordered, and ``matmat`` runs its own lane-wide tree. */
 DEFINE_PAIRWISE(npy_float, f32)
 
 /* ------------------------------------------------------------------ */
@@ -164,104 +168,6 @@ matvec_scatter_f64(const npy_double *data, const npy_int64 *indices,
 /* Only the float32 variant is instantiated: the float64 reference
  * matvec is bincount-ordered (scatter), never reduceat-ordered. */
 DEFINE_MATVEC_SEGMENTS(npy_float, f32)
-
-/* A.T @ u, float64: bincount order over column indices in storage
- * order — one sequential scatter-add per stored entry. */
-static void
-rmatvec_scatter_f64(const npy_double *data, const npy_int64 *indices,
-                    const npy_int64 *indptr, npy_intp n_rows,
-                    const npy_double *u, npy_double *out)
-{
-    npy_intp r;
-    for (r = 0; r < n_rows; r++) {
-        npy_int64 i, end = indptr[r + 1];
-        npy_double ur = u[r];
-        for (i = indptr[r]; i < end; i++) {
-            out[indices[i]] += data[i] * ur;
-        }
-    }
-}
-
-/* A.T @ u, float32: reduceat order over the cached column segments.
- * ``order`` sorts stored entries by column (stable), ``starts[t]`` is
- * the offset of segment t in the sorted view, ``cols[t]`` its column. */
-#define DEFINE_RMATVEC_SEGMENTS(T, SUF)                                  \
-    static void rmatvec_segments_##SUF(                                  \
-        const T *data, const npy_int64 *row_ids, const npy_int64 *order, \
-        const npy_int64 *starts, const npy_int64 *cols,                  \
-        npy_intp n_segments, npy_intp nnz, const T *u, T *out,           \
-        T *scratch)                                                      \
-    {                                                                    \
-        npy_intp s;                                                      \
-        for (s = 0; s < n_segments; s++) {                               \
-            npy_int64 start = starts[s];                                 \
-            npy_int64 end = (s + 1 < n_segments) ? starts[s + 1]         \
-                                                 : (npy_int64)nnz;       \
-            npy_intp len = (npy_intp)(end - start), t;                   \
-            for (t = 0; t < len; t++) {                                  \
-                npy_int64 o = order[start + t];                          \
-                scratch[t] = data[o] * u[row_ids[o]];                    \
-            }                                                            \
-            out[cols[s]] = segment_reduce_##SUF(scratch, len);           \
-        }                                                                \
-    }
-
-DEFINE_RMATVEC_SEGMENTS(npy_double, f64)
-DEFINE_RMATVEC_SEGMENTS(npy_float, f32)
-
-/* Adjoint elementwise stage: products[i] = data[i] * u[row(i)]. */
-#define DEFINE_ADJOINT_PRODUCTS(T, SUF)                                  \
-    static void adjoint_products_##SUF(                                  \
-        const T *data, const npy_int64 *indptr, npy_intp n_rows,         \
-        const T *u, T *out)                                              \
-    {                                                                    \
-        npy_intp r;                                                      \
-        for (r = 0; r < n_rows; r++) {                                   \
-            npy_int64 i, end = indptr[r + 1];                            \
-            T ur = u[r];                                                 \
-            for (i = indptr[r]; i < end; i++) {                          \
-                out[i] = data[i] * ur;                                   \
-            }                                                            \
-        }                                                                \
-    }
-
-DEFINE_ADJOINT_PRODUCTS(npy_double, f64)
-DEFINE_ADJOINT_PRODUCTS(npy_float, f32)
-
-/* Adjoint reduction, float64: bincount order in storage order. */
-static void
-reduce_adjoint_scatter_f64(const npy_int64 *indices,
-                           const npy_double *products, npy_intp nnz,
-                           npy_double *out)
-{
-    npy_intp i;
-    for (i = 0; i < nnz; i++) {
-        out[indices[i]] += products[i];
-    }
-}
-
-/* Adjoint reduction, float32: reduceat order over column segments. */
-#define DEFINE_REDUCE_ADJOINT_SEGMENTS(T, SUF)                           \
-    static void reduce_adjoint_segments_##SUF(                           \
-        const T *products, const npy_int64 *order,                       \
-        const npy_int64 *starts, const npy_int64 *cols,                  \
-        npy_intp n_segments, npy_intp nnz, T *out, T *scratch)           \
-    {                                                                    \
-        npy_intp s;                                                      \
-        for (s = 0; s < n_segments; s++) {                               \
-            npy_int64 start = starts[s];                                 \
-            npy_int64 end = (s + 1 < n_segments) ? starts[s + 1]         \
-                                                 : (npy_int64)nnz;       \
-            npy_intp len = (npy_intp)(end - start), t;                   \
-            for (t = 0; t < len; t++) {                                  \
-                scratch[t] = products[order[start + t]];                 \
-            }                                                            \
-            out[cols[s]] = segment_reduce_##SUF(scratch, len);           \
-        }                                                                \
-    }
-
-DEFINE_REDUCE_ADJOINT_SEGMENTS(npy_double, f64)
-DEFINE_REDUCE_ADJOINT_SEGMENTS(npy_float, f32)
 
 /* A @ B, one pass over the matrix.  ``B`` is row-major (row stride
  * ``ldb``); ``out`` is Fortran-ordered (column stride ``ldo``).  For
@@ -452,21 +358,6 @@ max_segment(const npy_int64 *indptr, npy_intp n_rows)
     return best;
 }
 
-static npy_intp
-max_col_segment(const npy_int64 *starts, npy_intp n_segments, npy_intp nnz)
-{
-    npy_intp s, best = 1;
-    for (s = 0; s < n_segments; s++) {
-        npy_int64 end = (s + 1 < n_segments) ? starts[s + 1]
-                                             : (npy_int64)nnz;
-        npy_intp len = (npy_intp)(end - starts[s]);
-        if (len > best) {
-            best = len;
-        }
-    }
-    return best;
-}
-
 /* ------------------------------------------------------------------ */
 /* Python-visible wrappers                                             */
 /* ------------------------------------------------------------------ */
@@ -527,284 +418,6 @@ py_csr_matvec(PyObject *self, PyObject *args)
             else {
                 Py_BEGIN_ALLOW_THREADS
                 matvec_segments_f32(d, ind, ip, n_rows, vv, o, scratch);
-                Py_END_ALLOW_THREADS
-                free(scratch);
-            }
-        }
-        if (failed) {
-            return PyErr_NoMemory();
-        }
-    }
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-py_csr_rmatvec_scatter(PyObject *self, PyObject *args)
-{
-    PyArrayObject *data, *indices, *indptr, *u, *out;
-    npy_intp n_rows, nnz;
-
-    if (!PyArg_ParseTuple(args, "O!O!O!O!O!", &PyArray_Type, &data,
-                          &PyArray_Type, &indices, &PyArray_Type, &indptr,
-                          &PyArray_Type, &u, &PyArray_Type, &out)) {
-        return NULL;
-    }
-    if (!check_array(data, NPY_DOUBLE, 1, "data") ||
-        !check_array(indices, NPY_INT64, 1, "indices") ||
-        !check_array(indptr, NPY_INT64, 1, "indptr") ||
-        !check_array(u, NPY_DOUBLE, 1, "u") ||
-        !check_array(out, NPY_DOUBLE, 1, "out")) {
-        return NULL;
-    }
-    n_rows = PyArray_DIM(indptr, 0) - 1;
-    nnz = PyArray_DIM(data, 0);
-    if (PyArray_DIM(indices, 0) != nnz || PyArray_DIM(u, 0) != n_rows) {
-        PyErr_SetString(PyExc_ValueError, "inconsistent kernel shapes");
-        return NULL;
-    }
-    {
-        const npy_double *d = (const npy_double *)PyArray_DATA(data);
-        const npy_int64 *ind = (const npy_int64 *)PyArray_DATA(indices);
-        const npy_int64 *ip = (const npy_int64 *)PyArray_DATA(indptr);
-        const npy_double *uu = (const npy_double *)PyArray_DATA(u);
-        npy_double *o = (npy_double *)PyArray_DATA(out);
-        Py_BEGIN_ALLOW_THREADS
-        rmatvec_scatter_f64(d, ind, ip, n_rows, uu, o);
-        Py_END_ALLOW_THREADS
-    }
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-py_csr_rmatvec_segments(PyObject *self, PyObject *args)
-{
-    PyArrayObject *data, *row_ids, *order, *starts, *cols, *u, *out;
-    npy_intp nnz, n_segments;
-    int typenum;
-
-    if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!O!", &PyArray_Type, &data,
-                          &PyArray_Type, &row_ids, &PyArray_Type, &order,
-                          &PyArray_Type, &starts, &PyArray_Type, &cols,
-                          &PyArray_Type, &u, &PyArray_Type, &out)) {
-        return NULL;
-    }
-    typenum = PyArray_TYPE(data);
-    if (typenum != NPY_DOUBLE && typenum != NPY_FLOAT) {
-        PyErr_SetString(PyExc_ValueError, "data must be float32 or float64");
-        return NULL;
-    }
-    if (!check_array(data, typenum, 1, "data") ||
-        !check_array(row_ids, NPY_INT64, 1, "row_ids") ||
-        !check_array(order, NPY_INT64, 1, "order") ||
-        !check_array(starts, NPY_INT64, 1, "starts") ||
-        !check_array(cols, NPY_INT64, 1, "cols") ||
-        !check_array(u, typenum, 1, "u") ||
-        !check_array(out, typenum, 1, "out")) {
-        return NULL;
-    }
-    nnz = PyArray_DIM(data, 0);
-    n_segments = PyArray_DIM(starts, 0);
-    if (PyArray_DIM(row_ids, 0) != nnz || PyArray_DIM(order, 0) != nnz ||
-        PyArray_DIM(cols, 0) != n_segments) {
-        PyErr_SetString(PyExc_ValueError, "inconsistent kernel shapes");
-        return NULL;
-    }
-    {
-        const npy_int64 *rid = (const npy_int64 *)PyArray_DATA(row_ids);
-        const npy_int64 *ord = (const npy_int64 *)PyArray_DATA(order);
-        const npy_int64 *st = (const npy_int64 *)PyArray_DATA(starts);
-        const npy_int64 *cl = (const npy_int64 *)PyArray_DATA(cols);
-        npy_intp cap = max_col_segment(st, n_segments, nnz);
-        int failed = 0;
-        if (typenum == NPY_DOUBLE) {
-            const npy_double *d = (const npy_double *)PyArray_DATA(data);
-            const npy_double *uu = (const npy_double *)PyArray_DATA(u);
-            npy_double *o = (npy_double *)PyArray_DATA(out);
-            npy_double *scratch =
-                (npy_double *)malloc((size_t)cap * sizeof(npy_double));
-            if (scratch == NULL) {
-                failed = 1;
-            }
-            else {
-                Py_BEGIN_ALLOW_THREADS
-                rmatvec_segments_f64(d, rid, ord, st, cl, n_segments, nnz,
-                                     uu, o, scratch);
-                Py_END_ALLOW_THREADS
-                free(scratch);
-            }
-        }
-        else {
-            const npy_float *d = (const npy_float *)PyArray_DATA(data);
-            const npy_float *uu = (const npy_float *)PyArray_DATA(u);
-            npy_float *o = (npy_float *)PyArray_DATA(out);
-            npy_float *scratch =
-                (npy_float *)malloc((size_t)cap * sizeof(npy_float));
-            if (scratch == NULL) {
-                failed = 1;
-            }
-            else {
-                Py_BEGIN_ALLOW_THREADS
-                rmatvec_segments_f32(d, rid, ord, st, cl, n_segments, nnz,
-                                     uu, o, scratch);
-                Py_END_ALLOW_THREADS
-                free(scratch);
-            }
-        }
-        if (failed) {
-            return PyErr_NoMemory();
-        }
-    }
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-py_csr_adjoint_products(PyObject *self, PyObject *args)
-{
-    PyArrayObject *data, *indptr, *u, *out;
-    npy_intp n_rows, nnz;
-    int typenum;
-
-    if (!PyArg_ParseTuple(args, "O!O!O!O!", &PyArray_Type, &data,
-                          &PyArray_Type, &indptr, &PyArray_Type, &u,
-                          &PyArray_Type, &out)) {
-        return NULL;
-    }
-    typenum = PyArray_TYPE(data);
-    if (typenum != NPY_DOUBLE && typenum != NPY_FLOAT) {
-        PyErr_SetString(PyExc_ValueError, "data must be float32 or float64");
-        return NULL;
-    }
-    if (!check_array(data, typenum, 1, "data") ||
-        !check_array(indptr, NPY_INT64, 1, "indptr") ||
-        !check_array(u, typenum, 1, "u") ||
-        !check_array(out, typenum, 1, "out")) {
-        return NULL;
-    }
-    n_rows = PyArray_DIM(indptr, 0) - 1;
-    nnz = PyArray_DIM(data, 0);
-    if (PyArray_DIM(u, 0) != n_rows || PyArray_DIM(out, 0) != nnz) {
-        PyErr_SetString(PyExc_ValueError, "inconsistent kernel shapes");
-        return NULL;
-    }
-    {
-        const npy_int64 *ip = (const npy_int64 *)PyArray_DATA(indptr);
-        if (typenum == NPY_DOUBLE) {
-            const npy_double *d = (const npy_double *)PyArray_DATA(data);
-            const npy_double *uu = (const npy_double *)PyArray_DATA(u);
-            npy_double *o = (npy_double *)PyArray_DATA(out);
-            Py_BEGIN_ALLOW_THREADS
-            adjoint_products_f64(d, ip, n_rows, uu, o);
-            Py_END_ALLOW_THREADS
-        }
-        else {
-            const npy_float *d = (const npy_float *)PyArray_DATA(data);
-            const npy_float *uu = (const npy_float *)PyArray_DATA(u);
-            npy_float *o = (npy_float *)PyArray_DATA(out);
-            Py_BEGIN_ALLOW_THREADS
-            adjoint_products_f32(d, ip, n_rows, uu, o);
-            Py_END_ALLOW_THREADS
-        }
-    }
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-py_csr_reduce_adjoint_scatter(PyObject *self, PyObject *args)
-{
-    PyArrayObject *indices, *products, *out;
-    npy_intp nnz;
-
-    if (!PyArg_ParseTuple(args, "O!O!O!", &PyArray_Type, &indices,
-                          &PyArray_Type, &products, &PyArray_Type, &out)) {
-        return NULL;
-    }
-    if (!check_array(indices, NPY_INT64, 1, "indices") ||
-        !check_array(products, NPY_DOUBLE, 1, "products") ||
-        !check_array(out, NPY_DOUBLE, 1, "out")) {
-        return NULL;
-    }
-    nnz = PyArray_DIM(products, 0);
-    if (PyArray_DIM(indices, 0) != nnz) {
-        PyErr_SetString(PyExc_ValueError, "inconsistent kernel shapes");
-        return NULL;
-    }
-    {
-        const npy_int64 *ind = (const npy_int64 *)PyArray_DATA(indices);
-        const npy_double *p = (const npy_double *)PyArray_DATA(products);
-        npy_double *o = (npy_double *)PyArray_DATA(out);
-        Py_BEGIN_ALLOW_THREADS
-        reduce_adjoint_scatter_f64(ind, p, nnz, o);
-        Py_END_ALLOW_THREADS
-    }
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-py_csr_reduce_adjoint_segments(PyObject *self, PyObject *args)
-{
-    PyArrayObject *products, *order, *starts, *cols, *out;
-    npy_intp nnz, n_segments;
-    int typenum;
-
-    if (!PyArg_ParseTuple(args, "O!O!O!O!O!", &PyArray_Type, &products,
-                          &PyArray_Type, &order, &PyArray_Type, &starts,
-                          &PyArray_Type, &cols, &PyArray_Type, &out)) {
-        return NULL;
-    }
-    typenum = PyArray_TYPE(products);
-    if (typenum != NPY_DOUBLE && typenum != NPY_FLOAT) {
-        PyErr_SetString(PyExc_ValueError,
-                        "products must be float32 or float64");
-        return NULL;
-    }
-    if (!check_array(products, typenum, 1, "products") ||
-        !check_array(order, NPY_INT64, 1, "order") ||
-        !check_array(starts, NPY_INT64, 1, "starts") ||
-        !check_array(cols, NPY_INT64, 1, "cols") ||
-        !check_array(out, typenum, 1, "out")) {
-        return NULL;
-    }
-    nnz = PyArray_DIM(products, 0);
-    n_segments = PyArray_DIM(starts, 0);
-    if (PyArray_DIM(order, 0) != nnz ||
-        PyArray_DIM(cols, 0) != n_segments) {
-        PyErr_SetString(PyExc_ValueError, "inconsistent kernel shapes");
-        return NULL;
-    }
-    {
-        const npy_int64 *ord = (const npy_int64 *)PyArray_DATA(order);
-        const npy_int64 *st = (const npy_int64 *)PyArray_DATA(starts);
-        const npy_int64 *cl = (const npy_int64 *)PyArray_DATA(cols);
-        npy_intp cap = max_col_segment(st, n_segments, nnz);
-        int failed = 0;
-        if (typenum == NPY_DOUBLE) {
-            const npy_double *p = (const npy_double *)PyArray_DATA(products);
-            npy_double *o = (npy_double *)PyArray_DATA(out);
-            npy_double *scratch =
-                (npy_double *)malloc((size_t)cap * sizeof(npy_double));
-            if (scratch == NULL) {
-                failed = 1;
-            }
-            else {
-                Py_BEGIN_ALLOW_THREADS
-                reduce_adjoint_segments_f64(p, ord, st, cl, n_segments, nnz,
-                                            o, scratch);
-                Py_END_ALLOW_THREADS
-                free(scratch);
-            }
-        }
-        else {
-            const npy_float *p = (const npy_float *)PyArray_DATA(products);
-            npy_float *o = (npy_float *)PyArray_DATA(out);
-            npy_float *scratch =
-                (npy_float *)malloc((size_t)cap * sizeof(npy_float));
-            if (scratch == NULL) {
-                failed = 1;
-            }
-            else {
-                Py_BEGIN_ALLOW_THREADS
-                reduce_adjoint_segments_f32(p, ord, st, cl, n_segments, nnz,
-                                            o, scratch);
                 Py_END_ALLOW_THREADS
                 free(scratch);
             }
@@ -965,18 +578,6 @@ py_set_pairwise_seed(PyObject *self, PyObject *args)
 static PyMethodDef csr_kernel_methods[] = {
     {"csr_matvec", py_csr_matvec, METH_VARARGS,
      "A @ v into a zeroed out (bincount order for f64, reduceat for f32)."},
-    {"csr_rmatvec_scatter", py_csr_rmatvec_scatter, METH_VARARGS,
-     "A.T @ u into a zeroed out, float64 bincount order."},
-    {"csr_rmatvec_segments", py_csr_rmatvec_segments, METH_VARARGS,
-     "A.T @ u into a zeroed out via column segments, reduceat order."},
-    {"csr_adjoint_products", py_csr_adjoint_products, METH_VARARGS,
-     "Elementwise adjoint stage: out[i] = data[i] * u[row(i)]."},
-    {"csr_reduce_adjoint_scatter", py_csr_reduce_adjoint_scatter,
-     METH_VARARGS, "Adjoint reduction into a zeroed out, float64 bincount "
-     "order."},
-    {"csr_reduce_adjoint_segments", py_csr_reduce_adjoint_segments,
-     METH_VARARGS, "Adjoint reduction into a zeroed out via column "
-     "segments, reduceat order."},
     {"csr_matmat", py_csr_matmat, METH_VARARGS,
      "A @ B for C-contiguous B into a zeroed F-contiguous out, one pass "
      "over A, reduceat order per column."},

@@ -1,10 +1,17 @@
 """Kernel dispatch: pure-numpy reference vs GIL-free compiled CSR kernels.
 
-The paper's linear-time claim rests on four O(nnz) hot loops — ``A @ v``,
-``A.T @ u``, and their block forms — and every solver in this package
+The paper's linear-time claim rests on O(nnz) products ``A @ v``,
+``A.T @ u`` and their block forms, and every solver in this package
 reaches them through :class:`~repro.linalg.operators.CSROperator` or the
-sharded substrate.  This module puts a dispatch seam in front of those
-loops with two interchangeable backends:
+sharded substrate.  There are two hot loops, both forward:
+``csr_matvec`` (``A @ v``) and ``csr_matmat`` (``A @ B``).  The
+adjoints ``csr_rmatvec``/``csr_rmatmat`` run those same loops over the
+matrix's cached transpose (:attr:`~repro.linalg.sparse.CSRMatrix.T`,
+built once by ``csr_transpose``), so each output entry of an adjoint
+is the storage-order sum of one row of ``A.T``.
+
+This module puts a dispatch seam in front of those loops with two
+interchangeable backends:
 
 ``reference``
     The pure-numpy ``bincount``/``reduceat`` kernels of
@@ -20,7 +27,7 @@ loops with two interchangeable backends:
     reason BENCH_parallel.json's ``speedup_vs_direct`` can exceed 1.
 
 **Bitwise contract.** The compiled kernels replay the reference
-accumulation order exactly — sequential scatter-adds where the
+accumulation order exactly — one sequential row sum where the
 reference uses ``np.bincount`` and numpy's pairwise order
 (``seg[0] + pairwise(seg[1:])``) where it uses ``np.add.reduceat`` —
 so the two backends are interchangeable at the bit level, not merely to
@@ -69,11 +76,9 @@ __all__ = [
     "KERNEL_BACKEND_ENV",
     "active_backend",
     "compiled_available",
-    "csr_adjoint_products",
     "csr_matmat",
     "csr_matmat_operand",
     "csr_matvec",
-    "csr_reduce_adjoint",
     "csr_rmatmat",
     "csr_rmatvec",
     "csr_transpose",
@@ -272,107 +277,19 @@ def csr_matvec(matrix: CSRMatrix, v: FloatArray) -> FloatArray:
 
 
 def csr_rmatvec(matrix: CSRMatrix, u: FloatArray) -> FloatArray:
-    """``A.T @ u`` through the selected kernel backend.
+    """``A.T @ u``: :func:`csr_matvec` over the cached transpose.
 
     Complexity: O(nnz) — the adjoint sweep at the same unit price as
-    :func:`csr_matvec` (plus, on the float32 path, the one-time column
-    segment build the reference also amortizes).
+    :func:`csr_matvec`, plus the one-time transpose build
+    (:func:`csr_transpose`), amortized over every later adjoint.
     """
     u = as_value_dtype(u)
-    if active_backend() != "compiled" or not _storage_ok(matrix):
-        return matrix.rmatvec(u)
     if u.shape != (matrix.shape[0],):
         raise ValueError(
             f"rmatvec expects a vector of length {matrix.shape[0]}, "
             f"got shape {u.shape}"
         )
-    uc = _operand_for_compiled(matrix, u)
-    if uc is None:
-        return matrix.rmatvec(u)
-    out = np.zeros(matrix.shape[1], dtype=matrix.dtype)
-    if matrix.dtype == np.float64:
-        _compiled.csr_rmatvec_scatter(
-            matrix.data, matrix.indices, matrix.indptr, uc, out
-        )
-    else:
-        order, starts, cols = matrix._col_segments
-        _compiled.csr_rmatvec_segments(
-            matrix.data, matrix._row_ids, order, starts, cols, uc, out
-        )
-    return out
-
-
-def csr_adjoint_products(matrix: CSRMatrix, u: FloatArray) -> FloatArray:
-    """Elementwise adjoint stage ``data * u[row_ids]``, in storage order.
-
-    Complexity: O(nnz).
-
-    The shard-local half of the sharded adjoint: each shard computes
-    its slice of this product, and the coordinator applies the one
-    canonical :func:`csr_reduce_adjoint` — which is what keeps the
-    sharded ``rmatvec`` bitwise-identical to the direct one.
-    """
-    u = as_value_dtype(u)
-    if (
-        active_backend() == "compiled"
-        and _storage_ok(matrix)
-        and u.shape == (matrix.shape[0],)
-    ):
-        uc = _operand_for_compiled(matrix, u)
-        if uc is not None:
-            out = np.empty(matrix.nnz, dtype=matrix.dtype)
-            _compiled.csr_adjoint_products(
-                matrix.data, matrix.indptr, uc, out
-            )
-            return out
-    products: FloatArray = matrix.data * u[matrix._row_ids]
-    return products
-
-
-def csr_reduce_adjoint(
-    matrix: CSRMatrix,
-    products: FloatArray,
-    out: Optional[FloatArray] = None,
-) -> FloatArray:
-    """Reduce per-entry adjoint products to ``A.T @ u``.
-
-    Complexity: O(nnz).
-
-    The canonical reduction behind
-    :meth:`~repro.linalg.sparse.CSRMatrix.reduce_adjoint_products`,
-    backend-dispatched.  Per-dtype accumulation order (float64
-    ``bincount`` fold, float32 segmented ``reduceat``) is preserved
-    exactly on both backends.
-    """
-    if active_backend() != "compiled" or not _storage_ok(matrix):
-        return matrix.reduce_adjoint_products(products, out=out)
-    if products.shape != matrix.data.shape:
-        return matrix.reduce_adjoint_products(products, out=out)
-    if out is not None and (
-        out.shape != (matrix.shape[1],) or out.dtype != products.dtype
-    ):
-        return matrix.reduce_adjoint_products(products, out=out)
-    if not products.flags.c_contiguous:
-        products = np.ascontiguousarray(products)
-    if products.dtype == np.float64:
-        # The scatter kernel only touches indices + products, so it
-        # serves float64 products over a float32 matrix too (the shard
-        # path can promote operands).
-        target = out if out is not None else np.zeros(matrix.shape[1])
-        target[:] = 0
-        _compiled.csr_reduce_adjoint_scatter(
-            matrix.indices, products, target
-        )
-        return target
-    if products.dtype != matrix.dtype:
-        return matrix.reduce_adjoint_products(products, out=out)
-    target = (
-        out if out is not None else np.zeros(matrix.shape[1], products.dtype)
-    )
-    target[:] = 0
-    order, starts, cols = matrix._col_segments
-    _compiled.csr_reduce_adjoint_segments(products, order, starts, cols, target)
-    return target
+    return csr_matvec(matrix.T, u)
 
 
 def csr_matmat_operand(matrix: CSRMatrix, B: FloatArray) -> FloatArray:
@@ -446,8 +363,6 @@ def csr_rmatmat(matrix: CSRMatrix, U: FloatArray) -> FloatArray:
         return csr_rmatvec(matrix, U)
     if U.shape[0] != matrix.shape[0]:
         raise ValueError("dimension mismatch in rmatmat")
-    if U.shape[1] == 1:
-        return csr_rmatvec(matrix, U[:, 0])[:, None]
     return csr_matmat(matrix.T, U)
 
 

@@ -21,10 +21,10 @@ alternatives (2-D ``(nnz, k)`` gather/reduceat blocks, chunked
 cache-sized variants, fused ``bincount`` keys), the 1-D sweep wins by
 1.5–2.5×: numpy's 1-D reduceat runs at full memory bandwidth while its
 axis-0 reduction over short ``k``-wide rows does not.  What the block
-kernels amortize across columns — and the single-shot
-``matvec``/``rmatvec`` deliberately avoid paying for one product — is
-the cached segment structure: non-empty row starts for the forward
-sweep and a lazily cached transpose (built once) for ``rmatmat``.
+kernels amortize across columns — and the single-shot ``matvec``
+deliberately avoids paying for one product — is the cached segment
+structure of non-empty row starts.  The adjoints ``rmatvec``/``rmatmat``
+are the forward kernels run over a lazily cached transpose, built once.
 
 Values are stored in float64 by default; float32 input is preserved
 end-to-end (products, row slicing, transposes) so memory-bound kernels
@@ -86,7 +86,6 @@ class CSRMatrix:
         self.shape = (int(shape[0]), int(shape[1]))
         self._row_ids_cache: Optional[IntArray] = None
         self._nonempty_rows_cache: Optional[IntArray] = None
-        self._col_cache: Optional[Tuple[IntArray, IntArray, IntArray]] = None
         self._transpose_cache: Optional["CSRMatrix"] = None
         self._validate()
 
@@ -110,24 +109,6 @@ class CSRMatrix:
         if self._nonempty_rows_cache is None:
             self._nonempty_rows_cache = np.flatnonzero(np.diff(self.indptr))
         return self._nonempty_rows_cache
-
-    @property
-    def _col_segments(self) -> Tuple[IntArray, IntArray, IntArray]:
-        """Column-sorted view for transposed segment sums (cached).
-
-        Returns ``(order, starts, nonempty_cols)`` where ``order`` sorts
-        the stored entries by column, ``nonempty_cols`` lists columns
-        with at least one entry, and ``starts[i]`` is the offset of
-        ``nonempty_cols[i]``'s first entry in the sorted array.
-        """
-        if self._col_cache is None:
-            order = np.argsort(self.indices, kind="stable")
-            counts = np.bincount(self.indices, minlength=self.shape[1])
-            col_indptr = np.zeros(self.shape[1] + 1, dtype=np.int64)
-            np.cumsum(counts, out=col_indptr[1:])
-            nonempty = np.flatnonzero(counts)
-            self._col_cache = (order, col_indptr[nonempty], nonempty)
-        return self._col_cache
 
     def _validate(self) -> None:
         n_rows, n_cols = self.shape
@@ -239,9 +220,9 @@ class CSRMatrix:
 
         Built by :func:`repro.linalg.kernels.csr_transpose`, whose
         backends return the same bytes.  Cached after the first call
-        (and back-linked, so ``A.T.T is A``): ``rmatmat`` reuses it on
-        every block product, and the stored arrays are treated as
-        immutable throughout the package.
+        (and back-linked, so ``A.T.T is A``): ``rmatvec``/``rmatmat``
+        reuse it on every adjoint product, and the stored arrays are
+        treated as immutable throughout the package.
         """
         if self._transpose_cache is None:
             # imported here: the kernels module imports this one
@@ -262,7 +243,7 @@ class CSRMatrix:
         order within each column.  This is the ground truth the compiled
         counting sort is checked against.
         """
-        order, _, _ = self._col_segments
+        order = np.argsort(self.indices, kind="stable")
         counts = np.bincount(self.indices, minlength=self.shape[1])
         indptr = np.zeros(self.shape[1] + 1, dtype=np.int64)
         indptr[1:] = np.cumsum(counts)
@@ -313,7 +294,11 @@ class CSRMatrix:
         """Compute ``A.T @ u``.
 
         Complexity: O(nnz) — adjoint sweep at the same unit price as
-        :meth:`matvec`.
+        :meth:`matvec`, plus the first-call transpose build (:attr:`T`).
+
+        The forward kernel over the cached transpose: each column of
+        ``A`` is a row of ``A.T`` and reduces its entries in row order,
+        so the result does not depend on how rows of ``A`` are grouped.
         """
         u = as_value_dtype(u)
         if u.shape != (self.shape[0],):
@@ -321,61 +306,7 @@ class CSRMatrix:
                 f"rmatvec expects a vector of length {self.shape[0]}, "
                 f"got shape {u.shape}"
             )
-        return self.reduce_adjoint_products(self.data * u[self._row_ids])
-
-    def reduce_adjoint_products(
-        self, products: FloatArray, out: Optional[FloatArray] = None
-    ) -> FloatArray:
-        """Reduce per-entry adjoint products to ``A.T @ u``.
-
-        ``products`` must be ``data * u[row_ids]`` in storage order — the
-        elementwise stage of :meth:`rmatvec`.  Splitting the product this
-        way lets a row-sharded operator compute the elementwise stage
-        shard-by-shard (each shard owns a contiguous slice of storage
-        order) and still apply this one *canonical* reduction, making the
-        sharded adjoint bitwise identical to the unsharded one.
-
-        ``out``, when given, receives the reduction in place and is
-        returned — callers that hold a long-lived column buffer (a
-        solver's adjoint accumulator, say) keep a stable destination
-        across products.  Results are **bitwise identical** with and
-        without ``out``: both forms run the same per-dtype reduction
-        kernel (``bincount``'s sequential fold for float64, segmented
-        ``reduceat`` otherwise — the two accumulate in different orders,
-        so they are *not* interchangeable at the bit level).
-        """
-        if products.shape != self.data.shape:
-            raise ValueError(
-                f"expected {self.data.shape[0]} adjoint products, "
-                f"got shape {products.shape}"
-            )
-        if out is not None:
-            if out.shape != (self.shape[1],):
-                raise ValueError(
-                    f"out must have shape ({self.shape[1]},), "
-                    f"got {out.shape}"
-                )
-            if out.dtype != products.dtype:
-                raise ValueError(
-                    f"out dtype {out.dtype} does not match products "
-                    f"dtype {products.dtype}"
-                )
-        if products.dtype == np.float64:
-            reduced = np.bincount(
-                self.indices, weights=products, minlength=self.shape[1]
-            ).astype(np.float64, copy=False)
-            if out is None:
-                return reduced
-            out[:] = reduced
-            return out
-        if out is None:
-            out = np.zeros(self.shape[1], dtype=products.dtype)
-        else:
-            out[:] = 0
-        order, starts, cols = self._col_segments
-        if cols.size:
-            out[cols] = np.add.reduceat(products[order], starts)
-        return out
+        return self.T.matvec(u)
 
     def matmat(self, B: FloatArray) -> FloatArray:
         """Compute ``A @ B`` for a dense block ``B``.
@@ -433,8 +364,6 @@ class CSRMatrix:
             return self.rmatvec(U)
         if U.shape[0] != self.shape[0]:
             raise ValueError("dimension mismatch in rmatmat")
-        if U.shape[1] == 1:
-            return self.rmatvec(U[:, 0])[:, None]
         return self.T.matmat(U)
 
     def __matmul__(self, other):

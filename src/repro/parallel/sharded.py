@@ -1,38 +1,41 @@
-"""Row-partitioned operators: LSQR-shaped sharding with exact fan-in.
+"""Row-partitioned operators: every product writes disjoint output rows.
 
-SRDA's whole cost is products against the data operator, and those
-products decompose along rows: for ``X`` split into contiguous row
-blocks ``X_s``,
+SRDA's whole cost is products against the data operator, and every
+product splits along the rows of its *output*.  For ``X`` cut into
+contiguous row blocks ``X_s`` and ``X.T`` into contiguous row blocks
+``(X.T)_t``:
 
-- forward:  ``X v   = concat_s (X_s v)``        (disjoint writes)
-- adjoint:  ``X.T u = sum_s   (X_s.T u_s)``     (a reduction)
+- forward:  ``X v   = concat_s (X_s v)``
+- adjoint:  ``X.T u = concat_t ((X.T)_t u)``
+
+Each task multiplies its block by the *whole* operand and writes only
+its own rows of the one output the product returns — there are no
+partial sums to fold.  For CSR, ``X.T`` is the matrix's own cached transpose
+(:attr:`~repro.linalg.sparse.CSRMatrix.T`, built once and shared with
+the unsharded ``rmatvec``/``rmatmat``), so adjoint tasks run the same
+forward kernel as everything else; dense adjoint blocks are the column
+views ``X[:, c0:c1]``, each computing ``X[:, c0:c1].T @ u``.
 
 :class:`ShardedOperator` realizes that decomposition behind the
 standard :class:`~repro.linalg.operators.LinearOperator` contract, so
 ``block_lsqr``, ``verify_operator`` and FLAM counting all work
-unchanged, and fans the per-shard kernels out on any
+unchanged, and fans the tasks out on any
 :class:`~repro.parallel.backends.Backend`.
 
 Determinism contract
 --------------------
-Results depend on the *shard layout* (a pure function of the data: row
-count, plus — for CSR — the nnz profile via
-:func:`nnz_shard_bounds`) and never on the backend or worker count:
-
-- CSR ``matvec``/``matmat`` are **bitwise identical** to the unsharded
-  kernels — the handwritten CSR kernels reduce each row in storage
-  order, and row segments never straddle a shard boundary.
-- CSR ``rmatvec`` is also **bitwise identical**: shards compute only
-  the *elementwise* stage (``data * u[row_ids]`` over their contiguous
-  slice of storage order) into one products buffer, and the coordinator
-  applies the single canonical reduction
-  (:meth:`~repro.linalg.sparse.CSRMatrix.reduce_adjoint_products`).
-- Dense kernels, and every ``rmatmat``, are deterministic and
-  reproducible for a given layout (identical across backends and worker
-  counts) but only within a few ulp of the unsharded product: adjoint
-  fan-in folds per-shard partials in fixed shard order, and dense
-  forward products go through BLAS, whose internal reduction order can
-  depend on the block's row count.
+- CSR: all four products are **bitwise identical** to the unsharded
+  kernels, for any layout, backend, worker count and kernel backend.
+  The CSR kernels reduce each output row in its storage order,
+  independently of every other row, and a block is a contiguous run of
+  whole rows of ``X`` (forward) or ``X.T`` (adjoint).
+- Dense: deterministic for a given layout (a pure function of the
+  shape: identical across backends and worker counts) but only within
+  a few ulp of the unsharded product, because BLAS's internal
+  reduction order can depend on the block's shape.
+- Ops mode (a sequence of row-block operators, the fault-injection
+  seam) has no transpose: its adjoint sums the blocks' ``X_s.T u_s``
+  in shard order.
 
 Per-shard wall times are recorded into the current tracer's metrics
 (histogram ``parallel.shard_seconds``, counter
@@ -43,16 +46,7 @@ trace as the fit spans.
 from __future__ import annotations
 
 import time
-from typing import (
-    Any,
-    Dict,
-    List,
-    Literal,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -77,7 +71,7 @@ __all__ = [
 _MIN_SHARD_ROWS = 512
 
 #: Default cap on shard count (matches the largest pool the benchmarks
-#: exercise; more shards than cores only adds fan-in overhead).
+#: exercise; more shards than cores only adds per-task overhead).
 _MAX_DEFAULT_SHARDS = 8
 
 
@@ -176,97 +170,47 @@ def csr_row_slice(matrix: CSRMatrix, start: int, stop: int) -> CSRMatrix:
     )
 
 
-def _ordered_fold(partials: FloatArray) -> FloatArray:
-    """Sum ``partials`` over axis 0 as a left fold in shard order.
-
-    A plain left fold — not ``np.sum``, whose pairwise reduction would
-    tie the association (and thus the low bits) to internal blocking
-    heuristics instead of the shard layout.
-    """
-    acc = np.array(partials[0])
-    for i in range(1, partials.shape[0]):
-        acc += partials[i]
-    return acc
+_FORWARD = ("matvec", "matmat")
 
 
 def shard_kernel_result(
     mode: str,
-    shard: Any,
+    block: Any,
     kernel: str,
     operand: FloatArray,
 ) -> FloatArray:
-    """One shard's share of a product, as a returned array.
+    """One block's rows of a product, as a returned array.
 
-    Complexity: O(nnz) per shard-local kernel call (``nnz`` = the
-    shard's stored entries; ``O(nnz·c)`` for ``c``-column blocks).
+    Complexity: O(nnz) per block (``nnz`` = the block's stored entries;
+    ``O(nnz·c)`` for ``c``-column operands).
 
     The single arithmetic body behind every transport: in-process
-    backends write the returned block into a coordinator-owned buffer
-    (:func:`_apply_shard_kernel`), and distributed workers ship it back
-    over a socket.  Forward kernels expect the full operand; adjoint
-    kernels expect the caller's pre-sliced ``operand[r0:r1]`` block.
+    backends copy the result into the output's rows, and distributed
+    workers ship it back over a socket.  ``operand`` is always whole.
+    A CSR adjoint block is a row slice of ``X.T``, so it runs the
+    forward kernel; a dense adjoint block is a column block of ``X``.
     Both transports evaluating these exact expressions is what makes
     the distributed backend bitwise-identical to the local ones.
     """
-    if mode == "dense":
-        if kernel in ("matvec", "matmat"):
-            return shard @ operand
-        return shard.T @ operand
     if mode == "csr":
-        # CSR shards go through the kernel dispatcher, so thread
-        # workers run the GIL-free compiled backend when selected.  The
-        # adjoint emits only the elementwise stage so the coordinator
-        # can apply the one canonical reduction.
-        if kernel == "matvec":
-            return kernels.csr_matvec(shard, operand)
-        if kernel == "rmatvec":
-            return kernels.csr_adjoint_products(shard, operand)
-        if kernel == "matmat":
-            return kernels.csr_matmat(shard, operand)
-        return kernels.csr_rmatmat(shard, operand)
+        # Through the kernel dispatcher, so thread workers run the
+        # GIL-free compiled backend when selected.
+        if kernel in ("matvec", "rmatvec"):
+            return kernels.csr_matvec(block, operand)
+        return kernels.csr_matmat(block, operand)
+    if mode == "dense":
+        return block @ operand if kernel in _FORWARD else block.T @ operand
     if kernel == "matvec":
-        return shard.matvec(operand)
-    if kernel == "rmatvec":
-        return shard.rmatvec(operand)
-    if kernel == "matmat":
-        return shard.matmat(operand)
-    return shard.rmatmat(operand)
-
-
-def _apply_shard_kernel(
-    mode: str,
-    shard: Any,
-    kernel: str,
-    operand: FloatArray,
-    out: FloatArray,
-    rows: Tuple[int, int],
-    nnz_range: Tuple[int, int],
-    slot: int,
-) -> None:
-    """Run one shard's share of a product, writing into ``out``.
-
-    The write-into-buffer form of :func:`shard_kernel_result` used by
-    in-process backends.  Forward kernels write their disjoint row
-    block; adjoint kernels write either their slice of the CSR products
-    buffer (``rmatvec``) or their partial into slot ``slot`` for the
-    coordinator's ordered fold.
-    """
-    r0, r1 = rows
-    if kernel in ("matvec", "matmat"):
-        out[r0:r1] = shard_kernel_result(mode, shard, kernel, operand)
-    elif mode == "csr" and kernel == "rmatvec":
-        p0, p1 = nnz_range
-        out[p0:p1] = shard_kernel_result(mode, shard, kernel, operand[r0:r1])
-    else:
-        out[slot] = shard_kernel_result(mode, shard, kernel, operand[r0:r1])
+        return block.matvec(operand)
+    return block.matmat(operand)
 
 
 class ShardedOperator(LinearOperator):
     """Row-partitioned view of a CSR/dense matrix (or operator stack).
 
     Complexity: O(nnz) per ``matvec``/``rmatvec`` summed across shards
-    (``O(nnz·c)`` for ``c``-column blocks), plus O(m + k) coordinator
-    work per product for the gather and ordered fold.
+    (``O(nnz·c)`` for ``c``-column blocks), plus an O(m + n) copy of
+    each block's rows into the output.
 
     Parameters
     ----------
@@ -279,10 +223,10 @@ class ShardedOperator(LinearOperator):
         :class:`~repro.linalg.operators.FaultyOperator` inside one
         shard; serial/thread backends only).
     n_shards:
-        Number of contiguous row shards.  Default:
-        :func:`default_shard_count` of the row count — deliberately
-        independent of the backend so results never depend on *where*
-        the product ran.  Clamped to the row count.
+        Number of contiguous row shards, and of adjoint blocks.
+        Default: :func:`default_shard_count` of the row count —
+        deliberately independent of the backend so results never
+        depend on *where* the product ran.  Clamped to the row count.
     backend:
         A :class:`~repro.parallel.backends.Backend` instance (caller
         keeps ownership), a backend name, or ``None``; names and
@@ -311,11 +255,13 @@ class ShardedOperator(LinearOperator):
         self._owns_backend = not isinstance(backend, Backend)
         self.backend = resolve_backend(backend, n_jobs)
         self._closed = False
-        self._scratch: Dict[Tuple[str, Tuple[int, ...], str, str], FloatArray] = {}
 
         self.matrix: Optional[CSRMatrix] = None
         self.array: Optional[FloatArray] = None
         self._ops: Optional[List[LinearOperator]] = None
+        #: Blocks and their output row ranges, keyed by ``forward``.
+        self._blocks: Dict[bool, List[Any]] = {}
+        self._block_bounds: Dict[bool, List[Tuple[int, int]]] = {}
 
         if isinstance(X, (list, tuple)):
             self._mode = "ops"
@@ -348,13 +294,10 @@ class ShardedOperator(LinearOperator):
                 self._bounds = nnz_shard_bounds(self.matrix.indptr, count)
             else:
                 self._bounds = shard_bounds(m, count)
-            self._build_local_shards()
 
         self.n_shards = len(self._bounds)
-        self._single = self.n_shards == 1
-        self._nnz_bounds = self._compute_nnz_bounds()
         self._direct: Optional[LinearOperator] = None
-        if self._single:
+        if self.n_shards == 1:
             if self._mode == "ops":
                 assert self._ops is not None
                 self._direct = self._ops[0]
@@ -362,6 +305,8 @@ class ShardedOperator(LinearOperator):
                 self._direct = as_operator(self.matrix)
             else:
                 self._direct = as_operator(self.array)
+        elif self._mode != "ops":
+            self._build_blocks()
 
         #: Set when a remote cluster failed and products fell back to a
         #: local backend; surfaced into ``fit_report_`` by the solvers.
@@ -369,8 +314,8 @@ class ShardedOperator(LinearOperator):
         self.degradation_reason: Optional[str] = None
 
         self._uses_remote = self.backend.remote
-        self._remote_keys: List[str] = []
-        if self._uses_remote and not self._single:
+        self._remote_keys: Dict[bool, List[str]] = {}
+        if self._uses_remote and self._direct is None:
             try:
                 self._ship_remote_shards()
             except TransportError as exc:
@@ -409,65 +354,62 @@ class ShardedOperator(LinearOperator):
             row += op.shape[0]
         self._bounds = bounds
         self.shape = (row, n_cols)
-        self._local_shards: List[Any] = list(ops)
+        self._blocks[True] = list(ops)
+        self._block_bounds[True] = bounds
 
-    def _build_local_shards(self) -> None:
+    def _build_blocks(self) -> None:
+        """Forward row blocks of ``X`` and adjoint blocks of ``X.T``.
+
+        Adjoint blocks tile the rows of ``X.T`` — nnz-balanced row
+        slices of the cached CSR transpose, or column views of a dense
+        ``X`` — in as many blocks as there are shards.
+        """
         if self._mode == "csr":
             assert self.matrix is not None
-            self._local_shards = [
-                csr_row_slice(self.matrix, r0, r1) for r0, r1 in self._bounds
-            ]
+            transpose = self.matrix.T
+            adjoint_bounds = nnz_shard_bounds(transpose.indptr, self.n_shards)
+            self._blocks = {
+                True: [csr_row_slice(self.matrix, a, b) for a, b in self._bounds],
+                False: [csr_row_slice(transpose, a, b) for a, b in adjoint_bounds],
+            }
         else:
             assert self.array is not None
-            self._local_shards = [
-                self.array[r0:r1] for r0, r1 in self._bounds
-            ]
-
-    def _compute_nnz_bounds(self) -> List[Tuple[int, int]]:
-        if self._mode != "csr":
-            return [(0, 0)] * self.n_shards
-        assert self.matrix is not None
-        indptr: IntArray = self.matrix.indptr
-        return [
-            (int(indptr[r0]), int(indptr[r1])) for r0, r1 in self._bounds
-        ]
+            adjoint_bounds = shard_bounds(self.shape[1], self.n_shards)
+            self._blocks = {
+                True: [self.array[a:b] for a, b in self._bounds],
+                False: [self.array[:, a:b] for a, b in adjoint_bounds],
+            }
+        self._block_bounds = {True: self._bounds, False: adjoint_bounds}
 
     def _ship_remote_shards(self) -> None:
-        """One-time checksummed shipment of every shard to the cluster.
+        """One-time checksummed shipment of every block to the cluster.
 
-        Shard payloads cross the wire exactly once; per-product traffic
-        is limited to operand and result vectors.
+        Both block sets cross the wire exactly once; per-product
+        traffic is limited to the operand and each block's rows of the
+        result.
         """
-        payloads: List[Dict[str, Any]] = []
-        for shard in self._local_shards:
-            if self._mode == "csr":
-                payloads.append(
-                    {
-                        "kind": "csr",
-                        "shape": shard.shape,
-                        "arrays": {
-                            "data": shard.data,
-                            "indices": shard.indices,
-                            "indptr": shard.indptr,
-                        },
+        for forward, blocks in self._blocks.items():
+            payloads: List[Dict[str, Any]] = []
+            for block in blocks:
+                if self._mode == "csr":
+                    arrays = {
+                        "data": block.data,
+                        "indices": block.indices,
+                        "indptr": block.indptr,
                     }
-                )
-            else:
+                else:
+                    arrays = {"block": np.ascontiguousarray(block)}
                 payloads.append(
-                    {
-                        "kind": "dense",
-                        "shape": shard.shape,
-                        "arrays": {"block": np.ascontiguousarray(shard)},
-                    }
+                    {"kind": self._mode, "shape": block.shape, "arrays": arrays}
                 )
-        self._remote_keys = self.backend.ship_shards(payloads)
+            self._remote_keys[forward] = self.backend.ship_shards(payloads)
 
     def _degrade(self, exc: BaseException) -> None:
         """Fall back to the serial backend after cluster failure.
 
-        The local shards built at construction make this a pure
-        transport switch: the shard layout — and therefore every bit
-        of every subsequent product — is unchanged.
+        The local blocks built at construction make this a pure
+        transport switch: the layout — and therefore every bit of every
+        subsequent product — is unchanged.
         """
         reason = f"{type(exc).__name__}: {exc}"
         self.degraded_from = self.backend.name
@@ -516,179 +458,108 @@ class ShardedOperator(LinearOperator):
             float(len(timings))
         )
 
-    def _run(
-        self,
-        kernel: str,
-        operand: FloatArray,
-        out_shape: Tuple[int, ...],
-        out_dtype: FloatDType,
-        order: Literal["C", "F"] = "C",
-    ) -> FloatArray:
-        """Fan a kernel out over every shard; return the fan-in buffer."""
+    def _run(self, kernel: str, operand: FloatArray, n_rows: int) -> FloatArray:
+        """Fan ``kernel`` out over its blocks; each writes its own rows."""
+        forward = kernel in _FORWARD
+        bounds = self._block_bounds[forward]
+        shape = (n_rows,) + operand.shape[1:]
+        out = np.empty(
+            shape, np.result_type(self.dtype, operand.dtype), order="F"
+        )
         if self._uses_remote:
             try:
-                return self._run_remote(
-                    kernel, operand, out_shape, out_dtype, order
-                )
+                return self._run_remote(kernel, operand, out)
             except TransportError as exc:
                 if (
                     getattr(self.backend, "on_unhealthy", "degrade")
                     != "degrade"
                 ):
                     raise
-                # Fall through to the local path: same shard layout,
-                # same kernels — the product below is bit-for-bit what
-                # the cluster would have returned.
+                # Fall through to the local path: same blocks, same
+                # kernels — the product below is bit-for-bit what the
+                # cluster would have returned.
                 self._degrade(exc)
-        out = self._fan_in_buffer(kernel, out_shape, out_dtype, order)
+        blocks = self._blocks[forward]
 
-        def run_shard(index: int) -> float:
+        def run_block(index: int) -> float:
             t0 = time.perf_counter()
-            _apply_shard_kernel(
-                self._mode,
-                self._local_shards[index],
-                kernel,
-                operand,
-                out,
-                self._bounds[index],
-                self._nnz_bounds[index],
-                index,
+            start, stop = bounds[index]
+            out[start:stop] = shard_kernel_result(
+                self._mode, blocks[index], kernel, operand
             )
             return time.perf_counter() - t0
 
-        timings = self.backend.map(run_shard, list(range(self.n_shards)))
-        self._record(timings)
+        self._record(self.backend.map(run_block, list(range(len(blocks)))))
         return out
 
     def _run_remote(
-        self,
-        kernel: str,
-        operand: FloatArray,
-        out_shape: Tuple[int, ...],
-        out_dtype: FloatDType,
-        order: Literal["C", "F"],
+        self, kernel: str, operand: FloatArray, out: FloatArray
     ) -> FloatArray:
         """Stream one product through the remote cluster.
 
-        Forward kernels ship the full operand (every shard multiplies
-        against all columns); adjoint kernels ship only each shard's
-        ``operand[r0:r1]`` block.  Assembly mirrors
-        :func:`_apply_shard_kernel`'s writes exactly, so the returned
-        buffer is bitwise what the local paths produce.
+        Every task ships the whole operand and returns its block's rows
+        of the result, which land where :meth:`_run` would write them.
         """
-        forward = kernel in ("matvec", "matmat")
-        tasks = []
-        for i in range(self.n_shards):
-            r0, r1 = self._bounds[i]
-            tasks.append(
-                {
-                    "key": self._remote_keys[i],
-                    "kernel": kernel,
-                    "operand": operand if forward else operand[r0:r1],
-                }
-            )
+        forward = kernel in _FORWARD
+        tasks = [
+            {"key": key, "kernel": kernel, "operand": operand}
+            for key in self._remote_keys[forward]
+        ]
         arrays = self.backend.run_tasks(tasks)
-        out = np.empty(out_shape, dtype=out_dtype, order=order)
-        for i, array in enumerate(arrays):
-            if forward:
-                r0, r1 = self._bounds[i]
-                out[r0:r1] = array
-            elif self._mode == "csr" and kernel == "rmatvec":
-                p0, p1 = self._nnz_bounds[i]
-                out[p0:p1] = array
-            else:
-                out[i] = array
+        for (start, stop), array in zip(self._block_bounds[forward], arrays):
+            out[start:stop] = array
         tracer = current_tracer()
         if tracer.enabled:
             tracer.metrics.counter("parallel.shard_products").add(
-                float(self.n_shards)
+                float(len(tasks))
             )
         return out
 
-    def _fan_in_buffer(
-        self,
-        kernel: str,
-        out_shape: Tuple[int, ...],
-        out_dtype: FloatDType,
-        order: Literal["C", "F"],
-    ) -> FloatArray:
-        """Fan-in buffer for ``_run``; adjoint buffers are reused.
+    def _ops_adjoint(self, kernel: str, operand: FloatArray) -> FloatArray:
+        """``sum_s X_s.T operand_s`` over the row-block operators, in order."""
+        assert self._ops is not None
+        ops = self._ops
 
-        Forward products (``matvec``/``matmat``) are returned to callers
-        and must stay fresh.  Adjoint intermediates — the CSR products
-        buffer and the per-shard partials — are fully consumed by the
-        canonical reduction / ordered fold (both of which allocate their
-        own output) before the next product starts, so the hot LSQR
-        adjoint path can recycle them instead of re-allocating an
-        ``nnz``-sized (or ``n_shards×n×k``) buffer every iteration.
-        Concurrent products on one operator were never supported.
-        """
-        if kernel in ("matvec", "matmat"):
-            return np.empty(out_shape, dtype=out_dtype, order=order)
-        key = (kernel, out_shape, np.dtype(out_dtype).str, order)
-        buf = self._scratch.get(key)
-        if buf is None:
-            buf = np.empty(out_shape, dtype=out_dtype, order=order)
-            self._scratch[key] = buf
-        return buf
+        def run_block(index: int) -> FloatArray:
+            start, stop = self._bounds[index]
+            return getattr(ops[index], kernel)(operand[start:stop])
+
+        parts = self.backend.map(run_block, list(range(self.n_shards)))
+        total = np.array(
+            parts[0], dtype=np.result_type(self.dtype, operand.dtype)
+        )
+        for part in parts[1:]:
+            total += part
+        return total
 
     def _matvec(self, v: FloatArray) -> FloatArray:
         if self._direct is not None:
             return self._direct.matvec(v)
-        out_dtype = np.result_type(self.dtype, v.dtype)
-        return self._run("matvec", v, (self.shape[0],), out_dtype)
+        return self._run("matvec", v, self.shape[0])
 
     def _rmatvec(self, u: FloatArray) -> FloatArray:
         if self._direct is not None:
             return self._direct.rmatvec(u)
-        out_dtype = np.result_type(self.dtype, u.dtype)
-        if self._mode == "csr":
-            assert self.matrix is not None
-            products = self._run(
-                "rmatvec", u, (self.matrix.nnz,), out_dtype
-            )
-            return kernels.csr_reduce_adjoint(self.matrix, products)
-        partials = self._run(
-            "rmatvec", u, (self.n_shards, self.shape[1]), out_dtype
-        )
-        return _ordered_fold(partials)
-
-    def _block_operand(self, B: FloatArray) -> FloatArray:
-        """``B`` laid out once, before fan-out, as the CSR kernels read it.
-
-        Every shard's forward product reads the whole operand, so a
-        per-shard conversion would copy it once per shard; adjoint
-        shards read contiguous row blocks of the converted operand.
-        """
-        if self._mode != "csr":
-            return B
-        assert self.matrix is not None
-        return kernels.csr_matmat_operand(self.matrix, B)
+        if self._ops is not None:
+            return self._ops_adjoint("rmatvec", u)
+        return self._run("rmatvec", u, self.shape[1])
 
     def _matmat(self, B: FloatArray) -> FloatArray:
         if self._direct is not None:
             return self._direct.matmat(B)
-        out_dtype = np.result_type(self.dtype, B.dtype)
-        return self._run(
-            "matmat",
-            self._block_operand(B),
-            (self.shape[0], B.shape[1]),
-            out_dtype,
-            order="F",
-        )
+        if self.matrix is not None:
+            # Laid out once as the CSR kernels read it, not once per block.
+            B = kernels.csr_matmat_operand(self.matrix, B)
+        return self._run("matmat", B, self.shape[0])
 
     def _rmatmat(self, U: FloatArray) -> FloatArray:
         if self._direct is not None:
             return self._direct.rmatmat(U)
-        out_dtype = np.result_type(self.dtype, U.dtype)
-        U = self._block_operand(U)
-        partials = self._run(
-            "rmatmat",
-            U,
-            (self.n_shards, self.shape[1], U.shape[1]),
-            out_dtype,
-        )
-        return _ordered_fold(partials)
+        if self._ops is not None:
+            return self._ops_adjoint("rmatmat", U)
+        if self.matrix is not None:
+            U = kernels.csr_matmat_operand(self.matrix.T, U)
+        return self._run("rmatmat", U, self.shape[1])
 
     # ------------------------------------------------------------------
     # Lifecycle

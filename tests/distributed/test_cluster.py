@@ -5,6 +5,8 @@ import pytest
 
 from repro.distributed import DistributedBackend
 from repro.exceptions import ClusterUnhealthyError
+from repro.linalg import kernels
+from repro.linalg.operators import as_operator
 from repro.linalg.sparse import CSRMatrix
 from repro.parallel.sharded import ShardedOperator
 
@@ -166,3 +168,52 @@ class TestShardedOperatorParity:
         finally:
             distributed.close()
             reference.close()
+
+    @pytest.mark.parametrize(
+        "kernel_backend",
+        [
+            "reference",
+            pytest.param(
+                "compiled",
+                marks=pytest.mark.skipif(
+                    not kernels.compiled_available(),
+                    reason="compiled kernel extension not built",
+                ),
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "dtypes",
+        [
+            (np.float64, np.float64),
+            (np.float32, np.float32),
+            (np.float32, np.float64),
+            (np.float64, np.float32),
+        ],
+        ids=["f64", "f32", "f32xf64", "f64xf32"],
+    )
+    def test_csr_kernels_bitwise_equal_direct(
+        self, backend, rng, monkeypatch, dtypes, kernel_backend
+    ):
+        """Workers inherit the kernel backend through the environment;
+        every CSR product still equals the unsharded one byte for byte."""
+        monkeypatch.setenv(kernels.KERNEL_BACKEND_ENV, kernel_backend)
+        matrix_dtype, operand_dtype = dtypes
+        X = rng.standard_normal((600, 40))
+        X[X < 0.6] = 0.0
+        X = CSRMatrix.from_dense(X.astype(matrix_dtype))
+        operands = {
+            "matvec": rng.standard_normal(40),
+            "rmatvec": rng.standard_normal(600),
+            "matmat": rng.standard_normal((40, 3)),
+            "rmatmat": rng.standard_normal((600, 3)),
+        }
+        direct = as_operator(X)
+        with ShardedOperator(X, n_shards=3, backend=backend) as op:
+            for name, operand in operands.items():
+                operand = operand.astype(operand_dtype)
+                got = getattr(op, name)(operand)
+                want = getattr(direct, name)(operand)
+                assert got.dtype == want.dtype, name
+                assert got.tobytes() == want.tobytes(), name
+            assert op.degraded_from is None

@@ -250,10 +250,14 @@ class TestRidgeOracle:
         ],
     )
     def test_srda_path_matches_reference(self, oracle_problem, path):
-        _, _, dense, _ = oracle_problem
+        _, X, dense, _ = oracle_problem
         model = self._fit(oracle_problem, **SRDA_PATHS[path])
         reference = _reference(dense, model.responses_, model.centered_)
         _assert_near_reference(model.components_, model.intercept_, reference)
+        if path.startswith("sharded"):
+            # every sharded product equals the direct one byte for byte
+            direct = self._fit(oracle_problem, **SRDA_PATHS["lsqr"])
+            _assert_bitwise(model, direct, X)
 
     def test_partial_fit_stream_matches_reference(self, oracle_problem):
         name, X, dense, y = oracle_problem
@@ -289,12 +293,12 @@ class TestRidgeOracle:
     @pytest.mark.distributed
     def test_distributed_agrees_bitwise(self, oracle_problem):
         _, X, dense, _ = oracle_problem
-        serial = self._fit(oracle_problem, **SRDA_PATHS["sharded_serial"])
+        direct = self._fit(oracle_problem, **SRDA_PATHS["lsqr"])
         remote = self._fit(
             oracle_problem, solver="lsqr", backend="distributed", n_jobs=2
         )
         assert remote.fit_report_.backend == "distributed"
-        _assert_bitwise(serial, remote, X)
+        _assert_bitwise(direct, remote, X)
         reference = _reference(dense, remote.responses_, remote.centered_)
         _assert_near_reference(remote.components_, remote.intercept_, reference)
 

@@ -17,10 +17,8 @@ from repro.linalg.kernels import (
     KERNEL_BACKENDS,
     active_backend,
     compiled_available,
-    csr_adjoint_products,
     csr_matmat,
     csr_matvec,
-    csr_reduce_adjoint,
     csr_rmatmat,
     csr_rmatvec,
     csr_transpose,
@@ -123,29 +121,31 @@ class TestBitwiseParity:
                 )
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_adjoint_split_recombines_bitwise(self, backend, dtype):
-        """products + reduce == the one-shot rmatvec, bit for bit."""
+    def test_rmatvec_keeps_the_direct_adjoint_order(self, backend, dtype):
+        """The forward kernel over ``A.T`` sums each column of ``A`` in
+        row order, exactly as a direct adjoint does: a ``bincount``
+        scatter over column indices (float64), or ``reduceat`` over the
+        stably column-sorted entries (float32)."""
         for label, matrix in corner_matrices(dtype):
             u = operands(matrix)["u"]
-            products = csr_adjoint_products(matrix, u)
-            reference = matrix.data * u[matrix._row_ids]
-            assert products.tobytes() == reference.tobytes(), (
-                backend, label,
-            )
-            reduced = csr_reduce_adjoint(matrix, products)
-            assert reduced.tobytes() == matrix.rmatvec(u).tobytes(), (
-                backend, label,
-            )
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_reduce_adjoint_out_form(self, backend, dtype):
-        for _, matrix in corner_matrices(dtype):
-            u = operands(matrix)["u"]
-            products = csr_adjoint_products(matrix, u)
-            out = np.full(matrix.shape[1], np.nan, dtype=products.dtype)
-            result = csr_reduce_adjoint(matrix, products, out=out)
-            assert result is out
-            assert out.tobytes() == matrix.rmatvec(u).tobytes()
+            products = matrix.data * u[matrix._row_ids]
+            n = matrix.shape[1]
+            if dtype == np.float64:
+                want = np.bincount(
+                    matrix.indices, weights=products, minlength=n
+                ).astype(np.float64, copy=False)
+            else:
+                order = np.argsort(matrix.indices, kind="stable")
+                counts = np.bincount(matrix.indices, minlength=n)
+                starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+                cols = np.flatnonzero(counts)
+                want = np.zeros(n, dtype=dtype)
+                if cols.size:
+                    want[cols] = np.add.reduceat(
+                        products[order], starts[cols]
+                    )
+            got = csr_rmatvec(matrix, u)
+            assert got.tobytes() == want.tobytes(), (backend, label)
 
     def test_matvec_negative_zero_semantics(self, backend):
         """An all-zero row yields +0.0 on both backends (scatter seeds
@@ -339,9 +339,7 @@ class TestCompiledTranspose:
             )
             with use_backend("compiled"):
                 transpose = fresh.T
-            # the counting sort needs neither cached column order nor
-            # per-entry row ids
-            assert fresh._col_cache is None, label
+            # the counting sort needs no per-entry row ids
             assert fresh._row_ids_cache is None, label
             assert transpose.T is fresh, label
             data, indices, indptr = matrix._transpose_arrays()

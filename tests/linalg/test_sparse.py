@@ -112,33 +112,6 @@ class TestProducts:
         with pytest.raises(ValueError, match="dimension"):
             matrix.matmat(np.ones((matrix.shape[1] + 1, 2)))
 
-    def test_reduce_adjoint_products_out_is_bitwise_identical(self, rng):
-        # The out= form must run the exact same reduction kernel as the
-        # allocating form — callers reuse buffers without perturbing a
-        # single bit.
-        dense = dense_fixture(rng, shape=(40, 12))
-        u = rng.standard_normal(40)
-        for dtype in (np.float64, np.float32):
-            matrix = CSRMatrix.from_dense(dense.astype(dtype))
-            products = matrix.data * u.astype(dtype)[matrix._row_ids]
-            reference = matrix.reduce_adjoint_products(products)
-            out = np.full(matrix.shape[1], np.nan, dtype=dtype)
-            result = matrix.reduce_adjoint_products(products, out=out)
-            assert result is out
-            assert np.array_equal(reference, result)
-
-    def test_reduce_adjoint_products_out_validation(self, rng):
-        matrix = CSRMatrix.from_dense(dense_fixture(rng))
-        products = np.zeros(matrix.nnz)
-        with pytest.raises(ValueError, match="out must have shape"):
-            matrix.reduce_adjoint_products(
-                products, out=np.zeros(matrix.shape[1] + 1)
-            )
-        with pytest.raises(ValueError, match="out dtype"):
-            matrix.reduce_adjoint_products(
-                products, out=np.zeros(matrix.shape[1], dtype=np.float32)
-            )
-
 
 class TestTransposeAndSlicing:
     def test_transpose_matches_dense(self, rng):

@@ -6,6 +6,7 @@ import pytest
 from repro.core.solver_config import SolverConfig
 from repro.core.srda import SRDA, srda_alpha_path
 from repro.datasets import Dataset
+from repro.datasets.text import make_text
 from repro.eval.experiment import run_experiment
 from repro.linalg.sparse import CSRMatrix
 from repro.parallel import SerialBackend, ShardedOperator
@@ -74,6 +75,50 @@ class TestSRDAParallelFit:
         model = SRDA(alpha=1.0, n_jobs=-1, backend="thread")
         assert model.n_jobs == -1
         assert model.backend == "thread"
+
+
+@pytest.fixture(scope="module")
+def news():
+    """A news-shaped sparse corpus: 2100 TF rows split into 4 shards."""
+    data = make_text(n_docs=2100, vocab_size=2000, n_classes=6, seed=5)
+    return data.X, data.y
+
+
+class TestShardedFitBitwise:
+    """A sharded LSQR fit is the direct fit, byte for byte: every
+    sharded CSR product equals the unsharded one."""
+
+    @staticmethod
+    def _fit(news, **config):
+        X, y = news
+        model = SRDA(
+            alpha=1.0,
+            max_iter=20,
+            tol=0.0,
+            config=SolverConfig(solver="lsqr", **config),
+        )
+        return model.fit(X, y)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"backend": "serial"},
+            {"backend": "thread", "n_jobs": 2},
+            pytest.param(
+                {"backend": "distributed", "n_jobs": 2},
+                marks=[pytest.mark.slow, pytest.mark.distributed],
+            ),
+        ],
+        ids=["serial", "thread", "distributed"],
+    )
+    def test_twenty_iteration_fit_equals_direct(self, news, config):
+        direct = self._fit(news)
+        sharded = self._fit(news, **config)
+        # "distributed" exactly: a degraded fit records the ladder
+        assert sharded.fit_report_.backend == config["backend"]
+        assert set(sharded.fit_report_.lsqr_iterations) == {20}
+        assert sharded.components_.tobytes() == direct.components_.tobytes()
+        assert sharded.intercept_.tobytes() == direct.intercept_.tobytes()
 
 
 class TestAlphaPathParallel:

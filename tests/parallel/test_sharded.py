@@ -31,6 +31,50 @@ def random_csr(rng, m=60, n=17, density=0.3):
     return CSRMatrix.from_dense(dense), dense
 
 
+KERNEL_BACKENDS = [
+    "reference",
+    pytest.param(
+        "compiled",
+        marks=pytest.mark.skipif(
+            not kernels.compiled_available(),
+            reason="compiled kernel extension not built",
+        ),
+    ),
+]
+
+#: (matrix dtype, operand dtype): both native pairings and both mixed.
+DTYPE_PAIRS = [
+    (np.float64, np.float64),
+    (np.float32, np.float32),
+    (np.float32, np.float64),
+    (np.float64, np.float32),
+]
+
+PRODUCTS = ("matvec", "rmatvec", "matmat", "rmatmat")
+
+
+def with_dtype(matrix, dtype):
+    return CSRMatrix(
+        matrix.data.astype(dtype), matrix.indices, matrix.indptr, matrix.shape
+    )
+
+
+def product_operands(rng, shape, dtype, k=4):
+    """``(v, u, B, U)`` conforming to ``shape`` for the four products."""
+    m, n = shape
+    return tuple(
+        rng.standard_normal(size).astype(dtype)
+        for size in (n, m, (n, k), (m, k))
+    )
+
+
+def all_products(op, operands):
+    return tuple(
+        getattr(op, kernel)(operand)
+        for kernel, operand in zip(PRODUCTS, operands)
+    )
+
+
 class TestLayout:
     def test_bounds_tile_the_rows(self):
         bounds = shard_bounds(100, 7)
@@ -79,11 +123,7 @@ class TestCSRParity:
             assert np.array_equal(op.matvec(v), direct.matvec(v))
             assert np.array_equal(op.rmatvec(u), direct.rmatvec(u))
             assert np.array_equal(op.matmat(B), direct.matmat(B))
-            # rmatmat folds per-shard partials: deterministic, but a
-            # different association than the unsharded product.
-            np.testing.assert_allclose(
-                op.rmatmat(U), direct.rmatmat(U), rtol=1e-12, atol=1e-14
-            )
+            assert op.rmatmat(U).tobytes() == direct.rmatmat(U).tobytes()
 
     def test_thread_backend_bitwise_equals_serial(self, rng):
         matrix, _ = random_csr(rng)
@@ -96,68 +136,55 @@ class TestCSRParity:
                 assert np.array_equal(a.rmatvec(u), b.rmatvec(u))
                 assert np.array_equal(a.rmatmat(U), b.rmatmat(U))
 
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("kernel_backend", KERNEL_BACKENDS)
     @pytest.mark.parametrize(
-        "kernel_backend",
-        [
-            "reference",
-            pytest.param(
-                "compiled",
-                marks=pytest.mark.skipif(
-                    not kernels.compiled_available(),
-                    reason="compiled kernel extension not built",
-                ),
-            ),
-        ],
+        "dtypes", DTYPE_PAIRS, ids=["f64", "f32", "f32xf64", "f64xf32"]
     )
-    def test_bitwise_products_under_each_kernel_backend(
-        self, rng, kernel_backend
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 8])
+    @pytest.mark.parametrize("fixture", ["random", "skewed"])
+    def test_every_product_bitwise_equals_direct(
+        self, rng, fixture, n_shards, dtypes, kernel_backend, backend
     ):
-        """Sharded products stay bitwise equal to the direct operator
-        whichever kernel backend the shard workers run — the
-        use_backend ContextVar propagates into thread workers."""
-        matrix, _ = random_csr(rng)
-        v = rng.standard_normal(matrix.shape[1])
-        u = rng.standard_normal(matrix.shape[0])
-        B = rng.standard_normal((matrix.shape[1], 4))
-        direct = as_operator(matrix)
-        reference = (
-            direct.matvec(v), direct.rmatvec(u), direct.matmat(B),
-        )
+        """All four products equal the unsharded operator byte for byte,
+        whatever the layout, dtypes, kernel backend (the use_backend
+        ContextVar propagates into thread workers) or shard backend."""
+        matrix_dtype, operand_dtype = dtypes
+        base = random_csr(rng)[0] if fixture == "random" else skewed_csr(rng)
+        matrix = with_dtype(base, matrix_dtype)
+        operands = product_operands(rng, matrix.shape, operand_dtype)
         with kernels.use_backend(kernel_backend):
+            want = all_products(as_operator(matrix), operands)
             with ShardedOperator(
-                matrix, n_shards=3, backend="thread", n_jobs=3
+                matrix, n_shards=n_shards, backend=backend, n_jobs=2
             ) as op:
-                results = (op.matvec(v), op.rmatvec(u), op.matmat(B))
-        for got, want in zip(results, reference):
-            assert got.tobytes() == want.tobytes()
+                got = all_products(op, operands)
+        for kernel, g, w in zip(PRODUCTS, got, want):
+            assert g.dtype == w.dtype, kernel
+            assert g.tobytes() == w.tobytes(), kernel
 
 
 class TestDenseParity:
     @pytest.mark.parametrize("n_shards", [2, 4, 7])
     def test_products_close_to_direct(self, rng, n_shards):
         A = rng.standard_normal((50, 9))
-        direct = as_operator(A)
-        v = rng.standard_normal(9)
-        u = rng.standard_normal(50)
+        operands = product_operands(rng, A.shape, np.float64)
         with ShardedOperator(A, n_shards=n_shards) as op:
-            # Dense kernels go through BLAS, whose reduction order can
-            # depend on the block's row count: tight tolerance, not
-            # bitwise (unlike the handwritten CSR kernels).
-            np.testing.assert_allclose(
-                op.matvec(v), direct.matvec(v), rtol=1e-12, atol=1e-14
-            )
-            np.testing.assert_allclose(
-                op.rmatvec(u), direct.rmatvec(u), rtol=1e-12, atol=1e-14
-            )
+            got = all_products(op, operands)
+        # Dense kernels go through BLAS, whose reduction order can
+        # depend on the block's shape: tight tolerance, not bitwise
+        # (unlike the handwritten CSR kernels).
+        for g, w in zip(got, all_products(as_operator(A), operands)):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-14)
 
     def test_backends_agree_bitwise_at_fixed_layout(self, rng):
         A = rng.standard_normal((50, 9))
-        v = rng.standard_normal(9)
-        u = rng.standard_normal(50)
+        operands = product_operands(rng, A.shape, np.float64)
         with ShardedOperator(A, n_shards=7, backend="serial") as a:
             with ShardedOperator(A, n_shards=7, backend="thread", n_jobs=4) as b:
-                assert np.array_equal(a.matvec(v), b.matvec(v))
-                assert np.array_equal(a.rmatvec(u), b.rmatvec(u))
+                pairs = zip(all_products(a, operands), all_products(b, operands))
+                for x, y in pairs:
+                    assert x.tobytes() == y.tobytes()
 
 
 class TestContract:
@@ -365,10 +392,9 @@ class TestNnzLayoutParity:
             ]
 
     def test_products_bitwise_match_unsharded_kernels(self, rng):
-        # matvec/rmatvec/matmat are bitwise identical to the direct CSR
-        # kernels for ANY layout (disjoint row blocks + one canonical
-        # adjoint reduction), so rebalancing the boundaries cannot
-        # change a single bit of these products.
+        # Every block writes whole output rows, each reduced in its
+        # storage order, so rebalancing the boundaries cannot change a
+        # single bit of any product.
         matrix = skewed_csr(rng)
         v = rng.standard_normal(matrix.shape[1])
         u = rng.standard_normal(matrix.shape[0])
@@ -381,19 +407,15 @@ class TestNnzLayoutParity:
                 assert np.array_equal(op.rmatvec(u), matrix.rmatvec(u))
                 assert np.array_equal(op.matmat(B), matrix.matmat(B))
 
-    def test_rmatmat_close_to_direct_for_any_layout(self, rng):
+    def test_rmatmat_bitwise_equals_direct_for_any_layout(self, rng):
         matrix = skewed_csr(rng)
         U = rng.standard_normal((matrix.shape[0], 4))
-        direct = np.column_stack(
-            [matrix.rmatvec(U[:, j]) for j in range(U.shape[1])]
-        )
-        for n_shards in (2, 8):
+        direct = matrix.rmatmat(U)
+        for n_shards in (1, 2, 3, 8):
             with ShardedOperator(
                 matrix, n_shards=n_shards, backend="serial"
             ) as op:
-                np.testing.assert_allclose(
-                    op.rmatmat(U), direct, rtol=0, atol=1e-12
-                )
+                assert op.rmatmat(U).tobytes() == direct.tobytes()
 
     def test_layout_is_backend_independent(self, rng):
         matrix = skewed_csr(rng, m=600)
@@ -405,29 +427,37 @@ class TestNnzLayoutParity:
             assert b.shard_layout == layout_serial
 
 
-class TestFanInBuffers:
-    def test_adjoint_buffers_are_reused_forward_stay_fresh(self, rng):
+class TestProductBuffers:
+    def test_every_product_returns_a_fresh_array(self, rng):
         matrix = skewed_csr(rng, m=600)
-        v = rng.standard_normal(matrix.shape[1])
-        u = rng.standard_normal(matrix.shape[0])
-        U = rng.standard_normal((matrix.shape[0], 3))
+        operands = product_operands(rng, matrix.shape, np.float64, k=3)
         with ShardedOperator(matrix, n_shards=3, backend="serial") as op:
-            op.rmatvec(u)
+            first = all_products(op, operands)
+            second = all_products(op, operands)
+        for a, b in zip(first, second):
+            assert a is not b
+            assert not np.shares_memory(a, b)
+            assert np.array_equal(a, b)
+
+    def test_one_transpose_per_operator(self, rng, monkeypatch):
+        # Adjoint blocks are row slices of the matrix's own cached
+        # transpose, shared with the direct path: one build, not one
+        # per shard.
+        calls = []
+        transpose = kernels.csr_transpose
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return transpose(matrix)
+
+        monkeypatch.setattr(kernels, "csr_transpose", counting)
+        matrix = skewed_csr(rng, m=600)
+        U = rng.standard_normal((matrix.shape[0], 3))
+        with ShardedOperator(matrix, n_shards=8, backend="serial") as op:
+            op.rmatvec(U[:, 0])
             op.rmatmat(U)
-            # One scratch buffer per adjoint kernel signature, none for
-            # forward products.
-            kinds = {key[0] for key in op._scratch}
-            assert kinds == {"rmatvec", "rmatmat"}
-            n_buffers = len(op._scratch)
-            op.rmatvec(u)
-            op.rmatmat(U)
-            assert len(op._scratch) == n_buffers
-            # Forward results are returned to callers: consecutive calls
-            # must hand out distinct arrays.
-            first = op.matvec(v)
-            second = op.matvec(v)
-            assert first is not second
-            assert np.array_equal(first, second)
+        as_operator(matrix).rmatmat(U)
+        assert calls == [matrix.shape]
 
     def test_repeated_adjoints_are_bitwise_stable(self, rng):
         matrix = skewed_csr(rng, m=600)
@@ -436,7 +466,7 @@ class TestFanInBuffers:
         with ShardedOperator(matrix, n_shards=3, backend="serial") as op:
             r1 = np.array(op.rmatvec(u))
             R1 = np.array(op.rmatmat(U))
-            # Interleave other products to dirty the scratch buffers.
+            # Interleave other products in between.
             op.rmatvec(rng.standard_normal(matrix.shape[0]))
             op.rmatmat(rng.standard_normal((matrix.shape[0], 3)))
             assert np.array_equal(op.rmatvec(u), r1)

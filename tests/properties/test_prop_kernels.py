@@ -63,19 +63,31 @@ def test_dispatch_bitwise_equals_reference(seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31 - 1))
-def test_adjoint_two_stage_bitwise(seed):
-    """Shard decomposition (products then reduce) equals the one-shot
-    adjoint under every backend — the sharded-rmatvec invariant."""
+def test_rmatvec_keeps_the_direct_adjoint_order(seed):
+    """``A.T @ u`` as the forward kernel over the transpose equals a
+    direct adjoint under every backend: a ``bincount`` scatter over
+    column indices (float64), ``reduceat`` over the stably
+    column-sorted entries (float32)."""
     matrix, _, u, _, _ = csr_case(seed)
-    want = matrix.rmatvec(u)
+    products = matrix.data * u[matrix._row_ids]
+    n = matrix.shape[1]
+    if matrix.dtype == np.float64:
+        want = np.bincount(
+            matrix.indices, weights=products, minlength=n
+        ).astype(np.float64, copy=False)
+    else:
+        order = np.argsort(matrix.indices, kind="stable")
+        counts = np.bincount(matrix.indices, minlength=n)
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        cols = np.flatnonzero(counts)
+        want = np.zeros(n, dtype=matrix.dtype)
+        if cols.size:
+            want[cols] = np.add.reduceat(products[order], starts[cols])
     for backend in BACKENDS:
         with kernels.use_backend(backend):
-            products = kernels.csr_adjoint_products(matrix, u)
-            reduced = kernels.csr_reduce_adjoint(matrix, products)
-        assert products.tobytes() == (
-            (matrix.data * u[matrix._row_ids]).tobytes()
-        )
-        assert reduced.tobytes() == want.tobytes()
+            got = kernels.csr_rmatvec(matrix, u)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.skipif(

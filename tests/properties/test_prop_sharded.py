@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.linalg import kernels
 from repro.linalg.operators import as_operator
 from repro.linalg.sparse import CSRMatrix
 from repro.parallel import ShardedOperator, shard_bounds
@@ -29,35 +30,53 @@ def sparse_arrays(max_rows=16, max_cols=10):
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(sparse_arrays(), st.integers(1, 20), st.integers(0, 2**31 - 1))
-def test_csr_products_bitwise_for_any_shard_count(dense, n_shards, seed):
-    """CSR matvec/rmatvec/matmat never depend on the shard layout."""
-    matrix = CSRMatrix.from_dense(dense)
+#: (matrix dtype, operand dtype): both native pairings and both mixed.
+DTYPE_PAIRS = [
+    (np.float64, np.float64),
+    (np.float32, np.float32),
+    (np.float32, np.float64),
+    (np.float64, np.float32),
+]
+
+KERNEL_BACKENDS = ("reference",) + (
+    ("compiled",) if kernels.compiled_available() else ()
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sparse_arrays(),
+    st.integers(1, 20),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from(DTYPE_PAIRS),
+    st.sampled_from(KERNEL_BACKENDS),
+    st.sampled_from(["serial", "thread"]),
+)
+def test_csr_products_bitwise_for_any_shard_count(
+    dense, n_shards, seed, dtypes, kernel_backend, backend
+):
+    """All four CSR products equal the unsharded operator byte for
+    byte, whatever the shard count, dtypes and backends."""
+    matrix_dtype, operand_dtype = dtypes
+    matrix = CSRMatrix.from_dense(dense.astype(matrix_dtype))
     m, n = matrix.shape
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    u = rng.standard_normal(m)
-    B = rng.standard_normal((n, 3))
-    direct = as_operator(matrix)
-    with ShardedOperator(matrix, n_shards=n_shards) as op:
-        assert np.array_equal(op.matvec(v), direct.matvec(v))
-        assert np.array_equal(op.rmatvec(u), direct.rmatvec(u))
-        assert np.array_equal(op.matmat(B), direct.matmat(B))
-
-
-@settings(max_examples=60, deadline=None)
-@given(sparse_arrays(), st.integers(1, 20), st.integers(0, 2**31 - 1))
-def test_rmatmat_close_for_any_shard_count(dense, n_shards, seed):
-    """The adjoint block fold stays within float64 fold tolerance."""
-    matrix = CSRMatrix.from_dense(dense)
-    rng = np.random.default_rng(seed)
-    U = rng.standard_normal((matrix.shape[0], 2))
-    direct = as_operator(matrix)
-    with ShardedOperator(matrix, n_shards=n_shards) as op:
-        np.testing.assert_allclose(
-            op.rmatmat(U), direct.rmatmat(U), rtol=1e-10, atol=1e-12
-        )
+    k = int(rng.integers(1, 4))
+    operands = [
+        rng.standard_normal(size).astype(operand_dtype)
+        for size in (n, m, (n, k), (m, k))
+    ]
+    kernel_names = ("matvec", "rmatvec", "matmat", "rmatmat")
+    with kernels.use_backend(kernel_backend):
+        direct = as_operator(matrix)
+        with ShardedOperator(
+            matrix, n_shards=n_shards, backend=backend, n_jobs=2
+        ) as op:
+            for name, operand in zip(kernel_names, operands):
+                got = getattr(op, name)(operand)
+                want = getattr(direct, name)(operand)
+                assert got.dtype == want.dtype, name
+                assert got.tobytes() == want.tobytes(), name
 
 
 @settings(max_examples=100, deadline=None)

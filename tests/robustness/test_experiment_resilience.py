@@ -96,11 +96,14 @@ class TestTimeout:
         result = run_experiment(
             dataset,
             {
-                "slow": lambda: CountingSRDA(log, sleep_seconds=0.05),
+                "slow": lambda: CountingSRDA(log, sleep_seconds=1.0),
                 "fast": lambda: SRDA(alpha=1.0),
             },
             n_splits=3,
-            fit_timeout_seconds=0.01,
+            # the timeout sits far from both sides: the slow fit sleeps
+            # twice as long, and the fast one (milliseconds) keeps
+            # headroom however loaded the host is
+            fit_timeout_seconds=0.5,
         )
         slow = result.cell("slow", "4")
         assert slow.failed
