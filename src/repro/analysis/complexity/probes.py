@@ -56,6 +56,8 @@ _ROW_NNZ = 8
 _N_CLASSES = 6
 _BLOCK_COLS = 5
 _ITERATIONS = 8
+_SKETCH_ROWS = 64
+_SKETCH_BUILD_COLS = 32
 
 Thunk = Callable[[], object]
 Builder = Callable[[int, np.random.Generator], Thunk]
@@ -151,8 +153,10 @@ def claim_for(spec: ProbeSpec) -> ComplexityClaim:
 # ----------------------------------------------------------------------
 # Shared builders
 # ----------------------------------------------------------------------
-def _csr_problem(m: int, rng: np.random.Generator) -> Any:
-    """A ``(m, 256)`` CSR matrix with exactly 8 stored entries per row.
+def _csr_problem(
+    m: int, rng: np.random.Generator, n_cols: int = _N_COLS
+) -> Any:
+    """A ``(m, n_cols)`` CSR matrix with exactly 8 stored entries per row.
 
     ``nnz = 8·m`` by construction, so scaling ``m`` scales ``nnz``
     linearly — the coupling every O(nnz) probe declares.
@@ -161,9 +165,9 @@ def _csr_problem(m: int, rng: np.random.Generator) -> Any:
 
     nnz = m * _ROW_NNZ
     data = rng.standard_normal(nnz)
-    indices = rng.integers(0, _N_COLS, size=nnz, dtype=np.int64)
+    indices = rng.integers(0, n_cols, size=nnz, dtype=np.int64)
     indptr = np.arange(m + 1, dtype=np.int64) * _ROW_NNZ
-    return CSRMatrix(data, indices, indptr, (m, _N_COLS))
+    return CSRMatrix(data, indices, indptr, (m, n_cols))
 
 
 def _labels(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -257,16 +261,27 @@ def _kernel_dispatch_builder(kernel: str) -> Builder:
     return build
 
 
-def _sketch_builder(kind: str) -> Builder:
-    def build(m: int, rng: np.random.Generator) -> Thunk:
-        from repro.linalg.sketch import sketch_apply, sketch_operator
+def _build_sketch_apply(m: int, rng: np.random.Generator) -> Thunk:
+    from repro.linalg.sketch import CountSketchOperator, sketch_apply
 
-        A = _csr_problem(m, rng)
-        S = sketch_operator(kind, m, sketch_size=64, seed=int(rng.integers(1 << 31)))
-        sketch_apply(S, A)  # warm any lazy caches outside the timed region
-        return lambda: sketch_apply(S, A)
+    A = _csr_problem(m, rng)
+    S = CountSketchOperator(m, _SKETCH_ROWS, seed=int(rng.integers(1 << 31)))
+    sketch_apply(S, A)  # warm any lazy caches outside the timed region
+    return lambda: sketch_apply(S, A)
 
-    return build
+
+def _build_sketch_preconditioner(m: int, rng: np.random.Generator) -> Thunk:
+    from repro.linalg.sketch import build_preconditioner
+
+    # Few columns keep the s·n² Gram and n³ Cholesky terms small next
+    # to the O(nnz) sketch pass whose growth the probe measures.
+    A = _csr_problem(m, rng, n_cols=_SKETCH_BUILD_COLS)
+    seed = int(rng.integers(1 << 31))
+    # warm the lazy LAPACK import outside the timed region
+    build_preconditioner(A, alpha=1.0, sketch_size=_SKETCH_ROWS, seed=seed)
+    return lambda: build_preconditioner(
+        A, alpha=1.0, sketch_size=_SKETCH_ROWS, seed=seed
+    )
 
 
 def _build_responses(m: int, rng: np.random.Generator) -> Thunk:
@@ -399,18 +414,21 @@ register_probe(
         module="repro.linalg.sketch",
         qualname="sketch_apply",
         couplings={"nnz": 1.0},
-        build=_sketch_builder("countsketch"),
+        build=_build_sketch_apply,
         note="CountSketch CSR fast path, 64 sketch rows held constant",
     )
 )
 register_probe(
     ProbeSpec(
-        name="sparse_sign_apply",
+        name="sketch_preconditioner_build",
         module="repro.linalg.sketch",
-        qualname="sketch_apply",
+        qualname="build_preconditioner",
         couplings={"nnz": 1.0},
-        build=_sketch_builder("sparse_sign"),
-        note="sparse-sign CSR fast path, 64 sketch rows held constant",
+        build=_build_sketch_preconditioner,
+        note=(
+            "sketch draw, CSR sketch, Gram and Cholesky; n = 32 columns "
+            "and 64 sketch rows held constant, so only the nnz term grows"
+        ),
     )
 )
 register_probe(

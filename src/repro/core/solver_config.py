@@ -2,11 +2,10 @@
 
 The fit-time execution surface of :class:`~repro.core.srda.SRDA` grew
 one keyword at a time across releases: ``solver``, then the sketch
-family (``sketch``/``sketch_size``/``sketch_seed``), then the parallel
-substrate (``n_jobs``/``backend``).  Six loosely coupled knobs on every
-signature made each new entry point (``srda_alpha_path``, the CLI, the
-serving layer) repeat the same six parameters and the same six
-validations.
+(``sketch_size``/``sketch_seed``), then the parallel substrate
+(``n_jobs``/``backend``).  Loosely coupled knobs on every signature
+made each new entry point (``srda_alpha_path``, the CLI, the serving
+layer) repeat the same parameters and the same validations.
 
 ``SolverConfig`` folds them into one validated, immutable value:
 
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 from repro.parallel import Backend, effective_n_jobs
 from repro.parallel.backends import check_backend_name
@@ -73,12 +72,9 @@ class SolverConfig:
         ``"auto"`` (default), ``"normal"``, ``"lsqr"``, or
         ``"sketched_lsqr"`` — the engine selection previously passed as
         ``SRDA(solver=...)``.
-    sketch:
-        Sketch family for ``solver="sketched_lsqr"``: ``"countsketch"``
-        (default), ``"sparse_sign"``, or ``"srht"``.
     sketch_size:
-        Sketch row count; ``None`` picks
-        :func:`repro.linalg.sketch.default_sketch_size`.
+        Row count of the CountSketch behind ``solver="sketched_lsqr"``;
+        ``None`` picks :func:`repro.linalg.sketch.default_sketch_size`.
     sketch_seed:
         Seed of the sketch draw (fixed seed → bitwise-reproducible
         sketched fits).
@@ -101,7 +97,6 @@ class SolverConfig:
     """
 
     solver: str = "auto"
-    sketch: str = "countsketch"
     sketch_size: Optional[int] = None
     sketch_seed: int = 0
     n_jobs: Optional[int] = None
@@ -113,13 +108,6 @@ class SolverConfig:
             raise ValueError(
                 f"unknown solver {self.solver!r}; expected one of "
                 f"{SOLVER_NAMES}"
-            )
-        from repro.linalg.sketch import SKETCH_KINDS
-
-        if self.sketch not in SKETCH_KINDS:
-            raise ValueError(
-                f"unknown sketch {self.sketch!r}; expected one of "
-                f"{SKETCH_KINDS}"
             )
         if self.sketch_size is not None and self.sketch_size < 1:
             raise ValueError("sketch_size must be positive or None")
@@ -156,21 +144,3 @@ class SolverConfig:
             if value is not None
         }
         return self.replace(**changes) if changes else self
-
-    def to_param_dict(self) -> Dict[str, Any]:
-        """JSON-safe field dict for persistence (drops live backends).
-
-        ``backend`` survives only as a name: a live
-        :class:`~repro.parallel.Backend` is process state, not a model
-        parameter, so archives record ``None`` for it.
-        """
-        backend = self.backend if isinstance(self.backend, str) else None
-        return {
-            "solver": self.solver,
-            "sketch": self.sketch,
-            "sketch_size": self.sketch_size,
-            "sketch_seed": self.sketch_seed,
-            "n_jobs": self.n_jobs,
-            "backend": backend,
-            "kernel_backend": self.kernel_backend,
-        }

@@ -300,7 +300,8 @@ def solve_ridge(
       ``config.n_jobs``/``config.backend`` ask for it, warm-started
       from ``x0`` (``(n, k)`` centered, ``(n+1, k)`` augmented);
     - ``"sketched_lsqr"`` — the same run right-preconditioned by a
-      sketch of the actual system (``config.sketch*``), or plain LSQR
+      CountSketch of the actual system (``config.sketch_size``/
+      ``config.sketch_seed``), or plain LSQR
       with a recorded warning when the data is wide.
 
     Diagnostics (guarded-solve rungs, per-column LSQR codes, the
@@ -350,7 +351,6 @@ def solve_ridge(
                 precondition = build_preconditioner(
                     system,
                     alpha=alpha,
-                    sketch=config.sketch,
                     sketch_size=config.sketch_size,
                     seed=config.sketch_seed,
                 )
@@ -522,9 +522,9 @@ class SRDA(LinearEmbedder):
         A :class:`~repro.core.solver_config.SolverConfig` bundling the
         execution knobs: ``solver`` (``"normal"``, ``"lsqr"``,
         ``"sketched_lsqr"``, or ``"auto"`` — see module docstring),
-        the sketch family (``sketch``/``sketch_size``/``sketch_seed``
-        for ``"sketched_lsqr"``: one pass sketches the fit operator,
-        an ``n × n`` Cholesky factor of the regularized sketch Gram
+        the sketch (``sketch_size``/``sketch_seed`` for
+        ``"sketched_lsqr"``: one CountSketch pass sketches the fit
+        operator, an ``n × n`` Cholesky factor of the regularized Gram
         right-preconditions the iteration, typically dropping
         iteration counts 2–5×; on wide data ``n >= m`` the fit
         degrades to plain LSQR with a
@@ -533,7 +533,7 @@ class SRDA(LinearEmbedder):
         (``n_jobs``/``backend`` for sharded operator products — the
         shard layout depends only on the data shape, so any worker
         count and backend is bitwise identical).  ``None`` means
-        ``SolverConfig()`` (all defaults).  The six knobs remain
+        ``SolverConfig()`` (all defaults).  The five knobs remain
         readable as attributes (``model.solver`` etc.); passing them
         as *constructor keywords* is deprecated and emits a
         :class:`~repro.core.estimator.ReproDeprecationWarning` while
@@ -606,7 +606,6 @@ class SRDA(LinearEmbedder):
 
     _deprecated_params = {
         "solver": "config",
-        "sketch": "config",
         "sketch_size": "config",
         "sketch_seed": "config",
         "n_jobs": "config",
@@ -627,7 +626,6 @@ class SRDA(LinearEmbedder):
         solver: Optional[str] = None,
         n_jobs: Optional[int] = None,
         backend: Union[str, Backend, None] = None,
-        sketch: Optional[str] = None,
         sketch_size: Optional[int] = None,
         sketch_seed: Optional[int] = None,
     ) -> None:
@@ -647,7 +645,6 @@ class SRDA(LinearEmbedder):
             )
         legacy = {
             "solver": solver,
-            "sketch": sketch,
             "sketch_size": sketch_size,
             "sketch_seed": sketch_seed,
             "n_jobs": n_jobs,
@@ -685,7 +682,6 @@ class SRDA(LinearEmbedder):
     # merges into ``config`` with a warning.
     # ------------------------------------------------------------------
     solver = config_alias("solver")
-    sketch = config_alias("sketch")
     sketch_size = config_alias("sketch_size")
     sketch_seed = config_alias("sketch_seed")
     n_jobs = config_alias("n_jobs")
@@ -1024,7 +1020,6 @@ def srda_alpha_path(
     n_jobs: Optional[int] = None,
     backend: Union[str, Backend, None] = None,
     solver: Optional[str] = None,
-    sketch: Optional[str] = None,
     sketch_size: Optional[int] = None,
     sketch_seed: Optional[int] = None,
 ) -> List[SRDA]:
@@ -1071,8 +1066,9 @@ def srda_alpha_path(
         replayed basis can degrade at extreme damping).
         ``config.n_jobs``/``config.backend`` parallelize the shared
         data pass (and, on the sketched path, the per-alpha solves);
-        the sketch fields steer the sketched engine.
-    n_jobs, backend, solver, sketch, sketch_size, sketch_seed:
+        ``config.sketch_size``/``config.sketch_seed`` steer the
+        sketched engine.
+    n_jobs, backend, solver, sketch_size, sketch_seed:
         Deprecated keyword aliases for the corresponding ``config``
         fields; passing any emits a
         :class:`~repro.core.estimator.ReproDeprecationWarning` and
@@ -1089,7 +1085,6 @@ def srda_alpha_path(
         config = SolverConfig(solver="lsqr")
     legacy = {
         "solver": solver,
-        "sketch": sketch,
         "sketch_size": sketch_size,
         "sketch_seed": sketch_seed,
         "n_jobs": n_jobs,
@@ -1236,37 +1231,18 @@ def _sketched_alpha_solves(
     tracer: Tracer,
 ) -> List[BlockLSQRResult]:
     """One sketch pass and Gram for the grid, a short solve per alpha."""
-    from repro.linalg.sketch import (
-        default_sketch_size,
-        preconditioner_from_gram,
-        sketch_apply,
-        sketch_operator,
-    )
+    from repro.linalg.sketch import preconditioner_from_gram, sketch_gram
 
-    m_rows, n_cols = op.shape
-    size = (
-        default_sketch_size(m_rows, n_cols)
-        if config.sketch_size is None
-        else max(1, min(int(config.sketch_size), m_rows))
-    )
-    S = sketch_operator(config.sketch, m_rows, size, seed=config.sketch_seed)
     # One sketch pass and one Gram serve the whole grid; each alpha
     # below only re-factors gram + alpha*I.
-    with tracer.span(
-        "sketch.build",
-        kind=S.kind,
-        sketch_size=int(size),
-        rows=int(m_rows),
-        cols=int(n_cols),
-        alpha=0.0,
-    ):
-        sketched = sketch_apply(S, op)
-        gram = sketched.T @ sketched
+    gram, size = sketch_gram(
+        op, sketch_size=config.sketch_size, seed=config.sketch_seed
+    )
     solved = []
     for alpha in alphas:
         with tracer.span("srda.sketched_solve", alpha=alpha):
             pre = preconditioner_from_gram(
-                gram, alpha=alpha, kind=S.kind, sketch_size=size
+                gram, alpha=alpha, sketch_size=size
             )
             solved.append(
                 block_lsqr(

@@ -22,13 +22,12 @@ from repro.core.sparse_srda import SparseSRDA
 from repro.core.srda import SRDA
 
 #: type tag -> (class, constructor parameter names).  SRDA's solver
-#: knobs are stored *flat* (``solver``/``sketch``/...) even though the
-#: constructor now groups them in a ``SolverConfig``: the flat spelling
-#: keeps old archives loadable and the format free of nested JSON.
-#: ``load_model`` folds them back into a config.
+#: knobs are stored *flat* (``solver``/``sketch_size``/...) even though
+#: the constructor now groups them in a ``SolverConfig``: the flat
+#: spelling keeps old archives loadable and the format free of nested
+#: JSON.  ``load_model`` folds them back into a config.
 _SRDA_CONFIG_FIELDS = (
     "solver",
-    "sketch",
     "sketch_size",
     "sketch_seed",
     "kernel_backend",
@@ -99,6 +98,9 @@ def load_model(path: Union[str, Path]):
             # file format predates the grouping and stays flat).
             from repro.core.solver_config import SolverConfig
 
+            # Older archives name a sketch family; CountSketch is now
+            # the only one, and the fitted arrays never depended on it.
+            params.pop("sketch", None)
             fields = {
                 name: params.pop(name)
                 for name in _SRDA_CONFIG_FIELDS

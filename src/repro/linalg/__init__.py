@@ -20,9 +20,9 @@ Cholesky factor and triangular solves call LAPACK through scipy):
   bidiagonalize-once alpha-sweep engine.
 - :mod:`repro.linalg.svd` — the cross-product SVD trick from Section II-B.
 - :mod:`repro.linalg.dense` — small dense helpers shared by the baselines.
-- :mod:`repro.linalg.sketch` — randomized sketching operators
-  (CountSketch / sparse-sign / SRHT) and the sketch-and-precondition
-  path that cuts LSQR iteration counts on ill-conditioned data.
+- :mod:`repro.linalg.sketch` — the CountSketch operator and the
+  sketch-and-precondition path that cuts LSQR iteration counts on
+  ill-conditioned data.
 - :mod:`repro.linalg.kernels` — the CSR kernel dispatcher: pure-numpy
   reference vs the GIL-free compiled backend, bitwise-interchangeable.
 """
@@ -61,19 +61,15 @@ from repro.linalg.operators import (
     as_operator,
 )
 from repro.linalg.sketch import (
-    SKETCH_KINDS,
     CountSketchOperator,
     PreconditionedOperator,
-    SRHTOperator,
-    SketchOperator,
     SketchPreconditioner,
     SketchingError,
-    SparseSignOperator,
     build_preconditioner,
     default_sketch_size,
     preconditioner_from_gram,
     sketch_apply,
-    sketch_operator,
+    sketch_gram,
 )
 from repro.linalg.sparse import CSRMatrix
 from repro.linalg.svd import cross_product_svd
@@ -96,13 +92,9 @@ __all__ = [
     "LSQRResult",
     "LinearOperator",
     "PreconditionedOperator",
-    "SKETCH_KINDS",
-    "SRHTOperator",
     "SharedBidiagonalization",
-    "SketchOperator",
     "SketchPreconditioner",
     "SketchingError",
-    "SparseSignOperator",
     "TransposedOperator",
     "active_backend",
     "as_operator",
@@ -121,7 +113,7 @@ __all__ = [
     "orthonormalize",
     "preconditioner_from_gram",
     "sketch_apply",
-    "sketch_operator",
+    "sketch_gram",
     "solve_cholesky",
     "solve_lstsq",
     "solve_triangular",

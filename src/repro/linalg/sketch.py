@@ -1,4 +1,4 @@
-"""Randomized sketching operators and the sketch-and-precondition path.
+"""CountSketch and the sketch-and-precondition path.
 
 The paper reduces LDA to ``c-1`` regularized least-squares problems
 solved by LSQR, so the total cost is *iterations × data passes*.  The
@@ -15,42 +15,39 @@ bounded by the sketch distortion (a small constant), independent of how
 ill-conditioned ``X`` is.  LSQR on the preconditioned system then
 converges in a few iterations where the plain iteration needs hundreds.
 
-Three sketch families, each a first-class
-:class:`~repro.linalg.operators.LinearOperator` (they compose with
-``ShardedOperator``/``CenteringOperator`` and pass ``verify_operator``):
+The sketch is a :class:`CountSketchOperator` — one ±1 entry per input
+coordinate, so ``S v`` is a signed :func:`numpy.bincount` (``O(m)`` per
+apply) and sketching a CSR matrix costs ``O(nnz)``.  It is a
+first-class :class:`~repro.linalg.operators.LinearOperator` (it
+composes with ``ShardedOperator``/``CenteringOperator`` and passes
+``verify_operator``).  Preconditioning only needs the distortion to be
+bounded, not tiny, so denser sketches buy nothing here:
+``BENCH_sketch.json`` records the iteration counts this one reaches.
 
-- :class:`CountSketchOperator` — one ±1 entry per input coordinate;
-  ``S v`` is a signed :func:`numpy.bincount`, ``O(m)`` per apply and
-  ``O(nnz)`` to sketch a CSR matrix.  The default: cheapest build, and
-  the distortion bound only enters through the preconditioner quality.
-- :class:`SparseSignOperator` — ``k`` entries of ``±1/√k`` per input
-  coordinate; ``k`` times the CountSketch cost for a ``k``-fold variance
-  reduction.  The middle ground when ``s`` must stay small.
-- :class:`SRHTOperator` — subsampled randomized Hadamard transform
-  ``(1/√s)·P·H·D`` via an in-place fast Walsh–Hadamard transform,
-  ``O(m log m)`` per apply.  Densest mixing (best distortion per row of
-  ``S``) but no ``O(nnz)`` sparse fast path — prefer it on dense data.
-
-:func:`build_preconditioner` sketches the data operator (peeling
-:class:`~repro.linalg.operators.AppendOnesOperator` /
+The build has two halves.  :func:`sketch_gram` sketches the data
+operator (peeling :class:`~repro.linalg.operators.AppendOnesOperator` /
 :class:`~repro.linalg.operators.CenteringOperator` wrappers so the
-structural tricks stay matrix-free), forms the small ``n × n`` Gram of
-the sketch, factors it with LAPACK through
-:func:`~repro.linalg.cholesky.cholesky`, and returns a
-:class:`SketchPreconditioner` whose triangular solves the solvers apply
-per iteration.  ``lsqr``/``block_lsqr`` accept it via their
+structural tricks stay matrix-free) and forms the small ``n × n`` Gram
+of the sketch; :func:`preconditioner_from_gram` factors ``gram + α I``
+with LAPACK through :func:`~repro.linalg.cholesky.cholesky` and returns
+a :class:`SketchPreconditioner` whose triangular solves the solvers
+apply per iteration.  :func:`build_preconditioner` runs both for one
+``α``; the sketched alpha path builds the Gram once and factors it per
+``α``.  ``lsqr``/``block_lsqr`` accept the preconditioner via their
 ``precondition`` parameter; :class:`repro.core.srda.SRDA` exposes the
 whole path as ``solver="sketched_lsqr"``.
 
-Observability: the build emits one ``sketch.build`` span (kind, sizes,
-regularization, jitter) and every triangular solve bumps the
-``precond.apply`` counter, so iteration savings and preconditioner cost
-land in the same trace as the ``lsqr.iteration`` events they pay for.
+Observability: the sketch pass and Gram run under one ``sketch.build``
+span (sizes), each factorization attaches a ``sketch.factor`` event
+(``alpha``, ``jitter``) to the ambient span, and every triangular solve
+bumps the ``precond.apply`` counter, so iteration savings and
+preconditioner cost land in the same trace as the ``lsqr.iteration``
+events they pay for.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -78,23 +75,16 @@ from repro.linalg.sparse import CSRMatrix
 from repro.observability import current_tracer
 
 __all__ = [
-    "SKETCH_KINDS",
     "CountSketchOperator",
     "PreconditionedOperator",
-    "SRHTOperator",
-    "SketchOperator",
     "SketchPreconditioner",
     "SketchingError",
-    "SparseSignOperator",
     "build_preconditioner",
     "default_sketch_size",
     "preconditioner_from_gram",
     "sketch_apply",
-    "sketch_operator",
+    "sketch_gram",
 ]
-
-#: Registered sketch families, in the order the docs discuss them.
-SKETCH_KINDS: Tuple[str, ...] = ("countsketch", "sparse_sign", "srht")
 
 #: Above this many cells the fused-bincount CSR sketch kernel would
 #: allocate an unreasonable dense accumulator; fall back to the chunked
@@ -113,22 +103,32 @@ class SketchingError(ReproError, ValueError):
     """Raised for invalid sketch configuration or unusable sketches."""
 
 
-class SketchOperator(LinearOperator):
-    """Base class for seeded random sketching operators ``S : R^m → R^s``.
+class CountSketchOperator(LinearOperator):
+    """CountSketch ``S : R^m → R^s``: each coordinate lands in one ±1 bucket.
 
-    Subclasses draw their randomness from ``np.random.default_rng(seed)``
-    at construction, so two instances with equal parameters produce
-    bitwise-identical products — the determinism the benchmarks assert.
+    ``S`` has exactly one nonzero per *column*: coordinate ``i`` is
+    hashed to row ``bucket[i]`` with sign ``sign[i]``.  ``S v`` is a
+    signed bincount (``O(m)``); the adjoint is a gather.  ``E[SᵀS] = I``
+    and the sketch embeds any fixed ``n``-dimensional column space with
+    constant distortion once ``s = O(n²/δ)`` — in practice a small
+    multiple of ``n`` suffices for preconditioning, which only needs the
+    distortion to be bounded, not tiny.
 
-    ``dtype`` declares the value dtype of products (float32 keeps the
-    half-bandwidth pipeline intact); outputs are computed and returned
-    in ``np.result_type(self.dtype, operand.dtype)``.
+    The hash and sign arrays are drawn from
+    ``np.random.default_rng(seed)`` at construction, so two instances
+    with equal parameters produce bitwise-identical products — the
+    determinism the benchmarks assert.  ``dtype`` declares the value
+    dtype of products (float32 keeps the half-bandwidth pipeline
+    intact); outputs are computed and returned in
+    ``np.result_type(self.dtype, operand.dtype)``.
     """
 
-    kind: str = "sketch"
-
     def __init__(
-        self, m: int, sketch_size: int, seed: int, dtype: DTypeLike
+        self,
+        m: int,
+        sketch_size: int,
+        seed: int = 0,
+        dtype: DTypeLike = np.float64,
     ) -> None:
         super().__init__()
         if m < 1:
@@ -144,42 +144,6 @@ class SketchOperator(LinearOperator):
             raise SketchingError(
                 f"sketch dtype must be float32 or float64, got {dtype!r}"
             )
-
-    @property
-    def dtype(self) -> FloatDType:
-        return self._dtype
-
-    def _out_dtype(self, operand: FloatArray) -> FloatDType:
-        return np.dtype(np.result_type(self._dtype, operand.dtype))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"{type(self).__name__}(shape={self.shape}, seed={self.seed})"
-        )
-
-
-class CountSketchOperator(SketchOperator):
-    """CountSketch: each input coordinate lands in one ±1 bucket.
-
-    ``S`` has exactly one nonzero per *column*: coordinate ``i`` is
-    hashed to row ``bucket[i]`` with sign ``sign[i]``.  ``S v`` is a
-    signed bincount (``O(m)``); the adjoint is a gather.  ``E[SᵀS] = I``
-    and the sketch embeds any fixed ``n``-dimensional column space with
-    constant distortion once ``s = O(n²/δ)`` — in practice a small
-    multiple of ``n`` suffices for preconditioning, which only needs the
-    distortion to be bounded, not tiny.
-    """
-
-    kind = "countsketch"
-
-    def __init__(
-        self,
-        m: int,
-        sketch_size: int,
-        seed: int = 0,
-        dtype: DTypeLike = np.float64,
-    ) -> None:
-        super().__init__(m, sketch_size, seed, dtype)
         rng = np.random.default_rng(self.seed)
         self.buckets: IntArray = rng.integers(
             0, self.shape[0], size=m, dtype=np.int64
@@ -187,6 +151,13 @@ class CountSketchOperator(SketchOperator):
         self.signs: Float64Array = np.where(
             rng.integers(0, 2, size=m) == 1, 1.0, -1.0
         )
+
+    @property
+    def dtype(self) -> FloatDType:
+        return self._dtype
+
+    def _out_dtype(self, operand: FloatArray) -> FloatDType:
+        return np.dtype(np.result_type(self._dtype, operand.dtype))
 
     def _matvec(self, v: FloatArray) -> FloatArray:
         out_dtype = self._out_dtype(v)
@@ -230,182 +201,10 @@ class CountSketchOperator(SketchOperator):
         flat = np.bincount(keys, weights=weights, minlength=s * n)
         return flat.reshape(s, n)
 
-
-class SparseSignOperator(SketchOperator):
-    """Sparse-sign sketch: ``k`` entries of ``±1/√k`` per input coordinate.
-
-    A ``k``-fold replicated CountSketch scaled by ``1/√k`` (replicas
-    drawn independently, collisions within a coordinate allowed): the
-    variance of ``‖Sv‖²`` shrinks by ``~k`` versus CountSketch, buying a
-    usable embedding at smaller ``s``, for ``k`` times the apply cost.
-    """
-
-    kind = "sparse_sign"
-
-    def __init__(
-        self,
-        m: int,
-        sketch_size: int,
-        k_nonzeros: int = 8,
-        seed: int = 0,
-        dtype: DTypeLike = np.float64,
-    ) -> None:
-        super().__init__(m, sketch_size, seed, dtype)
-        if k_nonzeros < 1:
-            raise SketchingError(
-                f"k_nonzeros must be >= 1, got {k_nonzeros}"
-            )
-        self.k_nonzeros = int(k_nonzeros)
-        rng = np.random.default_rng(self.seed)
-        self.rows: IntArray = rng.integers(
-            0, self.shape[0], size=(m, self.k_nonzeros), dtype=np.int64
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"CountSketchOperator(shape={self.shape}, seed={self.seed})"
         )
-        signs = np.where(
-            rng.integers(0, 2, size=(m, self.k_nonzeros)) == 1, 1.0, -1.0
-        )
-        self.signs: Float64Array = signs / np.sqrt(float(self.k_nonzeros))
-
-    def _matvec(self, v: FloatArray) -> FloatArray:
-        out_dtype = self._out_dtype(v)
-        weighted = (self.signs * v[:, None]).ravel()
-        out = np.bincount(
-            self.rows.ravel(), weights=weighted, minlength=self.shape[0]
-        )
-        return out.astype(out_dtype, copy=False)
-
-    def _rmatvec(self, u: FloatArray) -> FloatArray:
-        out_dtype = self._out_dtype(u)
-        out = (self.signs * u[self.rows]).sum(axis=1)
-        return out.astype(out_dtype, copy=False)
-
-    def _matmat(self, B: FloatArray) -> FloatArray:
-        out_dtype = self._out_dtype(B)
-        out = np.zeros((self.shape[0], B.shape[1]), dtype=np.float64)
-        for t in range(self.k_nonzeros):
-            np.add.at(out, self.rows[:, t], self.signs[:, t][:, None] * B)
-        return out.astype(out_dtype, copy=False)
-
-    def _rmatmat(self, U: FloatArray) -> FloatArray:
-        out_dtype = self._out_dtype(U)
-        # (m, k, j) gather summed over the k replicas
-        out = (self.signs[:, :, None] * U[self.rows]).sum(axis=1)
-        return out.astype(out_dtype, copy=False)
-
-    def sketch_csr(self, matrix: CSRMatrix) -> Optional[Float64Array]:
-        """``S @ X`` for CSR ``X``: one fused bincount per replica."""
-        s, n = self.shape[0], matrix.shape[1]
-        if s * n > _DENSE_ACCUMULATOR_LIMIT:
-            return None
-        row_ids = matrix._row_ids
-        flat = np.zeros(s * n, dtype=np.float64)
-        for t in range(self.k_nonzeros):
-            keys = self.rows[:, t][row_ids] * n + matrix.indices
-            weights = self.signs[:, t][row_ids] * matrix.data
-            flat += np.bincount(keys, weights=weights, minlength=s * n)
-        return flat.reshape(s, n)
-
-
-def _fwht(block: Float64Array) -> Float64Array:
-    """In-place fast Walsh–Hadamard transform over axis 0.
-
-    ``block`` is ``(m2, k)`` with ``m2`` a power of two; applies the
-    *unnormalized* Hadamard matrix (entries ±1) in ``O(m2 log m2 · k)``
-    via the standard butterfly, vectorized as reshaped pair updates.
-    """
-    n = block.shape[0]
-    h = 1
-    while h < n:
-        view = block.reshape(n // (2 * h), 2, h, -1)
-        top = view[:, 0].copy()
-        view[:, 0] += view[:, 1]
-        view[:, 1] *= -1.0
-        view[:, 1] += top
-        h *= 2
-    return block
-
-
-class SRHTOperator(SketchOperator):
-    """Subsampled randomized Hadamard transform ``(1/√s)·P·H·D``.
-
-    ``D`` flips signs, the (unnormalized) Hadamard transform ``H`` mixes
-    every coordinate into every other in ``O(m log m)``, and ``P``
-    samples ``s`` of the ``m2`` mixed rows without replacement; the
-    ``1/√s`` scale makes ``E[SᵀS] = I``.  Inputs are zero-padded to the
-    next power of two ``m2 ≥ m``.  The dense mixing gives the best
-    distortion per sketch row of the three families, at the price of no
-    ``O(nnz)`` sparse fast path.
-    """
-
-    kind = "srht"
-
-    def __init__(
-        self,
-        m: int,
-        sketch_size: int,
-        seed: int = 0,
-        dtype: DTypeLike = np.float64,
-    ) -> None:
-        super().__init__(m, sketch_size, seed, dtype)
-        self.padded: int = 1 << max(0, int(m - 1).bit_length())
-        if sketch_size > self.padded:
-            raise SketchingError(
-                f"SRHT sketch_size {sketch_size} exceeds the padded "
-                f"dimension {self.padded}"
-            )
-        rng = np.random.default_rng(self.seed)
-        self.signs: Float64Array = np.where(
-            rng.integers(0, 2, size=m) == 1, 1.0, -1.0
-        )
-        self.sample: IntArray = np.sort(
-            rng.choice(self.padded, size=self.shape[0], replace=False)
-        ).astype(np.int64)
-        self._scale = 1.0 / np.sqrt(float(self.shape[0]))
-
-    def _matmat(self, B: FloatArray) -> FloatArray:
-        out_dtype = self._out_dtype(B)
-        m = self.shape[1]
-        padded = np.zeros((self.padded, B.shape[1]), dtype=np.float64)
-        padded[:m] = self.signs[:, None] * B
-        _fwht(padded)
-        out = self._scale * padded[self.sample]
-        return out.astype(out_dtype, copy=False)
-
-    def _rmatmat(self, U: FloatArray) -> FloatArray:
-        out_dtype = self._out_dtype(U)
-        m = self.shape[1]
-        padded = np.zeros((self.padded, U.shape[1]), dtype=np.float64)
-        padded[self.sample] = U
-        _fwht(padded)
-        out = self._scale * (self.signs[:, None] * padded[:m])
-        return out.astype(out_dtype, copy=False)
-
-    def _matvec(self, v: FloatArray) -> FloatArray:
-        return self._matmat(v[:, None])[:, 0]
-
-    def _rmatvec(self, u: FloatArray) -> FloatArray:
-        return self._rmatmat(u[:, None])[:, 0]
-
-
-def sketch_operator(
-    kind: str,
-    m: int,
-    sketch_size: int,
-    seed: int = 0,
-    dtype: DTypeLike = np.float64,
-) -> SketchOperator:
-    """Build a sketch operator by family name (see :data:`SKETCH_KINDS`).
-
-    Complexity: O(m + s) — drawing the hash/sign (or sampling) arrays.
-    """
-    if kind == "countsketch":
-        return CountSketchOperator(m, sketch_size, seed=seed, dtype=dtype)
-    if kind == "sparse_sign":
-        return SparseSignOperator(m, sketch_size, seed=seed, dtype=dtype)
-    if kind == "srht":
-        return SRHTOperator(m, sketch_size, seed=seed, dtype=dtype)
-    raise SketchingError(
-        f"unknown sketch kind {kind!r}; expected one of {SKETCH_KINDS}"
-    )
 
 
 def default_sketch_size(m: int, n: int) -> int:
@@ -423,21 +222,21 @@ def default_sketch_size(m: int, n: int) -> int:
 
 
 def sketch_apply(
-    S: SketchOperator,
+    S: CountSketchOperator,
     A: MatrixLike,
     chunk: int = _SKETCH_CHUNK,
 ) -> Float64Array:
     """Compute the dense sketch ``S @ A`` of an ``(m, n)`` operator.
 
-    Complexity: O(nnz) on the CSR fast paths (CountSketch/sparse-sign
-    scatter once per stored entry; here ``s`` counts sketch rows, so
-    the output adds an ``O(s·n)`` write).  Dense payloads cost a
+    Complexity: O(nnz) on the CSR fast path (one scatter per stored
+    entry; here ``s`` counts sketch rows, so the output adds an
+    ``O(s·n)`` write).  Dense payloads cost a
     ``matmat``; generic operators fall back to chunked block products.
 
     Structural wrappers are peeled so the paper's memory tricks stay
     intact: ``S·[X|1] = [S·X | S·1]`` and ``S·(X − 1μᵀ) = S·X − (S·1)μᵀ``
     each cost one extra sketch mat-vec, never a densified matrix.  The
-    base data is sketched by the family's ``O(nnz)`` CSR kernel or a
+    base data is sketched by the ``O(nnz)`` CSR kernel or a
     dense ``matmat`` when the payload is reachable (this includes
     :class:`~repro.parallel.sharded.ShardedOperator`, whose underlying
     matrix is sketched directly — the build is a one-time coordinator
@@ -464,11 +263,9 @@ def sketch_apply(
         return inner - np.outer(ones_image, means)
     matrix = getattr(op, "matrix", None)
     if isinstance(matrix, CSRMatrix):
-        kernel = getattr(S, "sketch_csr", None)
-        if kernel is not None:
-            fast = kernel(matrix)
-            if fast is not None:
-                return np.asarray(fast, dtype=np.float64)
+        fast = S.sketch_csr(matrix)
+        if fast is not None:
+            return fast
     array = getattr(op, "array", None)
     if array is not None:
         return np.asarray(
@@ -478,7 +275,7 @@ def sketch_apply(
 
 
 def _sketch_via_rmatmat(
-    S: SketchOperator, op: LinearOperator, chunk: int
+    S: CountSketchOperator, op: LinearOperator, chunk: int
 ) -> Float64Array:
     """Generic ``S @ A`` via ``(Aᵀ · (Sᵀ block))ᵀ`` in identity chunks.
 
@@ -522,7 +319,6 @@ class SketchPreconditioner:
         self,
         factor_lower: Float64Array,
         alpha: float = 0.0,
-        kind: str = "custom",
         sketch_size: int = 0,
         jitter: float = 0.0,
     ) -> None:
@@ -535,7 +331,6 @@ class SketchPreconditioner:
         self.factor_lower = factor
         self.shape: Tuple[int, int] = factor.shape
         self.alpha = float(alpha)
-        self.kind = kind
         self.sketch_size = int(sketch_size)
         self.jitter = float(jitter)
         self.n_applies = 0
@@ -567,7 +362,7 @@ class SketchPreconditioner:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SketchPreconditioner(n={self.n}, kind={self.kind!r}, "
+            f"SketchPreconditioner(n={self.n}, "
             f"sketch_size={self.sketch_size}, alpha={self.alpha})"
         )
 
@@ -651,19 +446,56 @@ def _with_jitter(gram: Float64Array, jitter: float) -> Float64Array:
     return out
 
 
+def sketch_gram(
+    A: MatrixLike,
+    sketch_size: Optional[int] = None,
+    seed: int = 0,
+) -> Tuple[Float64Array, int]:
+    """The Gram ``(S A)ᵀ(S A)`` of a seeded CountSketch of ``A``.
+
+    Complexity: O(nnz + s·n^2) with ``s`` sketch rows — one sketch
+    pass and the ``n × n`` Gram product.
+
+    ``A`` is the ``(m, n)`` data operator (dense array, CSR matrix, or
+    any :class:`~repro.linalg.operators.LinearOperator`, including the
+    structural SRDA wrappers and sharded operators).  ``sketch_size``
+    rows of ``S`` default to :func:`default_sketch_size` and are capped
+    at ``m``; a fixed ``seed`` means a bitwise reproducible Gram, and so
+    bitwise reproducible sketched solves.  Returns ``(gram, s)``.
+
+    Every sketch preconditioner starts here: :func:`build_preconditioner`
+    factors the Gram for one ``α``, the sketched alpha path once per
+    ``α``.  Emits one ``sketch.build`` span (``sketch_size``, ``rows``,
+    ``cols``) on the ambient tracer.
+    """
+    op = as_operator(A)
+    m, n = op.shape
+    size = default_sketch_size(m, n) if sketch_size is None else int(sketch_size)
+    S = CountSketchOperator(m, min(size, m), seed=seed)
+    with current_tracer().span(
+        "sketch.build", sketch_size=S.shape[0], rows=int(m), cols=int(n)
+    ):
+        sketched = sketch_apply(S, op)
+        gram = sketched.T @ sketched
+    return gram, S.shape[0]
+
+
 def preconditioner_from_gram(
     gram: Float64Array,
     alpha: float = 0.0,
-    kind: str = "custom",
     sketch_size: int = 0,
 ) -> SketchPreconditioner:
-    """Factor a precomputed sketch Gram ``(S X)ᵀ(S X)`` into ``R⁻¹``.
+    """Factor a sketch Gram ``(S X)ᵀ(S X)`` into ``R⁻¹``.
 
     Complexity: O(n^3) — one LAPACK Cholesky of the shifted Gram.
 
-    The alpha sweep uses this to share one sketch across a whole grid:
-    the ``O(s·n²)`` Gram is built once, and each alpha pays only the
-    ``O(n³/6)`` Cholesky of ``gram + α I``.
+    ``alpha`` is the ridge regularization ``α``, folded into the Gram
+    so the factor preconditions the damped system ``[X; √α·I]``
+    exactly; with ``alpha > 0`` the Gram is positive definite for any
+    sketch size.  The alpha sweep shares one :func:`sketch_gram` across
+    a whole grid: the ``O(s·n²)`` Gram is built once, and each alpha
+    pays only the ``O(n³/6)`` Cholesky of ``gram + α I``.  Attaches one
+    ``sketch.factor`` event (``alpha``, ``jitter``) to the ambient span.
     """
     gram = np.asarray(gram, dtype=np.float64)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
@@ -673,83 +505,25 @@ def preconditioner_from_gram(
     if alpha < 0:
         raise SketchingError("alpha must be non-negative")
     factor, jitter = _factor_with_jitter(gram, alpha)
+    current_tracer().event("sketch.factor", alpha=float(alpha), jitter=jitter)
     return SketchPreconditioner(
-        factor, alpha=alpha, kind=kind, sketch_size=sketch_size, jitter=jitter
+        factor, alpha=alpha, sketch_size=sketch_size, jitter=jitter
     )
 
 
 def build_preconditioner(
     A: MatrixLike,
     alpha: float = 0.0,
-    sketch: Union[str, SketchOperator] = "countsketch",
     sketch_size: Optional[int] = None,
     seed: int = 0,
-    chunk: int = _SKETCH_CHUNK,
 ) -> SketchPreconditioner:
     """Sketch ``A`` and factor the regularized Gram into ``R⁻¹``.
 
     Complexity: O(nnz + s·n^2 + n^3) with ``s`` sketch rows — sketch
     apply, Gram build, and Cholesky; all one-time coordinator work.
 
-    Parameters
-    ----------
-    A:
-        The ``(m, n)`` data operator (dense array, CSR matrix, or any
-        :class:`~repro.linalg.operators.LinearOperator`, including the
-        structural SRDA wrappers and sharded operators).
-    alpha:
-        Ridge regularization ``α``; folded into the Gram so the factor
-        preconditions the damped system ``[A; √α·I]`` exactly.  With
-        ``alpha > 0`` the Gram is always positive definite, so the
-        preconditioner exists for any sketch size.
-    sketch:
-        Family name from :data:`SKETCH_KINDS`, or a prebuilt
-        :class:`SketchOperator` (whose row count then fixes the size).
-    sketch_size:
-        Rows of ``S``; default :func:`default_sketch_size`.
-    seed:
-        Seed for the sketch draw — fixed seed means a bitwise
-        reproducible preconditioner and therefore bitwise reproducible
-        sketched solves.
-    chunk:
-        Block width of the generic operator fallback in
-        :func:`sketch_apply`.
-
-    Emits one ``sketch.build`` span (kind, sizes, alpha, jitter) on the
-    ambient tracer.
+    :func:`sketch_gram` (``A``, ``sketch_size``, ``seed``) followed by
+    :func:`preconditioner_from_gram` (``alpha``).
     """
-    op = as_operator(A)
-    m, n = op.shape
-    if alpha < 0:
-        raise SketchingError("alpha must be non-negative")
-    if isinstance(sketch, SketchOperator):
-        S = sketch
-        if S.shape[1] != m:
-            raise SketchingError(
-                f"sketch operator expects {S.shape[1]} rows, data has {m}"
-            )
-    else:
-        size = default_sketch_size(m, n) if sketch_size is None else int(sketch_size)
-        if size < 1:
-            raise SketchingError(f"sketch_size must be >= 1, got {size}")
-        S = sketch_operator(sketch, m, min(size, m), seed=seed)
-    tracer = current_tracer()
-    with tracer.span(
-        "sketch.build",
-        kind=S.kind,
-        sketch_size=int(S.shape[0]),
-        rows=int(m),
-        cols=int(n),
-        alpha=float(alpha),
-    ) as span:
-        sketched = sketch_apply(S, op, chunk=chunk)
-        gram = sketched.T @ sketched
-        factor, jitter = _factor_with_jitter(gram, alpha)
-        span.set_attribute("jitter", float(jitter))
-    return SketchPreconditioner(
-        factor,
-        alpha=alpha,
-        kind=S.kind,
-        sketch_size=int(S.shape[0]),
-        jitter=jitter,
-    )
+    gram, size = sketch_gram(A, sketch_size=sketch_size, seed=seed)
+    return preconditioner_from_gram(gram, alpha=alpha, sketch_size=size)

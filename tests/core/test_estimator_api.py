@@ -253,7 +253,6 @@ class TestSolverConfigAliases:
 
     ALIASES = {
         "solver": "lsqr",
-        "sketch": "sparse_sign",
         "sketch_size": 32,
         "sketch_seed": 7,
         "n_jobs": 2,
@@ -280,6 +279,14 @@ class TestSolverConfigAliases:
         with warnings.catch_warnings():
             warnings.simplefilter("error", ReproDeprecationWarning)
             assert getattr(model, name) == self.ALIASES[name]
+
+    def test_sketch_family_is_not_an_alias(self):
+        # The family knob was removed, not folded into config=.
+        model = SRDA()
+        with pytest.raises(ValueError, match="invalid parameter 'sketch'"):
+            model.set_params(sketch="countsketch")
+        assert not hasattr(model, "sketch")
+        assert "sketch" not in model.get_params()
 
     def test_set_params_alias_preserves_other_fields(self):
         model = SRDA(config=SolverConfig(solver="lsqr", sketch_seed=5))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.solver_config import SolverConfig
 from repro.core.srda import SRDA, srda_alpha_path
 from repro.linalg.sparse import CSRMatrix
 from repro.robustness import RobustnessWarning
@@ -78,14 +79,14 @@ class TestSketchedSolver:
             a.components_, c.components_, atol=1e-6
         )
 
-    @pytest.mark.parametrize("kind", ["countsketch", "sparse_sign", "srht"])
-    def test_every_sketch_family_fits(self, rng, kind):
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_fit_matches_normal_equations(self, rng, layout):
         X, y = ill_conditioned_classification(rng, m=120, n=20)
+        data = CSRMatrix.from_dense(X) if layout == "csr" else X
         model = SRDA(
-            solver="sketched_lsqr", sketch=kind, alpha=0.1,
-            max_iter=500, tol=1e-10,
-        ).fit(X, y)
-        baseline = SRDA(solver="normal", alpha=0.1).fit(X, y)
+            solver="sketched_lsqr", alpha=0.1, max_iter=500, tol=1e-10
+        ).fit(data, y)
+        baseline = SRDA(solver="normal", alpha=0.1).fit(data, y)
         np.testing.assert_allclose(
             model.components_, baseline.components_, atol=1e-5
         )
@@ -123,12 +124,26 @@ class TestSketchedSolver:
             )
 
     def test_invalid_sketch_parameters_rejected(self):
-        with pytest.raises(ValueError, match="unknown sketch"):
-            SRDA(sketch="gaussian")
         with pytest.raises(ValueError, match="sketch_size"):
             SRDA(sketch_size=0)
         with pytest.raises(ValueError, match="solver"):
             SRDA(solver="sketch")
+
+    @pytest.mark.parametrize(
+        "surface", ["SolverConfig", "SRDA", "srda_alpha_path"]
+    )
+    def test_no_sketch_family_keyword(self, rng, surface):
+        # CountSketch is the only family: there is no knob to pass.
+        X, y = ill_conditioned_classification(rng, m=60, n=10)
+        build = {
+            "SolverConfig": lambda: SolverConfig(sketch="countsketch"),
+            "SRDA": lambda: SRDA(sketch="countsketch"),
+            "srda_alpha_path": lambda: srda_alpha_path(
+                X, y, [1.0], sketch="countsketch"
+            ),
+        }[surface]
+        with pytest.raises(TypeError, match="sketch"):
+            build()
 
 
 class TestShardedComposition:
@@ -164,6 +179,8 @@ class TestShardedComposition:
 
 class TestSketchedAlphaPath:
     def test_path_matches_independent_sketched_fits(self, rng):
+        # The path and a single fit build their preconditioners from
+        # the same sketch Gram, so every alpha agrees bit for bit.
         X, y = ill_conditioned_classification(rng, m=160, n=24)
         alphas = [0.1, 1.0, 10.0]
         path = srda_alpha_path(
@@ -175,11 +192,29 @@ class TestSketchedAlphaPath:
                 solver="sketched_lsqr", alpha=alpha,
                 max_iter=800, tol=1e-10,
             ).fit(X, y)
-            np.testing.assert_allclose(
-                model.components_, single.components_, atol=1e-5
-            )
+            assert model.components_.tobytes() == single.components_.tobytes()
+            assert model.intercept_.tobytes() == single.intercept_.tobytes()
+            assert model.lsqr_iterations_ == single.lsqr_iterations_
             assert model.solver_used_ == "sketched_lsqr"
             assert model.fit_report_.solver == "sketched_lsqr"
+
+    def test_path_builds_one_sketch(self, rng):
+        # Every alpha factors the one sketch Gram: a single sketch.build.
+        from repro.observability import InMemorySink, configure
+
+        X, y = ill_conditioned_classification(rng, m=160, n=24)
+        sink = InMemorySink()
+        configure(sink=sink)
+        try:
+            srda_alpha_path(
+                X, y, [0.1, 1.0, 10.0],
+                config=SolverConfig(solver="sketched_lsqr"),
+                max_iter=800, tol=1e-10,
+            )
+            (record,) = sink.find("sketch.build")
+        finally:
+            configure(enabled=False)
+        assert record["attributes"]["rows"] == 160
 
     def test_path_matches_lsqr_path(self, rng):
         X, y = ill_conditioned_classification(rng, m=160, n=24)

@@ -1,5 +1,7 @@
 """Integration tests of the paper's equivalence claims across modules."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.baselines.ridge import RidgeClassifier
 from repro.core.graph import lda_weight_matrix
 from repro.core.responses import generate_responses
 from repro.core.solver_config import SolverConfig
+from repro.core.srda import srda_alpha_path
 from repro.linalg.dense import ridge_solution
 from repro.linalg.kernels import compiled_available
 from repro.linalg.lsqr import lsqr
@@ -258,6 +261,23 @@ class TestRidgeOracle:
             # every sharded product equals the direct one byte for byte
             direct = self._fit(oracle_problem, **SRDA_PATHS["lsqr"])
             _assert_bitwise(model, direct, X)
+
+    @pytest.mark.parametrize("solver", ["lsqr", "sketched_lsqr"])
+    def test_alpha_path_matches_reference(self, oracle_problem, solver):
+        name, X, dense, y = oracle_problem
+        falls_back = name == "wide" and solver == "sketched_lsqr"
+        with (
+            pytest.warns(RobustnessWarning, match="n >= m")
+            if falls_back
+            else contextlib.nullcontext()
+        ):
+            _, model = srda_alpha_path(
+                X, y, [0.5, ALPHA], config=SolverConfig(solver=solver),
+                **CONVERGED,
+            )
+        assert model.alpha == ALPHA
+        reference = _reference(dense, model.responses_, model.centered_)
+        _assert_near_reference(model.components_, model.intercept_, reference)
 
     def test_partial_fit_stream_matches_reference(self, oracle_problem):
         name, X, dense, y = oracle_problem

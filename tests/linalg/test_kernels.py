@@ -522,14 +522,6 @@ class TestConfigIntegration:
         with pytest.raises(ValueError, match="kernel_backend"):
             SolverConfig(kernel_backend="gpu")
 
-    def test_config_param_dict_round_trip(self):
-        from repro.core.solver_config import SolverConfig
-
-        config = SolverConfig(kernel_backend="reference")
-        params = config.to_param_dict()
-        assert params["kernel_backend"] == "reference"
-        assert SolverConfig(**params) == config
-
     @needs_compiled
     def test_srda_fit_bitwise_across_backends(self, sparse_classification):
         from repro.core.solver_config import SolverConfig

@@ -13,18 +13,15 @@ from repro.linalg.operators import (
     LinearOperator,
 )
 from repro.linalg.sketch import (
-    SKETCH_KINDS,
     CountSketchOperator,
     PreconditionedOperator,
-    SRHTOperator,
     SketchingError,
     SketchPreconditioner,
-    SparseSignOperator,
     build_preconditioner,
     default_sketch_size,
     preconditioner_from_gram,
     sketch_apply,
-    sketch_operator,
+    sketch_gram,
 )
 from repro.linalg.sparse import CSRMatrix
 
@@ -41,14 +38,12 @@ def ill_conditioned(rng, m=300, n=24, cond=1e3):
 
 
 class TestSketchOperators:
-    @pytest.mark.parametrize("kind", SKETCH_KINDS)
-    def test_contract(self, kind):
-        S = sketch_operator(kind, m=37, sketch_size=16, seed=3)
+    def test_contract(self):
+        S = CountSketchOperator(m=37, sketch_size=16, seed=3)
         assert verify_operator(S, rng=0).ok
 
-    @pytest.mark.parametrize("kind", SKETCH_KINDS)
-    def test_products_match_dense_matrix(self, rng, kind):
-        S = sketch_operator(kind, m=29, sketch_size=12, seed=1)
+    def test_products_match_dense_matrix(self, rng):
+        S = CountSketchOperator(m=29, sketch_size=12, seed=1)
         dense = dense_sketch(S)
         v = rng.standard_normal(29)
         u = rng.standard_normal(12)
@@ -59,24 +54,22 @@ class TestSketchOperators:
         np.testing.assert_allclose(S.matmat(B), dense @ B, atol=1e-12)
         np.testing.assert_allclose(S.rmatmat(U), dense.T @ U, atol=1e-12)
 
-    @pytest.mark.parametrize("kind", SKETCH_KINDS)
-    def test_seed_determinism(self, rng, kind):
+    def test_seed_determinism(self, rng):
         v = rng.standard_normal(41)
-        a = sketch_operator(kind, m=41, sketch_size=16, seed=7).matvec(v)
-        b = sketch_operator(kind, m=41, sketch_size=16, seed=7).matvec(v)
-        c = sketch_operator(kind, m=41, sketch_size=16, seed=8).matvec(v)
+        a = CountSketchOperator(m=41, sketch_size=16, seed=7).matvec(v)
+        b = CountSketchOperator(m=41, sketch_size=16, seed=7).matvec(v)
+        c = CountSketchOperator(m=41, sketch_size=16, seed=8).matvec(v)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    @pytest.mark.parametrize("kind", SKETCH_KINDS)
-    def test_mean_isometry_in_expectation(self, kind):
-        # E[SᵀS] = I for every family: averaging ‖S x‖² over many seeds
-        # should recover ‖x‖² within a few percent.
+    def test_mean_isometry_in_expectation(self):
+        # E[SᵀS] = I: averaging ‖S x‖² over many seeds should recover
+        # ‖x‖² within a few percent.
         x = np.sin(np.arange(64)) / np.linalg.norm(np.sin(np.arange(64)))
         norms = [
             float(
                 np.linalg.norm(
-                    sketch_operator(kind, 64, 48, seed=s).matvec(x)
+                    CountSketchOperator(64, 48, seed=s).matvec(x)
                 )
                 ** 2
             )
@@ -90,44 +83,18 @@ class TestSketchOperators:
         assert ((dense != 0).sum(axis=0) == 1).all()
         assert set(np.abs(dense[dense != 0])) == {1.0}
 
-    def test_sparse_sign_scales_by_sqrt_k(self):
-        S = SparseSignOperator(m=23, sketch_size=16, k_nonzeros=4, seed=0)
-        dense = dense_sketch(S)
-        nonzero = np.abs(dense[dense != 0])
-        # Replicas may collide within a coordinate, so magnitudes are
-        # multiples of 1/sqrt(k) = 0.5 (up to k of them stacked).
-        assert np.allclose(np.remainder(nonzero, 0.5), 0.0)
-        assert nonzero.min() >= 0.5 and nonzero.max() <= 2.0
-
-    def test_srht_rows_are_sampled_hadamard(self):
-        S = SRHTOperator(m=16, sketch_size=8, seed=0)
-        dense = dense_sketch(S)
-        # Every entry of P·H·D/√s has magnitude 1/√s.
-        assert np.allclose(np.abs(dense), 1.0 / np.sqrt(8))
-
-    def test_srht_pads_to_power_of_two(self):
-        assert SRHTOperator(m=17, sketch_size=8, seed=0).padded == 32
-        assert SRHTOperator(m=16, sketch_size=8, seed=0).padded == 16
-
     def test_float32_dtype_preserved(self, rng):
-        for kind in SKETCH_KINDS:
-            S = sketch_operator(kind, 20, 8, seed=0, dtype=np.float32)
-            out = S.matvec(rng.standard_normal(20).astype(np.float32))
-            assert out.dtype == np.float32
+        S = CountSketchOperator(20, 8, seed=0, dtype=np.float32)
+        out = S.matvec(rng.standard_normal(20).astype(np.float32))
+        assert out.dtype == np.float32
 
     def test_invalid_configuration_rejected(self):
-        with pytest.raises(SketchingError, match="unknown sketch kind"):
-            sketch_operator("gaussian", 10, 4)
         with pytest.raises(SketchingError, match="m must be"):
             CountSketchOperator(m=0, sketch_size=4)
         with pytest.raises(SketchingError, match="sketch_size"):
             CountSketchOperator(m=10, sketch_size=0)
         with pytest.raises(SketchingError, match="dtype"):
             CountSketchOperator(m=10, sketch_size=4, dtype=np.int64)
-        with pytest.raises(SketchingError, match="k_nonzeros"):
-            SparseSignOperator(m=10, sketch_size=4, k_nonzeros=0)
-        with pytest.raises(SketchingError, match="exceeds the padded"):
-            SRHTOperator(m=10, sketch_size=32)
 
 
 class TestSketchApply:
@@ -135,11 +102,10 @@ class TestSketchApply:
         dense = rng.standard_normal((40, 9))
         dense[rng.random((40, 9)) > 0.3] = 0.0
         matrix = CSRMatrix.from_dense(dense)
-        for kind in ("countsketch", "sparse_sign"):
-            S = sketch_operator(kind, 40, 16, seed=2)
-            np.testing.assert_allclose(
-                sketch_apply(S, matrix), dense_sketch(S) @ dense, atol=1e-12
-            )
+        S = CountSketchOperator(40, 16, seed=2)
+        np.testing.assert_allclose(
+            sketch_apply(S, matrix), dense_sketch(S) @ dense, atol=1e-12
+        )
 
     def test_csr_fallback_when_accumulator_too_large(self, rng, monkeypatch):
         import repro.linalg.sketch as sketch_mod
@@ -228,17 +194,25 @@ class TestSketchPreconditioner:
         assert preconditioned < 10
         assert preconditioned < plain / 10
 
+    def test_sketch_gram_is_the_gram_of_the_seeded_sketch(self, rng):
+        A = ill_conditioned(rng)
+        gram, size = sketch_gram(A, sketch_size=96, seed=5)
+        sketched = sketch_apply(CountSketchOperator(A.shape[0], 96, seed=5), A)
+        assert size == 96
+        assert gram.tobytes() == (sketched.T @ sketched).tobytes()
+
+    def test_sketch_gram_default_and_capped_size(self, rng):
+        A = rng.standard_normal((50, 4))
+        assert sketch_gram(A)[1] == default_sketch_size(50, 4)
+        assert sketch_gram(A, sketch_size=500)[1] == 50
+
     def test_gram_route_matches_operator_route(self, rng):
         A = ill_conditioned(rng)
-        S = CountSketchOperator(A.shape[0], 96, seed=5)
-        direct = build_preconditioner(A, alpha=0.5, sketch=S)
-        sketched = sketch_apply(S, A)
-        from_gram = preconditioner_from_gram(
-            sketched.T @ sketched, alpha=0.5
-        )
-        np.testing.assert_allclose(
-            direct.factor_lower, from_gram.factor_lower, atol=1e-10
-        )
+        direct = build_preconditioner(A, alpha=0.5, sketch_size=96, seed=5)
+        gram, size = sketch_gram(A, sketch_size=96, seed=5)
+        from_gram = preconditioner_from_gram(gram, alpha=0.5, sketch_size=size)
+        assert direct.factor_lower.tobytes() == from_gram.factor_lower.tobytes()
+        assert direct.sketch_size == from_gram.sketch_size == 96
 
     def test_wrapped_operator_contract(self, rng):
         A = ill_conditioned(rng, m=60, n=8)
@@ -268,9 +242,6 @@ class TestSketchPreconditioner:
             build_preconditioner(
                 rng.standard_normal((5, 2)), sketch_size=0
             )
-        S = CountSketchOperator(10, 4, seed=0)
-        with pytest.raises(SketchingError, match="rows"):
-            build_preconditioner(rng.standard_normal((11, 3)), sketch=S)
 
     def test_dimension_mismatch_with_operator(self, rng):
         A = rng.standard_normal((20, 5))
@@ -287,12 +258,21 @@ class TestSketchPreconditioner:
         configure(sink=sink)
         try:
             A = ill_conditioned(rng, m=80, n=10)
-            pre = build_preconditioner(A, alpha=0.2, seed=0)
+            with get_tracer().span("outer"):
+                pre = build_preconditioner(A, alpha=0.2, seed=0)
             pre.apply(np.zeros(pre.n))
             record = sink.find("sketch.build")[0]
-            assert record["attributes"]["kind"] == "countsketch"
-            assert record["attributes"]["rows"] == 80
-            assert record["attributes"]["jitter"] == 0.0
+            assert record["attributes"] == {
+                "sketch_size": default_sketch_size(80, 10),
+                "rows": 80,
+                "cols": 10,
+            }
+            (factor,) = [
+                event
+                for event in sink.find("outer")[0]["events"]
+                if event["name"] == "sketch.factor"
+            ]
+            assert factor["attributes"] == {"alpha": 0.2, "jitter": 0.0}
             counters = get_tracer().metrics.snapshot()["counters"]
             assert counters["precond.apply"] == 1.0
         finally:

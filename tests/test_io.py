@@ -1,9 +1,12 @@
 """Unit tests for model serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro import IDRQR, LDA, RLDA, SRDA
+from repro.core.solver_config import SolverConfig
 from repro.core.sparse_srda import SparseSRDA
 from repro.io import load_model, save_model
 
@@ -50,6 +53,54 @@ class TestRoundTrip:
         model = models["SRDA"]
         loaded = load_model(save_model(model, tmp_path / "s"))
         assert loaded.score(X, y) == model.score(X, y)
+
+    def test_solver_config_round_trip(self, small_classification, tmp_path):
+        X, y = small_classification
+        config = SolverConfig(
+            solver="sketched_lsqr",
+            sketch_size=16,
+            sketch_seed=3,
+            kernel_backend="reference",
+        )
+        model = SRDA(alpha=0.5, config=config).fit(X, y)
+        loaded = load_model(save_model(model, tmp_path / "c"))
+        assert loaded.config == config
+        assert np.array_equal(loaded.predict(X), model.predict(X))
+
+    @pytest.mark.parametrize("family", ["countsketch", "sparse_sign", "srht"])
+    def test_archive_naming_a_sketch_family_loads(
+        self, fitted_models, tmp_path, family
+    ):
+        # Archives written while several sketch families existed carry a
+        # flat "sketch" field; CountSketch is the only family now, and
+        # the fitted arrays never depended on the choice.
+        X, _, models = fitted_models
+        model = models["SRDA"]
+        params = {
+            "alpha": 0.5,
+            "centering": "auto",
+            "max_iter": 25,
+            "tol": 1e-10,
+            "solver": "sketched_lsqr",
+            "sketch": family,
+            "sketch_size": None,
+            "sketch_seed": 0,
+            "kernel_backend": None,
+        }
+        path = tmp_path / "legacy.npz"
+        np.savez(
+            path,
+            model_type=np.array("SRDA"),
+            params_json=np.array(json.dumps(params)),
+            components_=model.components_,
+            intercept_=model.intercept_,
+            classes_=model.classes_,
+            centroids_=model.centroids_,
+        )
+        loaded = load_model(path)
+        assert loaded.config == SolverConfig(solver="sketched_lsqr")
+        assert np.array_equal(loaded.transform(X), model.transform(X))
+        assert np.array_equal(loaded.predict(X), model.predict(X))
 
 
 class TestValidation:
