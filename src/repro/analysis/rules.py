@@ -43,8 +43,9 @@ RPR010    a float64 temporary allocated inside a loop in a kernel
           module — ``np.zeros``/``np.empty``/``.astype`` without a
           dtype threaded from an argument.
 RPR011    an allocation call inside the per-iteration body of the
-          lsqr / block_lsqr / sharded hot loops, which must allocate
-          their buffers outside the loop.
+          lsqr / block_lsqr / sharded hot loops, or in a function or
+          method of the same module that such a loop calls by name —
+          the loops must allocate their buffers outside the iteration.
 ========  ==============================================================
 """
 
@@ -782,6 +783,47 @@ def _iter_loop_calls(tree: ast.AST) -> Iterator[ast.Call]:
                     yield sub
 
 
+def _called_name(call: ast.Call) -> Optional[str]:
+    """``f`` for both ``f(...)`` and ``obj.f(...)``."""
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _iter_hot_loop_calls(tree: ast.AST) -> Iterator[ast.Call]:
+    """Loop-body calls plus every call in the functions they reach.
+
+    A function or method of the same module that a loop calls runs once
+    per iteration too, so moving a step into a helper must not take it
+    out of scope.  Calls resolve by bare name, transitively: ``f(...)``
+    and ``obj.f(...)`` both reach every ``def f`` in the module.  A
+    function called under another name (an alias, a callback argument)
+    is not followed.
+    """
+    defs: Dict[str, List[ast.AST]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs.setdefault(node.name, []).append(node)
+    seen: Set[Tuple[int, int]] = set()
+    scanned: Set[int] = set()
+    pending = list(_iter_loop_calls(tree))
+    while pending:
+        call = pending.pop()
+        key = (call.lineno, call.col_offset)
+        if key in seen:
+            continue
+        seen.add(key)
+        yield call
+        for func in defs.get(_called_name(call) or "", ()):
+            if id(func) not in scanned:
+                scanned.add(id(func))
+                pending.extend(
+                    sub for sub in ast.walk(func) if isinstance(sub, ast.Call)
+                )
+
+
 #: numpy allocation constructors that take an explicit dtype.
 _ALLOC_FUNCS = frozenset({"zeros", "empty", "ones", "full"})
 #: ``*_like`` variants inherit the prototype's dtype when none is given,
@@ -886,14 +928,16 @@ class HotLoopAllocationRule(Rule):
     name = "hot-loop-allocation"
     summary = (
         "allocation call inside a per-iteration body of the "
-        "lsqr/block_lsqr/sharded hot loops"
+        "lsqr/block_lsqr/sharded hot loops, or in a same-module "
+        "function or method such a loop calls"
     )
     rationale = (
         "The solver iteration bodies are the O(ms)-per-iteration bound "
         "itself.  A fresh np.zeros/np.empty/np.concatenate per "
         "iteration adds allocator traffic and page faults that grow "
         "with the operand, silently degrading the measured constant — "
-        "allocate once outside the loop and write into the buffer."
+        "allocate once outside the loop and write into the buffer.  "
+        "A helper the loop calls runs every iteration too."
     )
 
     def applies_to(self, path: str) -> bool:
@@ -901,14 +945,15 @@ class HotLoopAllocationRule(Rule):
         return posix.endswith(HOT_LOOP_MODULE_SUFFIXES)
 
     def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
-        for call in _iter_loop_calls(tree):
+        for call in _iter_hot_loop_calls(tree):
             name = _numpy_call_name(call)
             if name in _HOT_ALLOC_FUNCS:
                 yield self.finding(
                     path,
                     call,
-                    f"np.{name}(...) inside a solver hot loop; reuse a "
-                    "scratch buffer allocated outside the iteration",
+                    f"np.{name}(...) runs every iteration of a solver hot "
+                    "loop; reuse a scratch buffer allocated outside the "
+                    "iteration",
                 )
 
 

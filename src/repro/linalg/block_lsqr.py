@@ -17,18 +17,25 @@ that hits istop 8/9) is frozen — its solution and diagnostics recorded
 at that iteration — and compacted out of the working block, so late
 iterations only pay for the columns still running.
 
-:class:`SharedBidiagonalization` exploits the fact that the Golub–Kahan
-basis depends only on ``(A, B)`` and never on ``damp``: it records the
-basis once (``2·depth + 1`` operator passes over the data) and then
-re-solves for any number of damping values with *zero* further operator
-products — the engine behind the one-pass alpha sweep.
+The module writes the iteration once: one Golub–Kahan start and step
+(:class:`_LiveBasis`) and one QR/freeze loop
+(:func:`_iterate`) that draws each step's ``(β, α, V)`` from a *basis
+source*.  :func:`block_lsqr` uses the live source, which bidiagonalizes
+as it goes and compacts frozen columns out of its blocks.
+:class:`SharedBidiagonalization` exploits the fact that the basis
+depends only on ``(A, B)`` and never on ``damp``: it runs the same step
+once to record the basis (``2·depth + 1`` operator passes over the data)
+and then replays it through the same loop for any number of damping
+values with *zero* further operator products — the engine behind the
+one-pass alpha sweep.  Warm starts with damping and right
+preconditioners share one augmented ``[A; damp·I]`` system.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -223,15 +230,15 @@ class _ColumnState:
 
     def rotation(self, alfa: FloatArray, beta: FloatArray, damp: float):
         """Damping + Givens rotations; returns the (t1, t2) step sizes."""
+        rhobar1 = self.rhobar
         if damp > 0:
             rhobar1 = np.sqrt(self.rhobar**2 + self.dampsq)
             cs1 = self.rhobar / rhobar1
             sn1 = damp / rhobar1
-            psi = sn1 * self.phibar
+            self.psi = sn1 * self.phibar
             self.phibar = cs1 * self.phibar
-        else:
-            rhobar1 = self.rhobar
-            psi = np.zeros_like(rhobar1)
+        # Undamped, psi stays the zeros it starts as: damp is fixed for
+        # the whole solve, and take() keeps zeros zero.
         rho = np.sqrt(rhobar1**2 + beta**2)
         cs = rhobar1 / rho
         sn = beta / rho
@@ -242,7 +249,6 @@ class _ColumnState:
         self.rho = rho
         self.phi = phi
         self.theta = theta
-        self.psi = psi
         self.tau = sn * phi
         return phi / rho, -theta / rho
 
@@ -270,6 +276,15 @@ class _ColumnState:
         self.r2norm = self.rnorm.copy()
 
 
+def _guarded_ratio(
+    num: Union[float, FloatArray], den: FloatArray, where: BoolArray
+) -> FloatArray:
+    """``num / den`` where ``where`` holds and 0 elsewhere, per column."""
+    # O(k) scalars, one per column — not an (n, k) block buffer.
+    out = np.zeros(den.size)  # repro: noqa-RPR011
+    return np.divide(num, den, out=out, where=where)
+
+
 def _post_step_istop(
     state: _ColumnState,
     itn: int,
@@ -294,24 +309,21 @@ def _post_step_istop(
     state.prev_r2norm = state.r2norm.copy()
 
     bpos = state.bnorm > 0
-    test1 = np.divide(state.rnorm, state.bnorm, out=np.zeros(k), where=bpos)
+    test1 = _guarded_ratio(state.rnorm, state.bnorm, bpos)
     anr = state.anorm * state.rnorm
-    test2 = np.divide(state.arnorm, anr, out=np.zeros(k), where=anr > 0)
-    test3 = np.divide(
-        1.0, state.acond, out=np.zeros(k), where=state.acond > 0
-    )
+    test2 = _guarded_ratio(state.arnorm, anr, anr > 0)
+    test3 = _guarded_ratio(1.0, state.acond, state.acond > 0)
     stagnated = (
         (state.stalled >= _STAGNATION_WINDOW)
         & (test1 > _STAGNATION_FLOOR)
         & (test2 > _STAGNATION_FLOOR)
     )
-    ratio = np.divide(
-        state.anorm * state.xnorm, state.bnorm, out=np.zeros(k), where=bpos
-    )
+    ratio = _guarded_ratio(state.anorm * state.xnorm, state.bnorm, bpos)
     t1_stop = np.where(bpos, test1 / (1.0 + ratio), 0.0)
     rtol = np.where(bpos, btol + atol * ratio, 0.0)
 
-    istop = np.zeros(k, dtype=np.int64)
+    # O(k) codes, one per column — not an (n, k) block buffer.
+    istop = np.zeros(k, dtype=np.int64)  # repro: noqa-RPR011
     if itn >= iter_lim:
         istop[:] = 7
     istop[1.0 + test3 <= 1.0] = 6
@@ -379,68 +391,162 @@ class _Outputs:
         )
 
 
+class _LiveBasis:
+    """Golub–Kahan bidiagonalization of ``(op, B)``, run step by step.
+
+    The module's one start and one step: :func:`block_lsqr` iterates on
+    it directly and :class:`SharedBidiagonalization` records it.  ``V``
+    is the current basis block, replaced (never written) by each step,
+    so a recorded block stays intact.  :meth:`take` compacts frozen
+    columns out of ``U``/``V``, so later block products only pay for
+    the columns still iterating.
+    """
+
+    def __init__(self, op: LinearOperator, B: FloatArray) -> None:
+        self.op = op
+        self.B = B
+
+    def start(self) -> Tuple[FloatArray, FloatArray]:
+        """``β₀u = B``, ``α₀v = Aᵀu``; returns ``(β₀, α₀)``.
+
+        A zero column of ``B`` skips the adjoint product the way the
+        sequential solver does, leaving ``v = 0`` and ``α₀ = 0``.  With
+        no columns no product runs, and ``V`` takes ``B``'s value dtype.
+        """
+        U = np.array(self.B, order="F", copy=True)
+        beta0 = _column_norms(U)
+        pos0 = beta0 > 0
+        np.divide(U, beta0[None, :], out=U, where=pos0[None, :])
+        if U.shape[1]:
+            V = np.asfortranarray(self.op.rmatmat(U))
+        else:
+            V = np.zeros((self.op.shape[1], 0), dtype=U.dtype, order="F")
+        if not pos0.all():
+            V[:, ~pos0] = 0.0
+        alfa0 = _column_norms(V)
+        alfa0[~pos0] = 0.0
+        np.divide(V, alfa0[None, :], out=V, where=(alfa0 > 0)[None, :])
+        self.U, self.V = U, V
+        return beta0, alfa0
+
+    def step(self, itn: int, alfa: FloatArray) -> Tuple[FloatArray, FloatArray]:
+        """``βu = Av − αu``, ``αv = Aᵀu − βv``; returns ``(β, α)``.
+
+        Two block products for all columns.  A column with ``β = 0``
+        keeps its previous ``v`` and ``α`` (the sequential rule).
+        """
+        # Held until the next step's product exists: releasing it first
+        # lets the allocator hand the pages back and fault them in again
+        # every step.
+        self.AV = self.op.matmat(self.V)
+        U, V = self.U, self.V
+        U *= -alfa[None, :]
+        U += self.AV
+        beta = _column_norms(U)
+        bpos = beta > 0
+        np.divide(U, beta[None, :], out=U, where=bpos[None, :])
+        AtU = np.asfortranarray(self.op.rmatmat(U))
+        AtU -= beta[None, :] * V
+        alfa_new = _column_norms(AtU)
+        norm_mask = bpos & (alfa_new > 0)
+        np.divide(AtU, alfa_new[None, :], out=AtU, where=norm_mask[None, :])
+        if bpos.all():
+            self.V = AtU
+            return beta, alfa_new
+        cols = np.flatnonzero(bpos)
+        self.V = V.copy(order="F")
+        self.V[:, cols] = AtU[:, cols]
+        return beta, np.where(bpos, alfa_new, alfa)
+
+    def take(self, keep: IntArray) -> None:
+        self.U = np.asfortranarray(self.U[:, keep])
+        self.V = np.asfortranarray(self.V[:, keep])
+
+
+class _RecordedBasis:
+    """Basis source that replays recorded steps for the active columns.
+
+    ``steps[0]`` is the start ``(β₀, α₀, V₀)``.  :meth:`take` narrows
+    the active columns that each step, and ``V``, is sliced to.
+    """
+
+    def __init__(
+        self, steps: List[Tuple[FloatArray, FloatArray, FloatArray]]
+    ) -> None:
+        self.steps = steps
+        self.itn = 0
+        self.active = np.arange(steps[0][0].size)
+
+    @property
+    def V(self) -> FloatArray:
+        V = self.steps[self.itn][2]
+        if self.active.size == V.shape[1]:
+            return V
+        return V[:, self.active]
+
+    def start(self) -> Tuple[FloatArray, FloatArray]:
+        return self.step(0, self.steps[0][1])
+
+    def step(self, itn: int, alfa: FloatArray) -> Tuple[FloatArray, FloatArray]:
+        # Only a live step needs the previous alfa; a replay reads its own.
+        self.itn = itn
+        beta, alfa, _ = self.steps[itn]
+        return beta[self.active], alfa[self.active]
+
+    def take(self, keep: IntArray) -> None:
+        self.active = self.active[keep]
+
+
 @_masked_errstate
-def _solve_block(
-    op,
-    B: FloatArray,
+def _iterate(
+    basis: Union[_LiveBasis, _RecordedBasis],
+    block_dtype: np.dtype,
+    solver: str,
     damp: float,
     atol: float,
     btol: float,
     conlim: float,
     iter_lim: int,
     record_history: bool,
-    on_iteration: Optional[IterationHook] = None,
+    on_iteration: Optional[IterationHook],
 ) -> BlockLSQRResult:
-    """Cold-start blocked iteration (X0 handling lives in the wrapper)."""
-    m, n = op.shape
-    k = B.shape[1]
-    block_dtype = B.dtype
+    """The damped LSQR QR iteration over a Golub–Kahan basis source.
+
+    ``basis.start()`` and ``basis.step(itn, α)`` return ``(β, α)`` for
+    the active columns, with the matching block in ``basis.V``;
+    ``basis.take(keep)`` follows every compaction.  The rest — the
+    istop-8 pre-freeze, the rotations, the ``W``/``X`` updates, the
+    stopping tests, events and freezing — is the same for a live solve
+    and a replay.  ``X`` and the step sizes take ``block_dtype``.
+    """
+    beta0, alfa = basis.start()
+    k = beta0.size
+    n = basis.V.shape[0]
     out = _Outputs(n, k, block_dtype)
 
     dampsq = damp * damp
     ctol = 1.0 / conlim if conlim > 0 else 0.0
 
-    U = np.array(B, dtype=block_dtype, order="F", copy=True)
-    beta0 = _column_norms(U)
-    pos0 = beta0 > 0
-    np.divide(U, beta0[None, :], out=U, where=pos0[None, :])
-    V = np.asfortranarray(op.rmatmat(U)) if k else np.zeros((n, 0), order="F")
-    if not pos0.all():
-        # Sequential semantics: beta == 0 skips the rmatvec, leaving
-        # v = 0 and alfa = 0 for that column.
-        V[:, ~pos0] = 0.0
-    alfa0 = _column_norms(V)
-    alfa0[~pos0] = 0.0
-    apos = alfa0 > 0
-    np.divide(V, alfa0[None, :], out=V, where=apos[None, :])
-
-    state = _ColumnState(alfa0, beta0, dampsq)
+    state = _ColumnState(alfa, beta0, dampsq)
     active = np.arange(k)
 
     # b in the null space of Aᵀ (or b == 0): x = 0 is already optimal.
-    frozen0 = (alfa0 * beta0) == 0.0
+    frozen0 = (alfa * beta0) == 0.0
     if frozen0.any():
         out.freeze(active, np.flatnonzero(frozen0), state, None, 0, 0)
         keep = np.flatnonzero(~frozen0)
         active = active[keep]
-        U = np.asfortranarray(U[:, keep])
-        V = np.asfortranarray(V[:, keep])
+        alfa = alfa[keep]
         state.take(keep)
-        alfa0 = alfa0[keep]
-    alfa = alfa0.copy()
+        basis.take(keep)
 
-    W = V.copy(order="F")
+    W = np.array(basis.V, order="F")
     Xa = np.zeros((n, active.size), dtype=block_dtype, order="F")
 
     itn = 0
     while active.size and itn < iter_lim:
         itn += 1
-        # Continue the bidiagonalization: beta·u = A v − alfa·u,
-        # alfa·v = Aᵀ u − beta·v — two block products for all columns.
-        AV = op.matmat(V)
-        U *= -alfa[None, :]
-        U += AV
-        beta = _column_norms(U)
+        beta, alfa_next = basis.step(itn, alfa)
 
         bad_beta = ~np.isfinite(beta)
         if bad_beta.any():
@@ -449,33 +555,18 @@ def _solve_block(
             out.freeze(active, np.flatnonzero(bad_beta), state, Xa, 8, itn)
 
         bpos = beta > 0
-        np.divide(U, beta[None, :], out=U, where=bpos[None, :])
         state.anorm = np.sqrt(
             state.anorm**2
             + alfa**2
             + np.where(bpos, beta, 0.0) ** 2
             + dampsq
         )
-
-        AtU = np.asfortranarray(op.rmatmat(U))
-        AtU -= beta[None, :] * V
-        alfa_new = _column_norms(AtU)
-        bad_alfa = bpos & ~np.isfinite(alfa_new)
+        alfa = alfa_next
+        bad_alfa = bpos & ~np.isfinite(alfa)
         if bad_alfa.any():
             # Sequential breaks after the anorm update but before the
             # rotation; state.anorm is already updated above.
             out.freeze(active, np.flatnonzero(bad_alfa), state, Xa, 8, itn)
-        norm_mask = bpos & (alfa_new > 0)
-        np.divide(AtU, alfa_new[None, :], out=AtU, where=norm_mask[None, :])
-        if bpos.all():
-            V = AtU
-            alfa = alfa_new
-        else:
-            # beta == 0 columns keep their previous v and alfa.
-            cols = np.flatnonzero(bpos)
-            V[:, cols] = AtU[:, cols]
-            alfa = np.where(bpos, alfa_new, alfa)
-
         pre_frozen = bad_beta | bad_alfa
 
         t1, t2 = state.rotation(alfa, beta, damp)
@@ -484,7 +575,7 @@ def _solve_block(
         t2c = t2.astype(block_dtype, copy=False)
         Xa += t1c[None, :] * W
         np.multiply(W, t2c[None, :], out=W)
-        W += V
+        W += basis.V
         state.diagnostics(alfa, wnorm_sq)
 
         if record_history:
@@ -499,9 +590,7 @@ def _solve_block(
             # One event per block iteration, before compaction, so the
             # firing count equals the max per-column itn and `active`
             # names the original columns that iterated this step.
-            on_iteration(
-                _block_event("block_lsqr", itn, state, istop_iter, active)
-            )
+            on_iteration(_block_event(solver, itn, state, istop_iter, active))
         newly = (istop_iter != 0) & ~pre_frozen
         if newly.any():
             idx = np.flatnonzero(newly)
@@ -513,8 +602,7 @@ def _solve_block(
             active = active[keep]
             if not active.size:
                 break
-            U = np.asfortranarray(U[:, keep])
-            V = np.asfortranarray(V[:, keep])
+            basis.take(keep)
             W = np.asfortranarray(W[:, keep])
             Xa = np.asfortranarray(Xa[:, keep])
             alfa = alfa[keep]
@@ -525,6 +613,24 @@ def _solve_block(
         out.freeze(active, np.arange(active.size), state, Xa, 0, itn)
 
     return out.result()
+
+
+def _solve_block(
+    op: LinearOperator,
+    B: FloatArray,
+    damp: float,
+    atol: float,
+    btol: float,
+    conlim: float,
+    iter_lim: int,
+    record_history: bool,
+    on_iteration: Optional[IterationHook] = None,
+) -> BlockLSQRResult:
+    """Cold-start live solve (X0 handling lives in the wrapper)."""
+    return _iterate(
+        _LiveBasis(op, B), B.dtype, "block_lsqr", damp, atol, btol, conlim,
+        iter_lim, record_history, on_iteration,
+    )
 
 
 def block_lsqr(
@@ -580,135 +686,78 @@ def block_lsqr(
         raise ValueError(
             f"B must have shape ({m}, k), got {np.shape(B)}"
         )
+    k = B.shape[1]
     if damp < 0:
         raise ValueError("damp must be non-negative")
     if iter_lim is None:
         iter_lim = 2 * n
     if iter_lim < 0:
         raise ValueError("iter_lim must be non-negative")
-
-    if precondition is not None:
-        if precondition.n != n:
-            raise ValueError(
-                f"preconditioner dimension {precondition.n} does not "
-                f"match operator column count {n}"
-            )
-        if X0 is not None:
-            X0 = as_value_dtype(X0)
-            if X0.ndim == 1:
-                X0 = X0[:, None]
-            if X0.shape != (n, B.shape[1]):
-                raise ValueError(
-                    f"X0 must have shape ({n}, {B.shape[1]}), "
-                    f"got {X0.shape}"
-                )
-        # Fold damping and warm starts into an explicit augmented
-        # system — the internal damp would penalize ‖R X‖, not ‖X‖,
-        # under a right preconditioner.
-        system: LinearOperator = op
-        if damp > 0:
-            system = StackedOperator(
-                op, IdentityOperator(n, scale=damp, dtype=op.dtype)
-            )
-        top = B if X0 is None else B - op.matmat(X0)
-        if damp > 0:
-            tail = (
-                np.zeros((n, B.shape[1]), dtype=B.dtype)
-                if X0 is None
-                else -damp * X0
-            )
-            rhs = np.concatenate([top, tail], axis=0)
-        else:
-            rhs = top
-        inner = _solve_block(
-            precondition.wrap(system),
-            as_value_dtype(rhs),
-            0.0,
-            atol,
-            btol,
-            conlim,
-            iter_lim,
-            record_history,
-            on_iteration,
+    if precondition is not None and precondition.n != n:
+        raise ValueError(
+            f"preconditioner dimension {precondition.n} does not "
+            f"match operator column count {n}"
         )
-        X = np.asarray(precondition.apply(inner.X)).astype(
-            inner.X.dtype, copy=False
-        )
-        if X0 is not None:
-            X = X + X0
-        residual = B - op.matmat(X)
-        r1norm = _column_norms(residual)
-        xnorm = _column_norms(X)
-        return BlockLSQRResult(
-            X=X,
-            istop=inner.istop,
-            itn=inner.itn,
-            r1norm=r1norm,
-            r2norm=np.sqrt(r1norm**2 + (damp * xnorm) ** 2),
-            anorm=inner.anorm,
-            acond=inner.acond,
-            arnorm=inner.arnorm,
-            xnorm=xnorm,
-            residual_history=inner.residual_history,
-        )
-
     if X0 is not None:
         X0 = as_value_dtype(X0)
         if X0.ndim == 1:
             X0 = X0[:, None]
-        if X0.shape != (n, B.shape[1]):
+        if X0.shape != (n, k):
             raise ValueError(
-                f"X0 must have shape ({n}, {B.shape[1]}), got {X0.shape}"
+                f"X0 must have shape ({n}, {k}), got {X0.shape}"
             )
-        if damp > 0:
-            # Same augmented-system trick as the sequential solver: the
-            # correction D = X − X0 must penalize ‖X0 + D‖, so solve
-            #   [A; damp·I] D ≈ [B − A·X0; −damp·X0]
-            # with damp = 0 and shift back.  One stacked operator serves
-            # every column because damp is shared.
-            stacked = StackedOperator(
-                op, IdentityOperator(n, scale=damp, dtype=op.dtype)
-            )
-            extended = np.concatenate(
-                [B - op.matmat(X0), -damp * X0], axis=0
-            )
-            inner = _solve_block(
-                stacked,
-                as_value_dtype(extended),
-                0.0,
-                atol,
-                btol,
-                conlim,
-                iter_lim,
-                record_history,
-                on_iteration,
-            )
-            X = inner.X + X0
-            residual = B - op.matmat(X)
-            r1norm = _column_norms(residual)
-            xnorm = _column_norms(X)
-            return BlockLSQRResult(
-                X=X,
-                istop=inner.istop,
-                itn=inner.itn,
-                r1norm=r1norm,
-                r2norm=np.sqrt(r1norm**2 + (damp * xnorm) ** 2),
-                anorm=inner.anorm,
-                acond=inner.acond,
-                arnorm=inner.arnorm,
-                xnorm=xnorm,
-                residual_history=inner.residual_history,
-            )
-        B = B - op.matmat(X0)
+    rhs = B if X0 is None else B - op.matmat(X0)
 
-    result = _solve_block(
-        op, as_value_dtype(B), damp, atol, btol, conlim, iter_lim,
+    if precondition is None and (X0 is None or damp == 0):
+        result = _solve_block(
+            op, as_value_dtype(rhs), damp, atol, btol, conlim, iter_lim,
+            record_history, on_iteration,
+        )
+        if X0 is not None:
+            result.X += X0
+            result.xnorm = _column_norms(result.X)
+        return result
+
+    # Augmented system, solved undamped for the correction D = X − X0:
+    #   [A; damp·I] D ≈ [B − A·X0; −damp·X0]
+    # The internal damp cannot serve here: it would penalize ‖D‖ rather
+    # than ‖X0 + D‖, and ‖R D‖ rather than ‖D‖ under a right
+    # preconditioner.  One stacked operator serves every column because
+    # damp is shared.
+    system: LinearOperator = op
+    if damp > 0:
+        system = StackedOperator(
+            op, IdentityOperator(n, scale=damp, dtype=op.dtype)
+        )
+        rhs = np.concatenate(
+            [rhs, np.zeros((n, k), rhs.dtype) if X0 is None else -damp * X0],
+            axis=0,
+        )
+    if precondition is not None:
+        system = precondition.wrap(system)
+    inner = _solve_block(
+        system, as_value_dtype(rhs), 0.0, atol, btol, conlim, iter_lim,
         record_history, on_iteration,
     )
+    X = inner.X
+    if precondition is not None:
+        X = np.asarray(precondition.apply(X)).astype(X.dtype, copy=False)
     if X0 is not None:
-        result.X += X0
-        result.xnorm = _column_norms(result.X)
-    return result
+        X = X + X0
+    r1norm = _column_norms(B - op.matmat(X))
+    xnorm = _column_norms(X)
+    return BlockLSQRResult(
+        X=X,
+        istop=inner.istop,
+        itn=inner.itn,
+        r1norm=r1norm,
+        r2norm=np.sqrt(r1norm**2 + (damp * xnorm) ** 2),
+        anorm=inner.anorm,
+        acond=inner.acond,
+        arnorm=inner.arnorm,
+        xnorm=xnorm,
+        residual_history=inner.residual_history,
+    )
 
 
 class SharedBidiagonalization:
@@ -755,73 +804,27 @@ class SharedBidiagonalization:
             raise ValueError("iter_lim must be non-negative")
         self.operator = op
         self.shape = (m, n)
-        k = B.shape[1]
 
-        U = np.array(B, order="F", copy=True)
-        beta0 = _column_norms(U)
-        pos0 = beta0 > 0
-        np.divide(U, beta0[None, :], out=U, where=pos0[None, :])
-        V = (
-            np.asfortranarray(op.rmatmat(U))
-            if k
-            else np.zeros((n, 0), order="F")
-        )
-        if not pos0.all():
-            V[:, ~pos0] = 0.0
-        alfa0 = _column_norms(V)
-        alfa0[~pos0] = 0.0
-        apos = alfa0 > 0
-        np.divide(V, alfa0[None, :], out=V, where=apos[None, :])
-
-        self.beta0 = beta0
-        self.alfa0 = alfa0
-        self._V0 = V.copy(order="F")
-        self._betas: List[FloatArray] = []
-        self._alfas: List[FloatArray] = []
-        self._Vs: List[FloatArray] = []
-
-        alfa = alfa0.copy()
-        for _ in range(iter_lim):
-            AV = op.matmat(V)
-            U *= -alfa[None, :]
-            U += AV
-            beta = _column_norms(U)
-            bpos = beta > 0
-            np.divide(U, beta[None, :], out=U, where=bpos[None, :])
-            AtU = np.asfortranarray(op.rmatmat(U))
-            AtU -= beta[None, :] * V
-            alfa_new = _column_norms(AtU)
-            norm_mask = bpos & (alfa_new > 0)
-            np.divide(
-                AtU, alfa_new[None, :], out=AtU, where=norm_mask[None, :]
-            )
-            if bpos.all():
-                V = AtU
-                alfa = alfa_new
-            else:
-                # Copy before the partial update: the previous step's
-                # stored block must not be mutated in place.
-                V = V.copy(order="F")
-                cols = np.flatnonzero(bpos)
-                V[:, cols] = AtU[:, cols]
-                alfa = np.where(bpos, alfa_new, alfa)
-            self._betas.append(beta)
-            self._alfas.append(alfa)
-            self._Vs.append(V)
+        self._dtype = B.dtype
+        live = _LiveBasis(op, B)
+        beta, alfa = live.start()
+        self._steps = [(beta, alfa, live.V)]
+        for itn in range(1, iter_lim + 1):
+            beta, alfa = live.step(itn, alfa)
+            self._steps.append((beta, alfa, live.V))
             if not np.any(np.isfinite(beta)):
                 # Every column has diverged; deeper recording is waste.
                 break
 
     @property
     def n_columns(self) -> int:
-        return int(self.beta0.size)
+        return int(self._steps[0][0].size)
 
     @property
     def depth(self) -> int:
         """Recorded bidiagonalization steps (max replay iterations)."""
-        return len(self._betas)
+        return len(self._steps) - 1
 
-    @_masked_errstate
     def solve(
         self,
         damp: float = 0.0,
@@ -848,105 +851,8 @@ class SharedBidiagonalization:
             raise ValueError(
                 f"iter_lim {eff_lim} exceeds recorded depth {self.depth}"
             )
-        m, n = self.shape
-        k = self.n_columns
-        block_dtype = self._V0.dtype
-        out = _Outputs(n, k, block_dtype)
-
-        dampsq = damp * damp
-        ctol = 1.0 / conlim if conlim > 0 else 0.0
-
-        state = _ColumnState(self.alfa0, self.beta0, dampsq)
-        active = np.arange(k)
-        frozen0 = (self.alfa0 * self.beta0) == 0.0
-        if frozen0.any():
-            out.freeze(active, np.flatnonzero(frozen0), state, None, 0, 0)
-            keep = np.flatnonzero(~frozen0)
-            active = active[keep]
-            state.take(keep)
-
-        W = np.asfortranarray(self._V0[:, active]).copy(order="F")
-        Xa = np.zeros((n, active.size), dtype=block_dtype, order="F")
-        alfa_prev = self.alfa0[active].copy()
-
-        itn = 0
-        for step in range(eff_lim):
-            if not active.size:
-                break
-            itn = step + 1
-            beta = self._betas[step][active]
-            alfa = self._alfas[step][active]
-
-            bad_beta = ~np.isfinite(beta)
-            if bad_beta.any():
-                out.freeze(
-                    active, np.flatnonzero(bad_beta), state, Xa, 8, itn
-                )
-            bpos = beta > 0
-            state.anorm = np.sqrt(
-                state.anorm**2
-                + alfa_prev**2
-                + np.where(bpos, beta, 0.0) ** 2
-                + dampsq
-            )
-            bad_alfa = bpos & ~np.isfinite(alfa)
-            if bad_alfa.any():
-                out.freeze(
-                    active, np.flatnonzero(bad_alfa), state, Xa, 8, itn
-                )
-            pre_frozen = bad_beta | bad_alfa
-
-            Vstep = self._Vs[step]
-            V = Vstep if active.size == k else Vstep[:, active]
-
-            t1, t2 = state.rotation(alfa, beta, damp)
-            wnorm_sq = np.einsum("ij,ij->j", W, W, dtype=np.float64)
-            t1c = t1.astype(block_dtype, copy=False)
-            t2c = t2.astype(block_dtype, copy=False)
-            Xa += t1c[None, :] * W
-            np.multiply(W, t2c[None, :], out=W)
-            W += V
-            state.diagnostics(alfa, wnorm_sq)
-
-            if record_history:
-                for local_j in np.flatnonzero(~pre_frozen):
-                    out.histories[active[local_j]].append(
-                        float(state.r2norm[local_j])
-                    )
-
-            istop_iter = _post_step_istop(
-                state, itn, eff_lim, atol, btol, ctol
-            )
-            istop_iter[pre_frozen] = 8
-            if on_iteration is not None:
-                on_iteration(
-                    _block_event(
-                        "shared_bidiagonalization",
-                        itn,
-                        state,
-                        istop_iter,
-                        active,
-                    )
-                )
-            newly = (istop_iter != 0) & ~pre_frozen
-            if newly.any():
-                idx = np.flatnonzero(newly)
-                out.freeze(active, idx, state, Xa, istop_iter[idx], itn)
-
-            alfa_prev = alfa
-            stopped = istop_iter != 0
-            if stopped.any():
-                keep = np.flatnonzero(~stopped)
-                active = active[keep]
-                if not active.size:
-                    break
-                W = np.asfortranarray(W[:, keep])
-                Xa = np.asfortranarray(Xa[:, keep])
-                alfa_prev = alfa_prev[keep]
-                state.take(keep)
-
-        if active.size:
-            # Only reachable with iter_lim == 0: report the initial state.
-            out.freeze(active, np.arange(active.size), state, Xa, 0, itn)
-
-        return out.result()
+        return _iterate(
+            _RecordedBasis(self._steps), self._dtype,
+            "shared_bidiagonalization", damp, atol, btol, conlim, eff_lim,
+            record_history, on_iteration,
+        )

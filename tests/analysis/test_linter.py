@@ -746,6 +746,34 @@ class TestHotLoopAllocation:
         """
         assert findings_for(good, HOT_PATH, "RPR011") == []
 
+    def test_allocation_in_helper_called_from_loop_fires(self):
+        # A loop calls a function, a method and (through the method) a
+        # second function; each runs per iteration, so each allocation
+        # is flagged once.  `setup` is never called from a loop.
+        bad = """
+        import numpy as np
+
+        def _scratch(u):
+            return np.zeros_like(u)
+
+        def _grow(u, v):
+            return np.concatenate([u, v])
+
+        class State:
+            def rotate(self, u, v):
+                return _grow(u, v)
+
+        def setup(u):
+            return np.empty_like(u)
+
+        def iterate(u, v, state, iter_lim):
+            for _ in range(iter_lim):
+                u = u + _scratch(u)
+                state.rotate(u, v)
+        """
+        found = findings_for(bad, HOT_PATH, "RPR011")
+        assert sorted(f.line for f in found) == [5, 8]
+
     def test_non_hot_module_silent(self):
         source = """
         import numpy as np

@@ -11,6 +11,8 @@ at the convergence plateau the diagnostics live in a cancellation-noise
 regime, so those cases assert looser bounds on ``x`` only.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -264,20 +266,101 @@ class TestFaultIsolation:
         assert int(blocked.itn[0]) == ref.itn
 
 
+#: Replay-parity fixtures, each with a check that the direct solve
+#: really exercises what the fixture is named after.
+REPLAY_CASES = {
+    "dense": lambda result: (result.istop == 7).all(),
+    "csr": lambda result: (result.istop == 7).all(),
+    "float32": lambda result: result.X.dtype == np.float32,
+    "zero_column": lambda result: result.itn[1] == 0,
+    "faulty": lambda result: result.istop[2] == 8 and result.itn[2] == 2,
+    "tolerance": lambda result: set(result.istop) <= {1, 2},
+    "iter_lim_zero": lambda result: (result.itn == 0).all(),
+    "no_columns": lambda result: (
+        result.X.shape[1] == 0 and result.X.dtype == np.float32
+    ),
+}
+
+
+def replay_case(name, rng):
+    """``(make_operator, B, iter_lim, tolerances)`` for one fixture.
+
+    ``make_operator`` builds the operator once per path, so a fault
+    schedule counts each path's products from zero.
+    """
+    matrix, dense = sparse_problem(rng)
+    operator = dense if name == "dense" else matrix
+    B = rng.standard_normal((matrix.shape[0], 4))
+    iter_lim, tols = 15, dict(atol=0.0, btol=0.0)
+    if name in ("float32", "no_columns"):
+        operator = CSRMatrix.from_dense(dense.astype(np.float32))
+        B = B.astype(np.float32)
+    if name == "no_columns":
+        B = B[:, :0]
+    elif name == "zero_column":
+        B[:, 1] = 0.0
+    elif name == "tolerance":
+        iter_lim, tols = 100, dict(atol=1e-8, btol=1e-8)
+    elif name == "iter_lim_zero":
+        iter_lim = 0
+
+    def make_operator():
+        if name != "faulty":
+            return operator
+        # Product 3k+2 is column 2's forward product in iteration 2.
+        return FaultyOperator(
+            as_operator(operator), fail_at={3 * B.shape[1] + 2}, mode="nan"
+        )
+
+    return make_operator, B, iter_lim, tols
+
+
+def assert_identical(left, right):
+    """Same dtype, shape and bits (NaN lanes compare equal)."""
+    left, right = np.asarray(left), np.asarray(right)
+    assert left.dtype == right.dtype
+    assert left.shape == right.shape
+    assert np.array_equal(left, right, equal_nan=True)
+
+
 class TestSharedBidiagonalization:
-    def test_replay_matches_block_lsqr(self, rng):
-        matrix, _ = sparse_problem(rng)
-        B = rng.standard_normal((matrix.shape[0], 4))
-        shared = SharedBidiagonalization(matrix, B, iter_lim=15)
+    @pytest.mark.parametrize("case", list(REPLAY_CASES))
+    def test_replay_matches_block_lsqr(self, rng, case):
+        make, B, iter_lim, tols = replay_case(case, rng)
+        shared = SharedBidiagonalization(make(), B, iter_lim=iter_lim)
         for alpha in (0.0, 0.05, 1.0, 25.0):
             damp = float(np.sqrt(alpha))
-            replay = shared.solve(damp=damp, atol=0.0, btol=0.0)
-            direct = block_lsqr(
-                matrix, B, damp=damp, atol=0.0, btol=0.0, iter_lim=15
+            replay_events, direct_events = [], []
+            replay = shared.solve(
+                damp=damp,
+                record_history=True,
+                on_iteration=replay_events.append,
+                **tols,
             )
-            assert np.array_equal(replay.X, direct.X)
-            assert np.array_equal(replay.istop, direct.istop)
-            assert np.array_equal(replay.itn, direct.itn)
+            direct = block_lsqr(
+                make(),
+                B,
+                damp=damp,
+                iter_lim=iter_lim,
+                record_history=True,
+                on_iteration=direct_events.append,
+                **tols,
+            )
+            assert REPLAY_CASES[case](direct)
+            for spec in fields(BlockLSQRResult):
+                if spec.name == "residual_history":
+                    continue
+                assert_identical(
+                    getattr(replay, spec.name), getattr(direct, spec.name)
+                )
+            assert len(replay.residual_history) == B.shape[1]
+            for ours, theirs in zip(
+                replay.residual_history, direct.residual_history
+            ):
+                assert_identical(ours, theirs)
+            assert [(e.itn, e.active, e.istop) for e in replay_events] == [
+                (e.itn, e.active, e.istop) for e in direct_events
+            ]
 
     def test_one_bidiagonalization_per_grid(self, rng):
         """The whole alpha grid costs one pass over the data.
