@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import time
 
 import numpy as np
 
@@ -39,9 +38,9 @@ from repro.linalg.operators import as_operator
 from repro.linalg.sparse import CSRMatrix
 
 try:
-    from benchmarks._provenance import provenance
+    from benchmarks._provenance import best_of, provenance
 except ImportError:  # run as `python benchmarks/bench_block_lsqr.py`
-    from _provenance import provenance
+    from _provenance import best_of, provenance
 
 #: (m, n, classes, nnz-per-row, dtype) points for the full run.  The
 #: flagship case mirrors the paper's 20Newsgroups shape: tall sparse
@@ -57,6 +56,10 @@ SMOKE_CASES = [
     dict(m=400, n=300, classes=11, row_nnz=20, dtype="float64"),
     dict(m=400, n=300, classes=2, row_nnz=20, dtype="float64"),
 ]
+
+
+#: Largest allowed ``max_rel_diff`` between blocked and per-column LSQR.
+PARITY_BOUNDS = {"float64": 1e-12, "float32": 1e-5}
 
 
 def make_problem(m, n, row_nnz, dtype, seed=0):
@@ -75,17 +78,6 @@ def make_problem(m, n, row_nnz, dtype, seed=0):
 def make_rhs(m, classes, dtype, seed=1):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((m, classes - 1)).astype(dtype)
-
-
-def best_of(repeats, fn):
-    """Best wall time over ``repeats`` runs, plus the last return value."""
-    best = float("inf")
-    value = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, value
 
 
 def run_case(case, iter_lim, damp, repeats):
@@ -119,6 +111,17 @@ def run_case(case, iter_lim, damp, repeats):
     blk_flam = op.flam / repeats
 
     scale = max(1.0, float(np.max(np.abs(seq_x))))
+    max_rel_diff = float(np.max(np.abs(seq_x - blk_x)) / scale)
+    label = f"{case['m']}x{case['n']} c={case['classes']} {case['dtype']}"
+    assert blk_flam == seq_flam, (
+        f"{label}: blocked LSQR did {blk_flam:.0f} flam, per-column "
+        f"{seq_flam:.0f}; blocking must not change the arithmetic done"
+    )
+    bound = PARITY_BOUNDS[case["dtype"]]
+    assert max_rel_diff <= bound, (
+        f"{label}: blocked LSQR drifted {max_rel_diff:.2e} from per-column "
+        f"LSQR (bound {bound:g})"
+    )
     return {
         **case,
         "iter_lim": iter_lim,
@@ -127,7 +130,8 @@ def run_case(case, iter_lim, damp, repeats):
         "sequential": {"seconds": seq_seconds, "flam": seq_flam},
         "blocked": {"seconds": blk_seconds, "flam": blk_flam},
         "speedup": seq_seconds / blk_seconds,
-        "max_rel_diff": float(np.max(np.abs(seq_x - blk_x)) / scale),
+        "max_rel_diff": max_rel_diff,
+        "parity_bound": bound,
     }
 
 
@@ -163,6 +167,21 @@ def run_alpha_sweep(case, iter_lim, alphas, repeats):
 
     diff = max(
         float(np.max(np.abs(a - b))) for a, b in zip(cold_xs, shared_xs)
+    )
+    # One rmatmat to start, then a matmat and an rmatmat per iteration:
+    # per alpha for cold solves, once for the shared basis.
+    per_solve = 2 * iter_lim + 1
+    assert cold_products == len(alphas) * per_solve, (
+        f"per-alpha solves made {cold_products} products, expected "
+        f"{len(alphas)}x{per_solve}"
+    )
+    assert shared_products == per_solve, (
+        f"shared bidiagonalization made {shared_products} products, "
+        f"expected {per_solve}"
+    )
+    assert diff == 0.0, (
+        f"shared-basis solves drifted {diff:.3e} from cold block_lsqr; "
+        "replaying the recorded basis must reproduce them bit for bit"
     )
     return {
         "m": case["m"],
@@ -307,8 +326,9 @@ def main(argv=None):
     payload = {
         "benchmark": "block_lsqr",
         "mode": "smoke" if args.smoke else "full",
-        # this artifact's gates (iteration parity, flam ratios,
-        # observability overhead) are core-count independent and always
+        # this artifact's gates (blocked-vs-per-column parity and equal
+        # flam, the alpha sweep's product counts and zero drift, and the
+        # disabled-tracing bound) are core-count independent and always
         # asserted
         **provenance(gates_enforced=True),
         "repeats": repeats,

@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import time
 
 import numpy as np
 
-from benchmarks._provenance import provenance
+from benchmarks._provenance import provenance, timed
 from benchmarks.bench_parallel import make_problem, make_rhs, rel_diff
 from repro.distributed import ChaosBackend, ChaosPlan, DistributedBackend
 from repro.linalg.block_lsqr import block_lsqr
@@ -46,9 +45,11 @@ SMOKE_CASE = dict(m=1200, n=900, classes=5, row_nnz=30)
 
 
 def _solve(op, B, iter_lim):
-    start = time.perf_counter()
-    X = block_lsqr(op, B, damp=1.0, atol=0.0, btol=0.0, iter_lim=iter_lim).X
-    return time.perf_counter() - start, X
+    return timed(
+        lambda: block_lsqr(
+            op, B, damp=1.0, atol=0.0, btol=0.0, iter_lim=iter_lim
+        ).X
+    )
 
 
 def _assert_parity(X, serial_x, direct_x, label):

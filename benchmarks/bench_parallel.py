@@ -44,7 +44,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import time
 
 import numpy as np
 
@@ -58,9 +57,13 @@ from repro.linalg.sparse import CSRMatrix
 from repro.parallel import ShardedOperator
 
 try:
-    from benchmarks._provenance import multicore_gates_enforced, provenance
+    from benchmarks._provenance import (
+        best_of,
+        multicore_gates_enforced,
+        provenance,
+    )
 except ImportError:  # run as `python benchmarks/bench_parallel.py`
-    from _provenance import multicore_gates_enforced, provenance
+    from _provenance import best_of, multicore_gates_enforced, provenance
 
 FULL_CASE = dict(m=20000, n=26000, classes=20, row_nnz=80)
 SMOKE_CASE = dict(m=1200, n=900, classes=5, row_nnz=30)
@@ -101,16 +104,6 @@ def make_problem(m, n, row_nnz, seed=0):
 def make_rhs(m, classes, seed=1):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((m, classes - 1))
-
-
-def best_of(repeats, fn):
-    best = float("inf")
-    value = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, value
 
 
 def rel_diff(X, reference):

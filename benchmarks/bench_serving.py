@@ -53,9 +53,9 @@ from repro.core.srda import SRDA
 from repro.serving import BatchingPredictor
 
 try:
-    from benchmarks._provenance import provenance
+    from benchmarks._provenance import provenance, timed
 except ImportError:  # run as `python benchmarks/bench_serving.py`
-    from _provenance import provenance
+    from _provenance import provenance, timed
 
 #: Serving workload (sections 1 and 2).  ``window`` is the number of
 #: in-flight tickets each client pipelines before waiting — an open
@@ -91,12 +91,6 @@ SMOKE_INCREMENTAL = dict(FULL_INCREMENTAL, n_batches=2)
 
 #: Acceptance bound for partial_fit equivalence (float64).
 EQUIVALENCE_BOUND = 1e-6
-
-
-def timed(fn):
-    start = time.perf_counter()
-    value = fn()
-    return value, time.perf_counter() - start
 
 
 def _fit_serving_model(cfg, seed):
@@ -227,14 +221,14 @@ def run_batching_advantage(cfg, seed=0, strict=True):
     assert loop_stats.mean_batch_size == 1.0
 
     # Model-side references without any serving machinery.
-    _, block_seconds = timed(lambda: model.predict(rows))
+    block_seconds, _ = timed(lambda: model.predict(rows))
     direct_block_tp = len(rows) / block_seconds
 
     def per_row_loop():
         for row in rows:
             model.predict(row[None, :])
 
-    _, loop_seconds = timed(per_row_loop)
+    loop_seconds, _ = timed(per_row_loop)
     direct_row_tp = len(rows) / loop_seconds
 
     # The acceptance claim: batching must pay for its queueing.
@@ -292,7 +286,7 @@ def run_partial_fit_curve(cfg, seed=0):
     )
     X0, y0 = make(cfg["base_rows"])
     warm = SRDA(**kwargs)
-    _, base_seconds = timed(lambda: warm.partial_fit(X0, y0))
+    base_seconds, _ = timed(lambda: warm.partial_fit(X0, y0))
     seen_X, seen_y = [X0], [y0]
 
     curve = []
@@ -300,12 +294,12 @@ def run_partial_fit_curve(cfg, seed=0):
         Xb, yb = make(cfg["batch_rows"])
         seen_X.append(Xb)
         seen_y.append(yb)
-        _, warm_seconds = timed(lambda: warm.partial_fit(Xb, yb))
+        warm_seconds, _ = timed(lambda: warm.partial_fit(Xb, yb))
         warm_iters = int(max(warm.lsqr_iterations_))
         cold = SRDA(**kwargs)
         X_all = np.vstack(seen_X)
         y_all = np.concatenate(seen_y)
-        _, cold_seconds = timed(lambda: cold.fit(X_all, y_all))
+        cold_seconds, _ = timed(lambda: cold.fit(X_all, y_all))
         cold_iters = int(max(cold.lsqr_iterations_))
         max_diff = float(
             np.abs(warm.components_ - cold.components_).max()

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import time
 
 import numpy as np
 
@@ -42,9 +41,9 @@ from repro.linalg.sketch import build_preconditioner
 from repro.linalg.sparse import CSRMatrix
 
 try:
-    from benchmarks._provenance import provenance
+    from benchmarks._provenance import provenance, timed
 except ImportError:  # run as `python benchmarks/bench_sketch.py`
-    from _provenance import provenance
+    from _provenance import provenance, timed
 
 #: Ill-conditioned grids (name, kwargs).  Column scales span
 #: ``logspace(0, 2, n)`` — condition number ~1e2 before damping.
@@ -98,12 +97,6 @@ def frob_sq(A):
     if isinstance(A, CSRMatrix):
         return float(A.data @ A.data)
     return float(np.sum(np.asarray(A) ** 2))
-
-
-def timed(fn):
-    start = time.perf_counter()
-    value = fn()
-    return time.perf_counter() - start, value
 
 
 def run_grid(grid, seed=0):

@@ -27,6 +27,7 @@ from repro._typing import FloatArray
 from repro.core.estimator import ReproEstimator
 from repro.exceptions import ReproError
 from repro.linalg import kernels
+from repro.linalg.dense import dense_matmul
 from repro.linalg.sparse import CSRMatrix, is_sparse
 from repro.robustness import RobustnessWarning
 
@@ -231,7 +232,7 @@ class LinearEmbedder(ReproEstimator):
                 )
             if X.dtype != dtype:
                 X = X.astype(dtype)
-            Z = X @ components
+            Z = dense_matmul(X, components)
         if self.intercept_ is not None:
             Z = Z + np.asarray(self.intercept_, dtype=dtype)
         return Z.astype(dtype, copy=False)

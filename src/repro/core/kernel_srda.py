@@ -29,6 +29,7 @@ from repro.core.base import (
 )
 from repro.core.estimator import ReproEstimator
 from repro.core.responses import generate_responses
+from repro.linalg.dense import dense_matmul
 from repro.observability import Tracer, resolve_tracer
 from repro.robustness import FitReport, guarded_solve
 
@@ -159,7 +160,7 @@ class KernelSRDA(ReproEstimator):
             )
         self.dual_coef_ = result.x
         with tracer.span("kernel_srda.embed"):
-            self._train_embedding = K @ self.dual_coef_
+            self._train_embedding = dense_matmul(K, self.dual_coef_)
             self._store_centroids(self._train_embedding, y_indices)
         return self
 
@@ -189,7 +190,7 @@ class KernelSRDA(ReproEstimator):
                 )
         else:
             K = self._gram(as_dense(X), self.X_fit_)
-        return (K @ self.dual_coef_).astype(dtype, copy=False)
+        return dense_matmul(K, self.dual_coef_).astype(dtype, copy=False)
 
     def fit_transform(self, X, y) -> np.ndarray:
         """Fit and return the training embedding (no extra kernel pass)."""

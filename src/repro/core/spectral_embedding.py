@@ -23,6 +23,7 @@ from repro.core.estimator import ReproEstimator
 from repro.core.graph import knn_affinity
 from repro.core.solver_config import SolverConfig
 from repro.core.srda import solve_ridge
+from repro.linalg.dense import dense_matmul
 from repro.linalg.eigen import lanczos_eigsh
 from repro.observability import resolve_tracer
 from repro.robustness import FitReport
@@ -135,7 +136,7 @@ class SpectralRegressionEmbedding(ReproEstimator):
             )
         dtype = working_dtype(X)
         X = as_dense(X)
-        Z = X @ self.components_ + self.intercept_
+        Z = dense_matmul(X, self.components_) + self.intercept_
         return Z.astype(dtype, copy=False)
 
     def fit_transform(self, X, y=None) -> np.ndarray:

@@ -71,6 +71,7 @@ from repro.linalg.block_lsqr import (
     SharedBidiagonalization,
     block_lsqr,
 )
+from repro.linalg.dense import dense_matmul
 from repro.linalg.lsqr import FAILURE_ISTOPS, ISTOP_REASONS
 from repro.linalg.operators import (
     AppendOnesOperator,
@@ -235,13 +236,15 @@ def _normal_equations(
     """
     m, n = X.shape
     if n <= m:
-        result = guarded_solve(X.T @ X, X.T @ targets, alpha=alpha, report=report)
+        result = guarded_solve(
+            X.T @ X, dense_matmul(X.T, targets), alpha=alpha, report=report
+        )
         solution = result.x
     else:
         # Dual: (XXᵀ + αI) B = Ȳ in m dims, then A = Xᵀ B — exact
         # because Xᵀ(XXᵀ + αI)⁻¹ = (XᵀX + αI)⁻¹Xᵀ.
         result = guarded_solve(X @ X.T, targets, alpha=alpha, report=report)
-        solution = X.T @ result.x
+        solution = dense_matmul(X.T, result.x)
     if result.fallbacks:
         report.add_warning(
             f"normal-equations solve degraded to {result.solver} "

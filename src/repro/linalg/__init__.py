@@ -19,7 +19,9 @@ Cholesky factor and triangular solves call LAPACK through scipy):
   carries all ``c-1`` SRDA systems through shared mat-mats, plus the
   bidiagonalize-once alpha-sweep engine.
 - :mod:`repro.linalg.svd` — the cross-product SVD trick from Section II-B.
-- :mod:`repro.linalg.dense` — small dense helpers shared by the baselines.
+- :mod:`repro.linalg.dense` — small dense helpers shared by the baselines,
+  and ``dense_matmul``, the one GEMM orientation rule for every dense
+  tall×thin product.
 - :mod:`repro.linalg.sketch` — the CountSketch operator and the
   sketch-and-precondition path that cuts LSQR iteration counts on
   ill-conditioned data.

@@ -53,6 +53,7 @@ import numpy as np
 from repro._typing import FloatArray, FloatDType, IntArray
 from repro.exceptions import TransportError
 from repro.linalg import kernels
+from repro.linalg.dense import dense_matmul
 from repro.linalg.operators import LinearOperator, as_operator
 from repro.linalg.sparse import CSRMatrix
 from repro.observability import current_tracer
@@ -188,9 +189,13 @@ def shard_kernel_result(
     backends copy the result into the output's rows, and distributed
     workers ship it back over a socket.  ``operand`` is always whole.
     A CSR adjoint block is a row slice of ``X.T``, so it runs the
-    forward kernel; a dense adjoint block is a column block of ``X``.
-    Both transports evaluating these exact expressions is what makes
-    the distributed backend bitwise-identical to the local ones.
+    forward kernel; a dense adjoint block is a column block of ``X``,
+    and both dense directions go through
+    :func:`~repro.linalg.dense.dense_matmul`, the one orientation rule
+    for dense products (float64 blocks run with the thin operand on
+    the left).  Both transports evaluating these exact expressions is
+    what makes the distributed backend bitwise-identical to the local
+    ones.
     """
     if mode == "csr":
         # Through the kernel dispatcher, so thread workers run the
@@ -199,7 +204,7 @@ def shard_kernel_result(
             return kernels.csr_matvec(block, operand)
         return kernels.csr_matmat(block, operand)
     if mode == "dense":
-        return block @ operand if kernel in _FORWARD else block.T @ operand
+        return dense_matmul(block if kernel in _FORWARD else block.T, operand)
     if kernel == "matvec":
         return block.matvec(operand)
     return block.matmat(operand)

@@ -7,9 +7,13 @@ from repro.linalg.sparse import CSRMatrix
 
 
 @pytest.fixture
-def rng():
-    """A fresh deterministic generator per test."""
-    return np.random.default_rng(12345)
+def rng(request):
+    """A fresh deterministic generator per test.
+
+    Seeded 12345, or with the seed a test passes through
+    ``@pytest.mark.parametrize("rng", seeds, indirect=True)``.
+    """
+    return np.random.default_rng(getattr(request, "param", 12345))
 
 
 @pytest.fixture

@@ -293,6 +293,9 @@ class TestBlockPath:
     fit diagnostics as one sequential reference LSQR solve per column
     (the ``sequential_lsqr_srda`` fixture)."""
 
+    # Seeds 0, 1, 6 and 9 are fixtures on which the two paths' iteration
+    # counts already differ by one with the plain GEMM orientation.
+    @pytest.mark.parametrize("rng", [12345, 0, 1, 6, 9], indirect=True)
     def test_block_matches_sequential_dense(
         self, small_classification, sequential_lsqr_srda
     ):
@@ -306,11 +309,19 @@ class TestBlockPath:
         assert np.allclose(
             blocked.intercept_, sequential.intercept_, atol=1e-10
         )
-        assert blocked.lsqr_iterations_ == sequential.lsqr_iterations_
         assert (
             blocked.fit_report_.lsqr_istop
             == sequential.fit_report_.lsqr_istop
         )
+        # Past the rank (10) every column stops on istop 4 or 5, whose
+        # tests compare against machine epsilon, so rounding in the
+        # product (GEMM vs GEMV) decides which iteration that lands on.
+        for model in (blocked, sequential):
+            assert set(model.fit_report_.lsqr_istop) <= {4, 5}
+        gaps = np.subtract(
+            blocked.lsqr_iterations_, sequential.lsqr_iterations_
+        )
+        assert np.abs(gaps).max() <= 1
         assert np.array_equal(blocked.predict(X), sequential.predict(X))
 
     def test_block_matches_sequential_sparse(

@@ -1,15 +1,53 @@
-"""Unit tests for dense helpers (symmetric eig, ridge oracle, gen-eig)."""
+"""Unit tests for dense helpers (products, eig, ridge oracle, gen-eig)."""
 
 import numpy as np
 import pytest
 
 from repro.linalg.dense import (
+    dense_matmul,
     generalized_eigh,
     is_orthonormal,
     ridge_solution,
     solve_lstsq,
     symmetric_eigh,
 )
+
+
+class TestDenseMatmul:
+    """``dense_matmul`` equals ``A @ B``; float64 comes back F-ordered,
+    float32 byte-identical."""
+
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["AB", "ATU"])
+    @pytest.mark.parametrize("k", [None, 1, 2, 67], ids=lambda k: f"k{k}")
+    @pytest.mark.parametrize(
+        "a_dtype, b_dtype, order",
+        [
+            (np.float64, np.float64, "C"),
+            (np.float64, np.float64, "F"),
+            (np.float32, np.float32, "C"),
+            (np.float32, np.float64, "C"),
+            (np.float64, np.float32, "F"),
+        ],
+        ids=["f64-C", "f64-F", "f32", "f32xf64", "f64xf32"],
+    )
+    def test_matches_plain_product(
+        self, rng, a_dtype, b_dtype, order, k, adjoint
+    ):
+        X = np.asarray(rng.standard_normal((120, 50)), a_dtype, order=order)
+        A = X.T if adjoint else X
+        shape = (A.shape[1],) if k is None else (A.shape[1], k)
+        B = rng.standard_normal(shape).astype(b_dtype)
+        expected = A @ B
+        result = dense_matmul(A, B)
+        assert result.dtype == np.result_type(A, B) == expected.dtype
+        assert result.shape == expected.shape
+        if result.dtype == np.float32:
+            assert result.tobytes() == expected.tobytes()
+            return
+        scale = np.abs(expected).max()
+        assert np.abs(result - expected).max() <= 1e-12 * scale
+        if result.ndim == 2:
+            assert result.flags.f_contiguous
 
 
 class TestSymmetricEigh:
