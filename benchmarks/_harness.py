@@ -5,7 +5,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro import IDRQR, LDA, RLDA, SRDA
+from repro import IDRQR, LDA, RLDA, SRDA, SolverConfig
 from repro.eval import (
     figure_series,
     format_error_table,
@@ -24,7 +24,11 @@ def paper_algorithms(srda_solver: str = "normal", srda_iters: int = 20) -> Dict:
     return {
         "LDA": lambda: LDA(),
         "RLDA": lambda: RLDA(alpha=1.0),
-        "SRDA": lambda: SRDA(alpha=1.0, solver=srda_solver, max_iter=srda_iters),
+        "SRDA": lambda: SRDA(
+            alpha=1.0,
+            config=SolverConfig(solver=srda_solver),
+            max_iter=srda_iters,
+        ),
         "IDR/QR": lambda: IDRQR(alpha=1.0),
     }
 

@@ -11,7 +11,7 @@ Measures what ``repro.linalg.sketch`` claims and asserts it:
    real if the answer is the same.  Asserted per grid.
 3. **Determinism**: rebuilding the preconditioner with the same seed
    and re-solving must be *bitwise identical*.  Asserted.
-4. **SRDA composition**: ``SRDA(solver="sketched_lsqr")`` with a
+4. **SRDA composition**: ``SolverConfig(solver="sketched_lsqr")`` with a
    sharded ``n_jobs=2`` thread backend must be bitwise identical to
    the serial fit, and must use fewer LSQR iterations than
    ``solver="lsqr"`` on the same data.  Asserted.

@@ -16,7 +16,7 @@ import numpy as np
 
 from benchmarks._harness import once
 from benchmarks.conftest import N_SPLITS, record_report
-from repro import SRDA
+from repro import SRDA, SolverConfig
 from repro.datasets import make_text
 from repro.datasets.splits import per_class_split, ratio_split, split_seeds
 from repro.eval.metrics import error_rate
@@ -40,7 +40,7 @@ def sweep(dataset, split_fn, exact_factory, sparse, seed):
         for i, k in enumerate(ITERATION_GRID):
             model = SRDA(
                 alpha=1.0,
-                solver="lsqr",
+                config=SolverConfig(solver="lsqr"),
                 max_iter=k,
                 tol=0.0,
                 centering=False if sparse else "auto",
@@ -72,7 +72,11 @@ def test_iterations_on_sparse_text(benchmark):
         return sweep(
             dataset,
             lambda rng: ratio_split(dataset.y, 0.05, rng),
-            lambda: SRDA(alpha=1.0, solver="normal", centering=False),
+            lambda: SRDA(
+                alpha=1.0,
+                config=SolverConfig(solver="normal"),
+                centering=False,
+            ),
             sparse=True,
             seed=72,
         )
@@ -101,7 +105,7 @@ def test_iterations_on_dense_faces(benchmark, pie_dataset):
         return sweep(
             pie_dataset,
             lambda rng: per_class_split(pie_dataset.y, 10, rng),
-            lambda: SRDA(alpha=1.0, solver="normal"),
+            lambda: SRDA(alpha=1.0, config=SolverConfig(solver="normal")),
             sparse=False,
             seed=73,
         )

@@ -13,7 +13,7 @@ import numpy as np
 
 from benchmarks._harness import once
 from benchmarks.conftest import record_report
-from repro import SRDA
+from repro import SRDA, SolverConfig
 from repro.eval.metrics import error_rate
 
 
@@ -41,11 +41,17 @@ def test_solver_agreement_and_crossover(benchmark):
         for m, n in [(2000, 100), (2000, 500), (2000, 1000), (2000, 2000)]:
             X, y = make_problem(m, n, 8, rng)
             t0 = time.perf_counter()
-            normal = SRDA(alpha=1.0, solver="normal").fit(X, y)
+            normal = SRDA(
+                alpha=1.0, config=SolverConfig(solver="normal")
+            ).fit(X, y)
             normal_time = time.perf_counter() - t0
             t0 = time.perf_counter()
-            iterative = SRDA(alpha=1.0, solver="lsqr", max_iter=20,
-                             tol=0.0).fit(X, y)
+            iterative = SRDA(
+                alpha=1.0,
+                config=SolverConfig(solver="lsqr"),
+                max_iter=20,
+                tol=0.0,
+            ).fit(X, y)
             lsqr_time = time.perf_counter() - t0
             Z_normal = normal.transform(X)
             Z_lsqr = iterative.transform(X)

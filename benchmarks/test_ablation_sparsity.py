@@ -12,7 +12,7 @@ import numpy as np
 
 from benchmarks._harness import once
 from benchmarks.conftest import record_report
-from repro import SRDA
+from repro import SRDA, SolverConfig
 from repro.datasets import make_text
 
 
@@ -25,14 +25,18 @@ def test_sparse_vs_densified(benchmark):
     def run():
         t0 = time.perf_counter()
         sparse_model = SRDA(
-            alpha=1.0, solver="lsqr", max_iter=15, tol=0.0
+            alpha=1.0, config=SolverConfig(solver="lsqr"), max_iter=15, tol=0.0
         ).fit(X_sparse, y)
         sparse_time = time.perf_counter() - t0
 
         X_dense = X_sparse.to_dense()
         t0 = time.perf_counter()
         dense_model = SRDA(
-            alpha=1.0, solver="lsqr", max_iter=15, tol=0.0, centering=False
+            alpha=1.0,
+            config=SolverConfig(solver="lsqr"),
+            max_iter=15,
+            tol=0.0,
+            centering=False,
         ).fit(X_dense, y)
         dense_time = time.perf_counter() - t0
         return sparse_model, dense_model, sparse_time, dense_time

@@ -11,7 +11,7 @@ import numpy as np
 
 from benchmarks._harness import once
 from benchmarks.conftest import record_report
-from repro import SRDA, SparseSRDA
+from repro import SRDA, SolverConfig, SparseSRDA
 from repro.datasets import make_text, ratio_split
 from repro.eval.metrics import error_rate
 
@@ -27,8 +27,9 @@ def test_sparsity_accuracy_tradeoff(benchmark):
 
     def run():
         rows = []
-        dense_model = SRDA(alpha=1.0, solver="lsqr", max_iter=15,
-                           tol=0.0).fit(X_train, y_train)
+        dense_model = SRDA(
+            alpha=1.0, config=SolverConfig(solver="lsqr"), max_iter=15, tol=0.0
+        ).fit(X_train, y_train)
         dense_error = error_rate(y_test, dense_model.predict(X_test))
         for alpha in L1_GRID:
             model = SparseSRDA(alpha=alpha, l1_ratio=1.0, max_iter=200,

@@ -11,7 +11,7 @@ import numpy as np
 
 from benchmarks._harness import once
 from benchmarks.conftest import N_SPLITS, record_report
-from repro import IDRQR, LDA, SRDA, srda_alpha_path
+from repro import IDRQR, LDA, SRDA, SolverConfig, srda_alpha_path
 from repro.datasets.splits import (
     per_class_split,
     per_class_split_from_pool,
@@ -66,7 +66,7 @@ def sweep_panel(dataset, size, sparse=False, seed=55):
         else:
             for i, ratio in enumerate(RATIOS):
                 alpha = ratio / (1.0 - ratio)
-                model = SRDA(alpha=alpha, solver="normal")
+                model = SRDA(alpha=alpha, config=SolverConfig(solver="normal"))
                 model.fit(X_train, y_train)
                 srda_errors[i] += error_rate(y_test, model.predict(X_test))
         if not sparse:

@@ -13,7 +13,7 @@ IDR/QR at 40%, SRDA never).
 
 from benchmarks._harness import once, run_and_render
 from benchmarks.conftest import N_SPLITS_SPARSE, SCALE, record_report
-from repro import IDRQR, LDA, RLDA, SRDA
+from repro import IDRQR, LDA, RLDA, SRDA, SolverConfig
 
 TRAIN_RATIOS = [0.05, 0.10, 0.20, 0.30, 0.40, 0.50]
 
@@ -26,7 +26,9 @@ def news_algorithms():
         "LDA": lambda: LDA(),
         "RLDA": lambda: RLDA(alpha=1.0),
         # paper: iterative solution with LSQR, 15 iterations, α = 1
-        "SRDA": lambda: SRDA(alpha=1.0, solver="lsqr", max_iter=15, tol=0.0),
+        "SRDA": lambda: SRDA(
+            alpha=1.0, config=SolverConfig(solver="lsqr"), max_iter=15, tol=0.0
+        ),
         "IDR/QR": lambda: IDRQR(alpha=1.0),
     }
 

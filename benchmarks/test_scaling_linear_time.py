@@ -12,7 +12,7 @@ import numpy as np
 
 from benchmarks._harness import once
 from benchmarks.conftest import record_report
-from repro import LDA, SRDA
+from repro import LDA, SRDA, SolverConfig
 from repro.complexity import loglog_slope
 from repro.datasets import make_text
 from repro.linalg.sparse import CSRMatrix
@@ -36,7 +36,12 @@ def test_srda_lsqr_linear_in_samples(benchmark):
         for m in sizes:
             idx = np.arange(m)
             X, y = base.subset(idx)
-            model = SRDA(alpha=1.0, solver="lsqr", max_iter=15, tol=0.0)
+            model = SRDA(
+                alpha=1.0,
+                config=SolverConfig(solver="lsqr"),
+                max_iter=15,
+                tol=0.0,
+            )
             times.append(timed_fit(model, X, y, repeats=2))
         return sizes, times
 
@@ -70,7 +75,12 @@ def test_srda_lsqr_subquadratic_in_features(benchmark):
                 vals = rng.random(s) + (y[i] == cols % c)
                 rows.append((cols, vals))
             X = CSRMatrix.from_rows(rows, n)
-            model = SRDA(alpha=1.0, solver="lsqr", max_iter=15, tol=0.0)
+            model = SRDA(
+                alpha=1.0,
+                config=SolverConfig(solver="lsqr"),
+                max_iter=15,
+                tol=0.0,
+            )
             times.append(timed_fit(model, X, y))
         return vocab_sizes, times
 

@@ -20,7 +20,7 @@ Two production concerns the core paper leaves to its companion work:
 
 import numpy as np
 
-from repro import SRDA, SemiSupervisedSRDA
+from repro import SRDA, SemiSupervisedSRDA, SolverConfig
 from repro.datasets import make_text, ratio_split
 from repro.eval import grid_search_alpha
 from repro.eval.metrics import error_rate
@@ -35,15 +35,22 @@ def main() -> None:
     corpus = make_text(n_docs=4000, vocab_size=26214, seed=17)
     batches = [3000, 3300, 3600, 4000]
 
-    model = SRDA(alpha=1.0, solver="lsqr", max_iter=200, tol=1e-6,
-                 warm_start=True)
+    model = SRDA(
+        alpha=1.0,
+        config=SolverConfig(solver="lsqr"),
+        max_iter=200,
+        tol=1e-6,
+        warm_start=True,
+    )
     print("incremental corpus growth (LSQR iterations per refit):")
     for size in batches:
         X, y = corpus.subset(np.arange(size))
         model.fit(X, y)
         print(f"  {size:>5} docs: {sum(model.lsqr_iterations_):>4} "
               "total iterations")
-    cold = SRDA(alpha=1.0, solver="lsqr", max_iter=200, tol=1e-6)
+    cold = SRDA(
+        alpha=1.0, config=SolverConfig(solver="lsqr"), max_iter=200, tol=1e-6
+    )
     cold.fit(*corpus.subset(np.arange(batches[-1])))
     print(f"  cold refit at {batches[-1]} docs: "
           f"{sum(cold.lsqr_iterations_):>4} total iterations")
@@ -55,7 +62,9 @@ def main() -> None:
     X_train, y_train = corpus.subset(train_idx)
     X_test, y_test = corpus.subset(test_idx)
     result = grid_search_alpha(
-        lambda a: SRDA(alpha=a, solver="lsqr", max_iter=15, tol=0.0),
+        lambda a: SRDA(
+            alpha=a, config=SolverConfig(solver="lsqr"), max_iter=15, tol=0.0
+        ),
         X_train, y_train, n_splits=3, seed=17,
     )
     print("\nalpha grid search (validation error per alpha):")
@@ -63,8 +72,12 @@ def main() -> None:
         print(f"  alpha = {alpha:8.3f}: {100 * err:5.1f}%")
     print(f"best alpha {result.best_alpha:.3f}; "
           f"flatness (max - min) {100 * result.flatness():.1f} points")
-    best = SRDA(alpha=result.best_alpha, solver="lsqr", max_iter=15,
-                tol=0.0).fit(X_train, y_train)
+    best = SRDA(
+        alpha=result.best_alpha,
+        config=SolverConfig(solver="lsqr"),
+        max_iter=15,
+        tol=0.0,
+    ).fit(X_train, y_train)
     print(f"test error at best alpha: "
           f"{100 * error_rate(y_test, best.predict(X_test)):.1f}%")
 

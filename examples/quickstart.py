@@ -11,7 +11,7 @@ public API.
 
 import numpy as np
 
-from repro import LDA, SRDA
+from repro import LDA, SRDA, SolverConfig
 from repro.datasets import make_faces, per_class_split
 
 
@@ -43,7 +43,9 @@ def main() -> None:
     print(f"SRDA test accuracy: {accuracy:.3f}")
 
     # 6. the two solvers are interchangeable
-    iterative = SRDA(alpha=1.0, solver="lsqr", max_iter=20).fit(X_train, y_train)
+    iterative = SRDA(
+        alpha=1.0, config=SolverConfig(solver="lsqr"), max_iter=20
+    ).fit(X_train, y_train)
     agreement = np.mean(model.predict(X_test) == iterative.predict(X_test))
     print(f"normal-equations vs LSQR prediction agreement: {agreement:.3f}")
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import SRDA, SparseSRDA
+from repro import SRDA, SolverConfig, SparseSRDA
 from repro.datasets.vectorizer import TfVectorizer, make_raw_documents
 from repro.eval.metrics import classification_report, error_rate
 from repro.io import load_model, save_model
@@ -41,7 +41,9 @@ def main() -> None:
           f"{X_train.mean_nnz_per_row():.1f} distinct terms/doc")
 
     # the paper's sparse path: SRDA + LSQR
-    model = SRDA(alpha=1.0, solver="lsqr", max_iter=15, tol=0.0)
+    model = SRDA(
+        alpha=1.0, config=SolverConfig(solver="lsqr"), max_iter=15, tol=0.0
+    )
     model.fit(X_train, y_train)
     predictions = model.predict(X_test)
     print(f"\ntest error: {100 * error_rate(y_test, predictions):.1f}%")

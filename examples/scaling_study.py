@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from repro import LDA, SRDA
+from repro import LDA, SRDA, SolverConfig
 from repro.complexity import (
     lda_flam,
     loglog_slope,
@@ -32,7 +32,9 @@ def main() -> None:
     print("SRDA (LSQR, 15 iters) on sparse text:")
     for m in sizes:
         X, y = base.subset(np.arange(m))
-        model = SRDA(alpha=1.0, solver="lsqr", max_iter=15, tol=0.0)
+        model = SRDA(
+            alpha=1.0, config=SolverConfig(solver="lsqr"), max_iter=15, tol=0.0
+        )
         start = time.perf_counter()
         model.fit(X, y)
         elapsed = time.perf_counter() - start

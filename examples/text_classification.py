@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from repro import SRDA
+from repro import SRDA, SolverConfig
 from repro.complexity import lda_memory, srda_lsqr_memory
 from repro.datasets import make_text, ratio_split
 from repro.eval.metrics import error_rate
@@ -37,7 +37,9 @@ def main() -> None:
     X_test, y_test = dataset.subset(test_idx)
 
     # SRDA with LSQR — the linear-time path; 15 iterations as in Table X
-    model = SRDA(alpha=1.0, solver="lsqr", max_iter=15, tol=0.0)
+    model = SRDA(
+        alpha=1.0, config=SolverConfig(solver="lsqr"), max_iter=15, tol=0.0
+    )
     start = time.perf_counter()
     model.fit(X_train, y_train)
     fit_seconds = time.perf_counter() - start
@@ -61,7 +63,9 @@ def main() -> None:
     train_idx, _ = ratio_split(bigger.y, train_ratio=0.3, rng=rng)
     Xb, yb = bigger.subset(train_idx)
     start = time.perf_counter()
-    SRDA(alpha=1.0, solver="lsqr", max_iter=15, tol=0.0).fit(Xb, yb)
+    SRDA(
+        alpha=1.0, config=SolverConfig(solver="lsqr"), max_iter=15, tol=0.0
+    ).fit(Xb, yb)
     doubled = time.perf_counter() - start
     print(f"2x documents -> fit time {fit_seconds:.2f}s -> {doubled:.2f}s "
           f"({doubled / fit_seconds:.1f}x; linear time predicts ~2x)")

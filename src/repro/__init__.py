@@ -42,12 +42,7 @@ from repro.core import (
     SRDA,
     srda_alpha_path,
 )
-from repro.core.estimator import (
-    ReproDeprecationWarning,
-    ReproEstimator,
-    all_estimators,
-    clone,
-)
+from repro.core.estimator import ReproEstimator, all_estimators, clone
 from repro.datasets import CorruptCacheError, Dataset
 from repro.linalg import CSRMatrix
 from repro.observability import configure as configure_observability
@@ -64,7 +59,6 @@ __all__ = [
     "Dataset",
     "FitReport",
     "InvariantViolationError",
-    "ReproDeprecationWarning",
     "ReproError",
     "ReproEstimator",
     "IDRQR",

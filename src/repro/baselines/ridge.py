@@ -15,9 +15,10 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.base import NotFittedError, validate_data, working_dtype
-from repro.core.estimator import ReproEstimator, warn_deprecated_param
-from repro.core.solver_config import SolverConfig, config_alias
+from repro.core.estimator import ReproEstimator
+from repro.core.solver_config import SolverConfig
 from repro.core.srda import solve_ridge
+from repro.linalg import kernels
 from repro.linalg.sparse import CSRMatrix, is_sparse
 from repro.observability import resolve_tracer
 from repro.robustness import FitReport
@@ -33,15 +34,15 @@ class RidgeClassifier(ReproEstimator):
         Gram matrix degrades through the guarded fallback chain, as in
         :class:`repro.core.srda.SRDA`.
     config:
-        A :class:`~repro.core.solver_config.SolverConfig`; only its
-        ``solver`` field is consulted here — ``"normal"``, ``"lsqr"``,
-        or ``"auto"`` (LSQR for sparse input).  Passing ``solver=`` as
-        a keyword is deprecated and merges into the config.
+        A :class:`~repro.core.solver_config.SolverConfig`, as for
+        :class:`repro.core.srda.SRDA`; ``config.solver`` must be
+        ``"normal"``, ``"lsqr"``, or ``"auto"`` (LSQR for sparse
+        input).  The sharding (``n_jobs``/``backend``) and
+        ``kernel_backend`` fields steer the LSQR path exactly as they
+        do for SRDA.
     max_iter, tol:
         LSQR controls, as in :class:`repro.core.srda.SRDA`.
     """
-
-    _deprecated_params = {"solver": "config"}
 
     def __init__(
         self,
@@ -49,7 +50,6 @@ class RidgeClassifier(ReproEstimator):
         config: Optional[SolverConfig] = None,
         max_iter: int = 20,
         tol: float = 1e-10,
-        solver: Optional[str] = None,
     ) -> None:
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
@@ -59,9 +59,6 @@ class RidgeClassifier(ReproEstimator):
             raise ValueError(
                 f"config must be a SolverConfig, got {type(config).__name__}"
             )
-        if solver is not None:
-            warn_deprecated_param(type(self), "solver", "config")
-            config = config.replace(solver=solver)
         if config.solver not in ("auto", "normal", "lsqr"):
             raise ValueError(
                 f"unknown solver {config.solver!r}; RidgeClassifier "
@@ -77,11 +74,9 @@ class RidgeClassifier(ReproEstimator):
         self.lsqr_iterations_: Optional[List[int]] = None
         self.fit_report_: Optional[FitReport] = None
 
-    solver = config_alias("solver")
-
     def fit(self, X, y) -> "RidgeClassifier":
         """Fit one ridge regression per class against ±1 targets."""
-        report = FitReport(requested_solver=self.solver)
+        report = FitReport(requested_solver=self.config.solver)
         self.fit_report_ = report
         X, classes, y_indices = validate_data(X, y)
         self.classes_ = classes
@@ -90,22 +85,24 @@ class RidgeClassifier(ReproEstimator):
         targets = -np.ones((m, n_classes))
         targets[np.arange(m), y_indices] = 1.0
 
-        solver = self.solver
+        solver = self.config.solver
         if solver == "auto":
             sparse_input = isinstance(X, CSRMatrix) or is_sparse(X)
             solver = "lsqr" if sparse_input else "normal"
-        self.coef_, self.intercept_, _, self.lsqr_iterations_ = solve_ridge(
-            X,
-            targets,
-            self.alpha,
-            solver,
-            False,
-            SolverConfig(solver=solver),
-            self.max_iter,
-            self.tol,
-            report,
-            resolve_tracer(None),
-        )
+        with kernels.use_backend(self.config.kernel_backend):
+            solved = solve_ridge(
+                X,
+                targets,
+                self.alpha,
+                solver,
+                False,
+                self.config,
+                self.max_iter,
+                self.tol,
+                report,
+                resolve_tracer(None),
+            )
+        self.coef_, self.intercept_, _, self.lsqr_iterations_ = solved
         return self
 
     def decision_function(self, X) -> np.ndarray:

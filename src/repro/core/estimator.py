@@ -11,43 +11,19 @@ and thereby speaks the sklearn parameter protocol:
   ``fit_report_`` attribute (``None`` where an estimator records no
   solver diagnostics).
 
-Renamed constructor arguments stay importable for one deprecation
-cycle: a class lists them in ``_deprecated_params`` (old name → new
-name), keeps the old keyword in its signature with a ``None`` sentinel,
-and calls :func:`warn_deprecated_param` when it sees a non-sentinel
-value.  ``get_params`` never reports deprecated names, so a
-get/set/clone round-trip silently migrates old spellings.
+Each parameter has exactly one spelling: a renamed or regrouped
+argument is removed outright, so the old keyword is a ``TypeError`` in
+the constructor and a ``ValueError`` from ``set_params``.
 """
 
 from __future__ import annotations
 
 import inspect
-import warnings
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Type, TypeVar
 
 from repro.exceptions import InvariantViolationError
 
 E = TypeVar("E", bound="ReproEstimator")
-
-
-class ReproDeprecationWarning(FutureWarning):
-    """A constructor argument spelling scheduled for removal.
-
-    Subclasses ``FutureWarning`` so end users see it by default
-    (``DeprecationWarning`` is hidden outside ``__main__``).
-    """
-
-
-def warn_deprecated_param(
-    cls: type, old: str, new: str, stacklevel: int = 3
-) -> None:
-    """Emit the standard deprecation message for a renamed argument."""
-    warnings.warn(
-        f"{cls.__name__}({old}=...) is deprecated; use {new}=... "
-        "instead (the old spelling will be removed in a future release)",
-        ReproDeprecationWarning,
-        stacklevel=stacklevel,
-    )
 
 
 class ReproEstimator:
@@ -58,15 +34,8 @@ class ReproEstimator:
 
     - ``__init__`` takes only explicit keyword-able parameters (no
       ``*args``/``**kwargs``) and stores each one verbatim on ``self``
-      under the same name;
-    - deprecated argument spellings appear in ``_deprecated_params``
-      and default to a ``None`` sentinel in the signature.
+      under the same name.
     """
-
-    #: Old constructor-argument name → current name.  Old names are
-    #: excluded from ``get_params`` and mapped (with a warning) by
-    #: ``set_params``.
-    _deprecated_params: ClassVar[Dict[str, str]] = {}
 
     #: Uniform diagnostics surface: estimators whose fit records solver
     #: diagnostics overwrite this with a ``FitReport``; for the rest it
@@ -94,7 +63,7 @@ class ReproEstimator:
 
     @classmethod
     def _param_names(cls) -> List[str]:
-        """Constructor parameter names, minus deprecated spellings."""
+        """Constructor parameter names."""
         signature = inspect.signature(cls.__init__)
         names = []
         for name, parameter in signature.parameters.items():
@@ -107,8 +76,6 @@ class ReproEstimator:
                 raise TypeError(
                     f"{cls.__name__}.__init__ must not use *args/**kwargs"
                 )
-            if name in cls._deprecated_params:
-                continue
             names.append(name)
         return names
 
@@ -124,33 +91,19 @@ class ReproEstimator:
         """Update parameters in place; returns ``self``.
 
         Unknown names raise ``ValueError`` (catching typos is the whole
-        point of the sklearn contract); deprecated names are mapped to
-        their replacement with a :class:`ReproDeprecationWarning`.
+        point of the sklearn contract).
         """
         if not params:
             return self
         valid = self._param_names()
         for name, value in params.items():
-            target = name
-            if name in self._deprecated_params:
-                prop = getattr(type(self), name, None)
-                if isinstance(prop, property) and prop.fset is not None:
-                    # Classes that fold several old knobs into one new
-                    # parameter (e.g. SolverConfig) expose each old name
-                    # as an aliasing property whose setter warns and
-                    # migrates the value field-wise — assigning the raw
-                    # value to the *target* would clobber the group.
-                    setattr(self, name, value)
-                    continue
-                target = self._deprecated_params[name]
-                warn_deprecated_param(type(self), name, target)
-            if target not in valid:
+            if name not in valid:
                 raise ValueError(
                     f"invalid parameter {name!r} for "
                     f"{type(self).__name__}; valid parameters: "
                     f"{sorted(valid)}"
                 )
-            setattr(self, target, value)
+            setattr(self, name, value)
         return self
 
     def fitted_attributes(self) -> Dict[str, Any]:

@@ -20,10 +20,10 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.base import LinearEmbedder, as_dense, encode_labels
-from repro.core.estimator import warn_deprecated_param
 from repro.core.graph import graph_responses, semi_supervised_affinity
-from repro.core.solver_config import SolverConfig, config_alias
+from repro.core.solver_config import SolverConfig
 from repro.core.srda import solve_ridge
+from repro.linalg import kernels
 from repro.observability import Tracer, resolve_tracer
 from repro.robustness import FitReport
 
@@ -44,10 +44,11 @@ class SemiSupervisedSRDA(LinearEmbedder):
         Embedding dimensions; defaults to ``c - 1`` when labels exist,
         else must be given explicitly.
     config:
-        A :class:`~repro.core.solver_config.SolverConfig`; only its
-        ``solver`` field is consulted here and must be ``"normal"``
-        (default) or ``"lsqr"``.  Passing ``solver=`` as a keyword is
-        deprecated and merges into the config with a warning.
+        A :class:`~repro.core.solver_config.SolverConfig`, as for
+        :class:`repro.core.srda.SRDA`; ``config.solver`` must be
+        ``"normal"`` (default) or ``"lsqr"``.  The sharding
+        (``n_jobs``/``backend``) and ``kernel_backend`` fields steer
+        the LSQR path exactly as they do for SRDA.
     max_iter, tol:
         LSQR controls.
     trace:
@@ -68,8 +69,6 @@ class SemiSupervisedSRDA(LinearEmbedder):
     samples in the learned embedding.
     """
 
-    _deprecated_params = {"solver": "config"}
-
     def __init__(
         self,
         alpha: float = 1.0,
@@ -80,7 +79,6 @@ class SemiSupervisedSRDA(LinearEmbedder):
         max_iter: int = 20,
         tol: float = 1e-10,
         trace=None,
-        solver: Optional[str] = None,
     ) -> None:
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
@@ -90,9 +88,6 @@ class SemiSupervisedSRDA(LinearEmbedder):
             raise ValueError(
                 f"config must be a SolverConfig, got {type(config).__name__}"
             )
-        if solver is not None:
-            warn_deprecated_param(type(self), "solver", "config")
-            config = config.replace(solver=solver)
         if config.solver not in ("normal", "lsqr"):
             raise ValueError(
                 f"unknown solver {config.solver!r}; SemiSupervisedSRDA "
@@ -115,16 +110,14 @@ class SemiSupervisedSRDA(LinearEmbedder):
         self.lsqr_iterations_: Optional[List[int]] = None
         self.fit_report_: Optional[FitReport] = None
 
-    solver = config_alias("solver")
-
     def fit(self, X, y) -> "SemiSupervisedSRDA":
         """Fit from a partially labeled sample (``y == -1`` = unlabeled)."""
         tracer = resolve_tracer(self.trace)
         self.tracer_ = tracer if tracer.enabled else None
-        with tracer.span(
+        with kernels.use_backend(self.config.kernel_backend), tracer.span(
             "semi_srda.fit",
             alpha=self.alpha,
-            solver=self.solver,
+            solver=self.config.solver,
             supervised_weight=self.supervised_weight,
         ):
             return self._fit_phases(X, y, tracer)
@@ -172,9 +165,10 @@ class SemiSupervisedSRDA(LinearEmbedder):
         self.responses_ = responses
 
         # regression step — SRDA's own, on the centered data
-        report = FitReport(requested_solver=self.solver)
+        solver = self.config.solver
+        report = FitReport(requested_solver=solver)
         self.fit_report_ = report
-        with tracer.span("semi_srda.solve", solver=self.solver):
+        with tracer.span("semi_srda.solve", solver=solver):
             (
                 self.components_,
                 self.intercept_,
@@ -184,9 +178,9 @@ class SemiSupervisedSRDA(LinearEmbedder):
                 X,
                 responses,
                 self.alpha,
-                self.solver,
+                solver,
                 True,
-                SolverConfig(solver=self.solver),
+                self.config,
                 self.max_iter,
                 self.tol,
                 report,

@@ -13,48 +13,21 @@ layer) repeat the same parameters and the same validations.
   rather than deep inside a fit;
 - frozen, so a config can be shared between estimators, stored in a
   model registry, and compared by value (``clone`` round-trips);
-- the old keywords survive one deprecation cycle as thin aliases that
-  merge into the config with a
-  :class:`~repro.core.estimator.ReproDeprecationWarning`.
+- the one spelling: estimators take no flat solver keywords; read a
+  setting from ``estimator.config`` and change it with
+  ``set_params(config=estimator.config.replace(...))``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Optional, Union
 
 from repro.parallel import Backend, effective_n_jobs
 from repro.parallel.backends import check_backend_name
 
-__all__ = ["SOLVER_NAMES", "SolverConfig", "config_alias"]
-
-
-def config_alias(name: str) -> property:
-    """A property aliasing ``self.config.<name>`` for one deprecation cycle.
-
-    Reads are silent (solve paths read these knobs on every fit);
-    writes emit a :class:`~repro.core.estimator.ReproDeprecationWarning`
-    and merge the value into the frozen config.  Estimators list the
-    aliased names in ``_deprecated_params`` mapping to ``"config"``;
-    the generic ``set_params`` then routes assignments through the
-    setter instead of clobbering the config with a raw value.
-    """
-
-    def getter(self):
-        return getattr(self.config, name)
-
-    def setter(self, value) -> None:
-        from repro.core.estimator import warn_deprecated_param
-
-        warn_deprecated_param(type(self), name, "config")
-        self.config = self.config.replace(**{name: value})
-
-    getter.__doc__ = (
-        f"Alias for ``config.{name}``; assigning through it is "
-        "deprecated (merge into ``config`` instead)."
-    )
-    return property(getter, setter)
+__all__ = ["SOLVER_NAMES", "SolverConfig"]
 
 #: Every solver an estimator in this package understands.  ``"auto"``
 #: resolves per input (see the :class:`~repro.core.srda.SRDA` module
@@ -70,8 +43,7 @@ class SolverConfig:
     ----------
     solver:
         ``"auto"`` (default), ``"normal"``, ``"lsqr"``, or
-        ``"sketched_lsqr"`` — the engine selection previously passed as
-        ``SRDA(solver=...)``.
+        ``"sketched_lsqr"`` — the regression engine.
     sketch_size:
         Row count of the CountSketch behind ``solver="sketched_lsqr"``;
         ``None`` picks :func:`repro.linalg.sketch.default_sketch_size`.
@@ -126,21 +98,3 @@ class SolverConfig:
     def replace(self, **changes: Any) -> "SolverConfig":
         """A copy with the given fields changed (re-validated)."""
         return dataclasses.replace(self, **changes)
-
-    def merge_legacy(
-        self, overrides: Mapping[str, Any]
-    ) -> "SolverConfig":
-        """Fold non-``None`` legacy keyword values into a new config.
-
-        The deprecation shim: each old keyword (``solver=...`` etc.)
-        that was actually passed overrides the corresponding config
-        field.  ``None`` values mean "not passed" and are ignored —
-        every legacy keyword's old default is either ``None`` already
-        or restated by the config defaults.
-        """
-        changes = {
-            name: value
-            for name, value in overrides.items()
-            if value is not None
-        }
-        return self.replace(**changes) if changes else self

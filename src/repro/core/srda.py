@@ -53,7 +53,6 @@ and :func:`srda_alpha_path` shares its operator lifetime.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from typing import Any, Iterator, List, Optional, Tuple, Union
 
@@ -62,9 +61,8 @@ import numpy as np
 from repro._typing import FloatArray, MatrixLike
 
 from repro.core.base import LinearEmbedder, as_dense, validate_data
-from repro.core.estimator import ReproDeprecationWarning, warn_deprecated_param
 from repro.core.responses import response_table_from_counts
-from repro.core.solver_config import SolverConfig, config_alias
+from repro.core.solver_config import SolverConfig
 from repro.linalg import kernels
 from repro.linalg.block_lsqr import (
     BlockLSQRResult,
@@ -81,7 +79,7 @@ from repro.linalg.operators import (
 )
 from repro.linalg.sparse import CSRMatrix, is_sparse
 from repro.observability import Tracer, resolve_tracer
-from repro.parallel import Backend, ShardedOperator, effective_n_jobs
+from repro.parallel import ShardedOperator, effective_n_jobs
 from repro.robustness import FitReport, guarded_solve
 
 #: Above this min(m, n) the Gram matrix of the normal-equations path gets
@@ -536,11 +534,8 @@ class SRDA(LinearEmbedder):
         (``n_jobs``/``backend`` for sharded operator products — the
         shard layout depends only on the data shape, so any worker
         count and backend is bitwise identical).  ``None`` means
-        ``SolverConfig()`` (all defaults).  The five knobs remain
-        readable as attributes (``model.solver`` etc.); passing them
-        as *constructor keywords* is deprecated and emits a
-        :class:`~repro.core.estimator.ReproDeprecationWarning` while
-        merging into the config.
+        ``SolverConfig()`` (all defaults).  It is the only spelling of
+        these settings: read them as ``model.config.solver`` etc.
     centering:
         ``"auto"`` (center dense input, append-ones for sparse), or an
         explicit ``True``/``False``.  ``True`` is exactly Eqn 14
@@ -607,14 +602,6 @@ class SRDA(LinearEmbedder):
         effective α, and per-response LSQR termination codes.
     """
 
-    _deprecated_params = {
-        "solver": "config",
-        "sketch_size": "config",
-        "sketch_seed": "config",
-        "n_jobs": "config",
-        "backend": "config",
-    }
-
     def __init__(
         self,
         alpha: float = 1.0,
@@ -626,11 +613,6 @@ class SRDA(LinearEmbedder):
         on_invalid: str = "raise",
         trace=None,
         validate_operators: bool = False,
-        solver: Optional[str] = None,
-        n_jobs: Optional[int] = None,
-        backend: Union[str, Backend, None] = None,
-        sketch_size: Optional[int] = None,
-        sketch_seed: Optional[int] = None,
     ) -> None:
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
@@ -646,18 +628,8 @@ class SRDA(LinearEmbedder):
             raise ValueError(
                 f"config must be a SolverConfig, got {type(config).__name__}"
             )
-        legacy = {
-            "solver": solver,
-            "sketch_size": sketch_size,
-            "sketch_seed": sketch_seed,
-            "n_jobs": n_jobs,
-            "backend": backend,
-        }
-        for name, value in legacy.items():
-            if value is not None:
-                warn_deprecated_param(type(self), name, "config")
         self.alpha = float(alpha)
-        self.config = config.merge_legacy(legacy)
+        self.config = config
         self.centering = centering
         self.max_iter = int(max_iter)
         self.tol = float(tol)
@@ -679,19 +651,6 @@ class SRDA(LinearEmbedder):
         self._incremental: Optional[_IncrementalState] = None
 
     # ------------------------------------------------------------------
-    # Config-field aliases.  Reading ``model.solver`` etc. stays cheap
-    # and silent (the internal solve paths read these constantly);
-    # *assigning* through the old names is the deprecated spelling and
-    # merges into ``config`` with a warning.
-    # ------------------------------------------------------------------
-    solver = config_alias("solver")
-    sketch_size = config_alias("sketch_size")
-    sketch_seed = config_alias("sketch_seed")
-    n_jobs = config_alias("n_jobs")
-    backend = config_alias("backend")
-    kernel_backend = config_alias("kernel_backend")
-
-    # ------------------------------------------------------------------
     def fit(self, X, y) -> "SRDA":
         """Learn the ``c - 1`` projective functions from labeled data.
 
@@ -704,7 +663,7 @@ class SRDA(LinearEmbedder):
         tracer = resolve_tracer(self.trace)
         self.tracer_ = tracer if tracer.enabled else None
         with kernels.use_backend(self.config.kernel_backend), tracer.span(
-            "srda.fit", alpha=self.alpha, solver=self.solver
+            "srda.fit", alpha=self.alpha, solver=self.config.solver
         ) as fit_span:
             return self._fit_phases(X, y, tracer, fit_span)
 
@@ -804,13 +763,13 @@ class SRDA(LinearEmbedder):
         tracer = resolve_tracer(self.trace)
         self.tracer_ = tracer if tracer.enabled else None
         with kernels.use_backend(self.config.kernel_backend), tracer.span(
-            "srda.partial_fit", alpha=self.alpha, solver=self.solver
+            "srda.partial_fit", alpha=self.alpha, solver=self.config.solver
         ) as fit_span:
             return self._partial_fit_phases(X, y, tracer, fit_span)
 
     def _partial_fit_phases(self, X, y, tracer: Tracer, fit_span) -> "SRDA":
         """Validate-accumulate-solve pipeline for one batch."""
-        solver = self.solver
+        solver = self.config.solver
         if solver == "normal":
             raise ValueError(
                 "partial_fit requires an iterative solver ('lsqr' or "
@@ -920,7 +879,7 @@ class SRDA(LinearEmbedder):
             "embedding (predict will always return that class)"
         )
         report.solver = "degenerate"
-        report.requested_solver = self.solver
+        report.requested_solver = self.config.solver
         self.responses_ = np.zeros((X.shape[0], 0))
         self.solver_used_ = None
         self.centered_ = False
@@ -931,8 +890,8 @@ class SRDA(LinearEmbedder):
         return self
 
     def _resolve_solver(self, X, sparse_input: bool) -> str:
-        if self.solver != "auto":
-            return self.solver
+        if self.config.solver != "auto":
+            return self.config.solver
         if sparse_input:
             return "lsqr"
         m, n = X.shape
@@ -1005,7 +964,7 @@ class SRDA(LinearEmbedder):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SRDA(alpha={self.alpha}, solver={self.solver!r}, "
+            f"SRDA(alpha={self.alpha}, config={self.config!r}, "
             f"centering={self.centering!r}, max_iter={self.max_iter})"
         )
 
@@ -1020,11 +979,6 @@ def srda_alpha_path(
     on_invalid: str = "raise",
     trace=None,
     config: Optional[SolverConfig] = None,
-    n_jobs: Optional[int] = None,
-    backend: Union[str, Backend, None] = None,
-    solver: Optional[str] = None,
-    sketch_size: Optional[int] = None,
-    sketch_seed: Optional[int] = None,
 ) -> List[SRDA]:
     """Fit SRDA for every ``alpha`` with ONE pass over the data.
 
@@ -1034,8 +988,9 @@ def srda_alpha_path(
     (:class:`repro.linalg.block_lsqr.SharedBidiagonalization`,
     ``2·max_iter + 1`` block products) and replays the recurrences per
     alpha at zero additional operator cost.  Each fitted model is
-    numerically identical to ``SRDA(alpha=a, solver="lsqr").fit(X, y)``
-    run cold with the same ``max_iter``/``tol``.
+    numerically identical to
+    ``SRDA(alpha=a, config=SolverConfig(solver="lsqr")).fit(X, y)`` run
+    cold with the same ``max_iter``/``tol``.
 
     This is the engine behind the Fig-5 alpha sweep and
     :func:`repro.eval.model_selection.grid_search_alpha_srda`: a grid of
@@ -1054,7 +1009,7 @@ def srda_alpha_path(
         When enabled the sweep emits one ``srda.alpha_path`` span with
         a nested ``srda.bidiagonalize`` span (the single data pass) and
         one ``srda.replay`` span per alpha (the zero-cost recurrence
-        replays); with ``solver="sketched_lsqr"`` the nested spans are
+        replays); with ``config.solver="sketched_lsqr"`` the nested spans are
         one ``sketch.build`` and one ``srda.sketched_solve`` per alpha.
     config:
         A :class:`~repro.core.solver_config.SolverConfig`; ``None``
@@ -1071,11 +1026,6 @@ def srda_alpha_path(
         data pass (and, on the sketched path, the per-alpha solves);
         ``config.sketch_size``/``config.sketch_seed`` steer the
         sketched engine.
-    n_jobs, backend, solver, sketch_size, sketch_seed:
-        Deprecated keyword aliases for the corresponding ``config``
-        fields; passing any emits a
-        :class:`~repro.core.estimator.ReproDeprecationWarning` and
-        overrides that field.
 
     Returns
     -------
@@ -1086,22 +1036,6 @@ def srda_alpha_path(
         raise ValueError("alpha must be non-negative")
     if config is None:
         config = SolverConfig(solver="lsqr")
-    legacy = {
-        "solver": solver,
-        "sketch_size": sketch_size,
-        "sketch_seed": sketch_seed,
-        "n_jobs": n_jobs,
-        "backend": backend,
-    }
-    for name, value in legacy.items():
-        if value is not None:
-            warnings.warn(
-                f"srda_alpha_path({name}=...) is deprecated; pass "
-                f"config=SolverConfig({name}=...) instead",
-                ReproDeprecationWarning,
-                stacklevel=2,
-            )
-    config = config.merge_legacy(legacy)
     solver = config.solver
     if solver not in ("lsqr", "sketched_lsqr"):
         raise ValueError(

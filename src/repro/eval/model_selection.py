@@ -129,8 +129,8 @@ def grid_search_alpha_srda(
     """α grid search for SRDA paying one data pass per split.
 
     Same protocol and result type as :func:`grid_search_alpha` with a
-    ``lambda a: SRDA(alpha=a, solver="lsqr")`` factory, but instead of
-    refitting per α it routes each split through
+    ``lambda a: SRDA(alpha=a, config=SolverConfig(solver="lsqr"))``
+    factory, but instead of refitting per α it routes each split through
     :func:`repro.core.srda.srda_alpha_path`: the Golub–Kahan basis of
     the split's training data is bidiagonalized once and replayed for
     every α, so a 9-point grid costs one fit's worth of operator

@@ -22,10 +22,10 @@ from repro.core.sparse_srda import SparseSRDA
 from repro.core.srda import SRDA
 
 #: type tag -> (class, constructor parameter names).  SRDA's solver
-#: knobs are stored *flat* (``solver``/``sketch_size``/...) even though
-#: the constructor now groups them in a ``SolverConfig``: the flat
-#: spelling keeps old archives loadable and the format free of nested
-#: JSON.  ``load_model`` folds them back into a config.
+#: settings are stored *flat* (``solver``/``sketch_size``/...), read
+#: from its ``SolverConfig``: the flat spelling keeps old archives
+#: loadable and the format free of nested JSON.  ``load_model`` folds
+#: them back into a config.
 _SRDA_CONFIG_FIELDS = (
     "solver",
     "sketch_size",
@@ -34,10 +34,7 @@ _SRDA_CONFIG_FIELDS = (
 )
 
 _REGISTRY = {
-    "SRDA": (
-        SRDA,
-        ("alpha", "centering", "max_iter", "tol") + _SRDA_CONFIG_FIELDS,
-    ),
+    "SRDA": (SRDA, ("alpha", "centering", "max_iter", "tol")),
     "SparseSRDA": (SparseSRDA, ("alpha", "l1_ratio", "max_iter", "tol")),
     "LDA": (LDA, ("n_components", "svd_tol")),
     "RLDA": (RLDA, ("alpha", "n_components", "svd_tol")),
@@ -63,6 +60,9 @@ def save_model(model, path: Union[str, Path]) -> Path:
         raise ValueError("cannot save an unfitted model")
     _, param_names = _REGISTRY[type_name]
     params = {name: getattr(model, name) for name in param_names}
+    if type_name == "SRDA":
+        for name in _SRDA_CONFIG_FIELDS:
+            params[name] = getattr(model.config, name)
 
     payload = {
         "model_type": np.array(type_name),
@@ -107,13 +107,6 @@ def load_model(path: Union[str, Path]):
                 if name in params
             }
             params["config"] = SolverConfig(**fields)
-        else:
-            # Archives written before constructor-arg renames store the
-            # old spelling; migrate silently (the file format is not
-            # user code).
-            for old, new in getattr(cls, "_deprecated_params", {}).items():
-                if old in params and new not in params:
-                    params[new] = params.pop(old)
         model = cls(**params)
         for name in _ARRAYS:
             if name in archive:

@@ -12,8 +12,9 @@ processes) across processes.
 
 Entry points most callers want:
 
-- ``SRDA(n_jobs=4)`` / ``srda_alpha_path(..., n_jobs=4)`` — parallel
-  products inside one fit;
+- ``SRDA(config=SolverConfig(n_jobs=4))`` (likewise
+  ``srda_alpha_path(..., config=...)``) — parallel products inside
+  one fit;
 - ``run_experiment(..., n_jobs=4)`` — parallel grid cells, bitwise
   identical to the serial grid;
 - :func:`~repro.parallel.backends.resolve_backend` +

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import SolverConfig
 from repro.baselines.ridge import RidgeClassifier
 from repro.core.base import NotFittedError
 from repro.linalg.sparse import CSRMatrix
@@ -21,7 +22,9 @@ class TestRidgeClassifier:
     def test_coefficients_match_per_class_ridge(self, small_classification):
         X, y = small_classification
         alpha = 2.0
-        model = RidgeClassifier(alpha=alpha, solver="normal").fit(X, y)
+        model = RidgeClassifier(
+            alpha=alpha, config=SolverConfig(solver="normal")
+        ).fit(X, y)
         m, n = X.shape
         X_aug = np.hstack([X, np.ones((m, 1))])
         for k, label in enumerate(model.classes_):
@@ -34,9 +37,14 @@ class TestRidgeClassifier:
 
     def test_normal_vs_lsqr(self, small_classification):
         X, y = small_classification
-        a = RidgeClassifier(alpha=1.0, solver="normal").fit(X, y)
+        a = RidgeClassifier(
+            alpha=1.0, config=SolverConfig(solver="normal")
+        ).fit(X, y)
         b = RidgeClassifier(
-            alpha=1.0, solver="lsqr", max_iter=500, tol=1e-14
+            alpha=1.0,
+            config=SolverConfig(solver="lsqr"),
+            max_iter=500,
+            tol=1e-14,
         ).fit(X, y)
         assert np.allclose(a.coef_, b.coef_, atol=1e-6)
 
@@ -44,7 +52,9 @@ class TestRidgeClassifier:
         m, n = 10, 40
         X = rng.standard_normal((m, n))
         y = np.arange(m) % 2
-        model = RidgeClassifier(alpha=0.5, solver="normal").fit(X, y)
+        model = RidgeClassifier(
+            alpha=0.5, config=SolverConfig(solver="normal")
+        ).fit(X, y)
         X_aug = np.hstack([X, np.ones((m, 1))])
         target = np.where(y == model.classes_[0], 1.0, -1.0)
         expected = np.linalg.solve(
@@ -54,15 +64,22 @@ class TestRidgeClassifier:
 
     def test_alpha_zero_lstsq_path(self, small_classification):
         X, y = small_classification
-        model = RidgeClassifier(alpha=0.0, solver="normal").fit(X, y)
+        model = RidgeClassifier(
+            alpha=0.0, config=SolverConfig(solver="normal")
+        ).fit(X, y)
         assert model.score(X, y) == 1.0
 
     def test_sparse_input(self, sparse_classification):
         S, dense, y = sparse_classification
         sparse_model = RidgeClassifier(
-            alpha=1.0, solver="lsqr", max_iter=400, tol=1e-13
+            alpha=1.0,
+            config=SolverConfig(solver="lsqr"),
+            max_iter=400,
+            tol=1e-13,
         ).fit(S, y)
-        dense_model = RidgeClassifier(alpha=1.0, solver="normal").fit(dense, y)
+        dense_model = RidgeClassifier(
+            alpha=1.0, config=SolverConfig(solver="normal")
+        ).fit(dense, y)
         assert np.allclose(sparse_model.coef_, dense_model.coef_, atol=1e-6)
         assert np.array_equal(
             sparse_model.predict(S), dense_model.predict(dense)
@@ -70,16 +87,20 @@ class TestRidgeClassifier:
 
     def test_auto_solver_dispatch(self, sparse_classification):
         S, dense, y = sparse_classification
-        sparse_model = RidgeClassifier(solver="auto").fit(S, y)
+        sparse_model = RidgeClassifier(
+            config=SolverConfig(solver="auto")
+        ).fit(S, y)
         assert sparse_model.lsqr_iterations_ is not None
-        dense_model = RidgeClassifier(solver="auto").fit(dense, y)
+        dense_model = RidgeClassifier(
+            config=SolverConfig(solver="auto")
+        ).fit(dense, y)
         assert dense_model.lsqr_iterations_ is None
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             RidgeClassifier(alpha=-1.0)
         with pytest.raises(ValueError):
-            RidgeClassifier(solver="qr")
+            RidgeClassifier(config=SolverConfig(solver="qr"))
 
     def test_unfitted(self, rng):
         with pytest.raises(NotFittedError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import SolverConfig
 from repro.complexity.counter import (
     FlamCountingOperator,
     loglog_slope,
@@ -64,7 +65,9 @@ class TestFlamCounting:
                 return _original(self, x)
 
             monkeypatch.setattr(CSROperator, name, counted)
-        model = SRDA(alpha=1.0, solver="lsqr", trace=True).fit(X, y)
+        model = SRDA(
+            alpha=1.0, config=SolverConfig(solver="lsqr"), trace=True
+        ).fit(X, y)
         assert not model.centered_
         flam = model.tracer_.metrics.get_counter("srda.flam").value
         kernel_flam = X.nnz * sum(columns)

@@ -1,4 +1,4 @@
-"""The shared estimator protocol: get/set params, clone, deprecations.
+"""The shared estimator protocol: get/set params, clone, removed spellings.
 
 Parametrized over :func:`repro.all_estimators`, so every estimator that
 joins the registry is automatically held to the contract.
@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 import repro
-from repro import IDRQR, SRDA, ReproDeprecationWarning, all_estimators, clone
+from repro import (
+    IDRQR,
+    SRDA,
+    RidgeClassifier,
+    SemiSupervisedSRDA,
+    all_estimators,
+    clone,
+    srda_alpha_path,
+)
 from repro.baselines.lda import ScatterLDA
 from repro.core.estimator import ReproEstimator
 from repro.core.solver_config import SolverConfig
@@ -44,17 +52,8 @@ class TestProtocolContract:
         estimator = cls()
         params = estimator.get_params()
         signature = inspect.signature(cls.__init__)
-        expected = {
-            name
-            for name in signature.parameters
-            if name != "self" and name not in cls._deprecated_params
-        }
+        expected = {name for name in signature.parameters if name != "self"}
         assert set(params) == expected
-
-    def test_deprecated_names_hidden_from_get_params(self, loader):
-        cls = loader()
-        for old in cls._deprecated_params:
-            assert old not in cls().get_params()
 
     def test_get_set_round_trip(self, loader):
         estimator = loader()()
@@ -231,78 +230,84 @@ class TestRidgeSpellingRemoved:
     )
     def test_alias_property_is_gone(self, cls):
         assert not hasattr(cls, "ridge")
-        assert "ridge" not in cls._deprecated_params
 
     @pytest.mark.parametrize(
         "cls", [ScatterLDA, IDRQR], ids=["ScatterLDA", "IDRQR"]
     )
     def test_alpha_spelling_stays_silent(self, cls):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", ReproDeprecationWarning)
+            warnings.simplefilter("error")
             estimator = cls(alpha=0.5)
             estimator.set_params(alpha=1.0)
             clone(estimator)
         assert estimator.alpha == 1.0
 
-    def test_deprecation_warning_is_a_future_warning(self):
-        assert issubclass(ReproDeprecationWarning, FutureWarning)
+
+#: The flat solver keywords ``SolverConfig`` replaced, with a value
+#: each field accepts.
+SOLVER_KEYWORDS = {
+    "solver": "lsqr",
+    "sketch_size": 32,
+    "sketch_seed": 7,
+    "n_jobs": 2,
+    "backend": "serial",
+}
+
+#: The estimators that take a ``config=SolverConfig(...)``.
+CONFIG_ESTIMATORS = [SRDA, SemiSupervisedSRDA, RidgeClassifier]
 
 
-class TestSolverConfigAliases:
-    """The folded fit-time knobs survive one cycle as thin aliases."""
+class TestSolverKeywordsRemoved:
+    """The flat solver keywords are gone: ``config=`` is the only way in."""
 
-    ALIASES = {
-        "solver": "lsqr",
-        "sketch_size": 32,
-        "sketch_seed": 7,
-        "n_jobs": 2,
-        "backend": "serial",
-    }
+    @pytest.mark.parametrize("name", sorted(SOLVER_KEYWORDS))
+    @pytest.mark.parametrize(
+        "entry",
+        CONFIG_ESTIMATORS + [srda_alpha_path],
+        ids=lambda entry: entry.__name__,
+    )
+    def test_entry_point_rejects_keyword(self, entry, name):
+        kwargs = {name: SOLVER_KEYWORDS[name]}
+        with pytest.raises(TypeError, match=name):
+            if entry is srda_alpha_path:
+                entry(np.eye(4), [0, 0, 1, 1], [1.0], **kwargs)
+            else:
+                entry(**kwargs)
 
-    @pytest.mark.parametrize("name", sorted(ALIASES))
-    def test_constructor_alias_warns_and_merges(self, name):
-        with pytest.warns(ReproDeprecationWarning, match=f"{name}=.*config="):
-            model = SRDA(**{name: self.ALIASES[name]})
-        assert getattr(model.config, name) == self.ALIASES[name]
+    @pytest.mark.parametrize("name", sorted(SOLVER_KEYWORDS))
+    @pytest.mark.parametrize(
+        "cls", CONFIG_ESTIMATORS, ids=lambda cls: cls.__name__
+    )
+    def test_set_params_rejects_keyword(self, cls, name):
+        model = cls()
+        with pytest.raises(ValueError, match="invalid parameter"):
+            model.set_params(**{name: SOLVER_KEYWORDS[name]})
         assert name not in model.get_params()
 
-    @pytest.mark.parametrize("name", sorted(ALIASES))
-    def test_set_params_alias_warns_and_merges(self, name):
-        model = SRDA()
-        with pytest.warns(ReproDeprecationWarning):
-            model.set_params(**{name: self.ALIASES[name]})
-        assert getattr(model.config, name) == self.ALIASES[name]
+    @pytest.mark.parametrize(
+        "name", sorted(SOLVER_KEYWORDS) + ["kernel_backend"]
+    )
+    @pytest.mark.parametrize(
+        "cls", CONFIG_ESTIMATORS, ids=lambda cls: cls.__name__
+    )
+    def test_alias_attribute_is_gone(self, cls, name):
+        assert not hasattr(cls(), name)
 
-    @pytest.mark.parametrize("name", sorted(ALIASES))
-    def test_alias_reads_silently(self, name):
-        model = SRDA(config=SolverConfig(**{name: self.ALIASES[name]}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ReproDeprecationWarning)
-            assert getattr(model, name) == self.ALIASES[name]
-
-    def test_sketch_family_is_not_an_alias(self):
-        # The family knob was removed, not folded into config=.
+    def test_sketch_family_is_gone(self):
         model = SRDA()
         with pytest.raises(ValueError, match="invalid parameter 'sketch'"):
             model.set_params(sketch="countsketch")
         assert not hasattr(model, "sketch")
         assert "sketch" not in model.get_params()
 
-    def test_set_params_alias_preserves_other_fields(self):
-        model = SRDA(config=SolverConfig(solver="lsqr", sketch_seed=5))
-        with pytest.warns(ReproDeprecationWarning):
-            model.set_params(sketch_size=16)
-        assert model.config.solver == "lsqr"
-        assert model.config.sketch_seed == 5
-        assert model.config.sketch_size == 16
-
-    def test_config_spelling_stays_silent(self):
+    def test_config_round_trips_silently(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", ReproDeprecationWarning)
+            warnings.simplefilter("error")
             model = SRDA(config=SolverConfig(solver="lsqr"))
             model.set_params(config=SolverConfig(solver="normal"))
-            clone(model)
+            copy = clone(model)
         assert model.config.solver == "normal"
+        assert copy.get_params()["config"] == model.config
 
 
 class TestSolverConfigValidation:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import SolverConfig
 from repro.core.semi_supervised import SemiSupervisedSRDA
 from repro.core.srda import SRDA
 
@@ -59,9 +60,14 @@ class TestSemiSupervisedSRDA:
     def test_lsqr_solver_close_to_normal(self, blobs, rng):
         X, y = blobs
         partial = mask_labels(y, 5, rng)
-        a = SemiSupervisedSRDA(alpha=1.0, solver="normal").fit(X, partial)
+        a = SemiSupervisedSRDA(
+            alpha=1.0, config=SolverConfig(solver="normal")
+        ).fit(X, partial)
         b = SemiSupervisedSRDA(
-            alpha=1.0, solver="lsqr", max_iter=500, tol=1e-13
+            alpha=1.0,
+            config=SolverConfig(solver="lsqr"),
+            max_iter=500,
+            tol=1e-13,
         ).fit(X, partial)
         assert np.allclose(a.components_, b.components_, atol=1e-5)
 
@@ -87,7 +93,7 @@ class TestSemiSupervisedSRDA:
         with pytest.raises(ValueError):
             SemiSupervisedSRDA(alpha=-1.0)
         with pytest.raises(ValueError):
-            SemiSupervisedSRDA(solver="cg")
+            SemiSupervisedSRDA(config=SolverConfig(solver="cg"))
 
     def test_label_length_mismatch(self, blobs):
         X, y = blobs

@@ -36,8 +36,10 @@ class TestSketchedSolver:
     def test_dense_parity_with_fewer_iterations(self, rng):
         X, y = ill_conditioned_classification(rng)
         kwargs = dict(alpha=0.1, max_iter=2000, tol=1e-10)
-        plain = SRDA(solver="lsqr", **kwargs).fit(X, y)
-        fast = SRDA(solver="sketched_lsqr", **kwargs).fit(X, y)
+        plain = SRDA(config=SolverConfig(solver="lsqr"), **kwargs).fit(X, y)
+        fast = SRDA(
+            config=SolverConfig(solver="sketched_lsqr"), **kwargs
+        ).fit(X, y)
         np.testing.assert_allclose(
             fast.components_, plain.components_, atol=1e-6
         )
@@ -49,8 +51,10 @@ class TestSketchedSolver:
     def test_sparse_parity(self, rng):
         X, y = sparse_classification_skewed(rng)
         kwargs = dict(alpha=0.5, max_iter=2000, tol=1e-10)
-        plain = SRDA(solver="lsqr", **kwargs).fit(X, y)
-        fast = SRDA(solver="sketched_lsqr", **kwargs).fit(X, y)
+        plain = SRDA(config=SolverConfig(solver="lsqr"), **kwargs).fit(X, y)
+        fast = SRDA(
+            config=SolverConfig(solver="sketched_lsqr"), **kwargs
+        ).fit(X, y)
         np.testing.assert_allclose(
             fast.components_, plain.components_, atol=1e-6
         )
@@ -58,7 +62,10 @@ class TestSketchedSolver:
     def test_solver_recorded_in_report(self, rng):
         X, y = ill_conditioned_classification(rng, m=120, n=20)
         model = SRDA(
-            solver="sketched_lsqr", alpha=0.1, max_iter=500, tol=1e-10
+            config=SolverConfig(solver="sketched_lsqr"),
+            alpha=0.1,
+            max_iter=500,
+            tol=1e-10,
         ).fit(X, y)
         assert model.solver_used_ == "sketched_lsqr"
         assert model.fit_report_.solver == "sketched_lsqr"
@@ -66,12 +73,11 @@ class TestSketchedSolver:
 
     def test_seeded_determinism(self, rng):
         X, y = ill_conditioned_classification(rng, m=120, n=20)
-        kwargs = dict(
-            solver="sketched_lsqr", alpha=0.1, max_iter=500, tol=1e-10
-        )
-        a = SRDA(sketch_seed=3, **kwargs).fit(X, y)
-        b = SRDA(sketch_seed=3, **kwargs).fit(X, y)
-        c = SRDA(sketch_seed=4, **kwargs).fit(X, y)
+        config = SolverConfig(solver="sketched_lsqr")
+        kwargs = dict(alpha=0.1, max_iter=500, tol=1e-10)
+        a = SRDA(config=config.replace(sketch_seed=3), **kwargs).fit(X, y)
+        b = SRDA(config=config.replace(sketch_seed=3), **kwargs).fit(X, y)
+        c = SRDA(config=config.replace(sketch_seed=4), **kwargs).fit(X, y)
         assert np.array_equal(a.components_, b.components_)
         # A different draw changes the iterate trajectory (same
         # solution to tolerance, different bits).
@@ -84,9 +90,14 @@ class TestSketchedSolver:
         X, y = ill_conditioned_classification(rng, m=120, n=20)
         data = CSRMatrix.from_dense(X) if layout == "csr" else X
         model = SRDA(
-            solver="sketched_lsqr", alpha=0.1, max_iter=500, tol=1e-10
+            config=SolverConfig(solver="sketched_lsqr"),
+            alpha=0.1,
+            max_iter=500,
+            tol=1e-10,
         ).fit(data, y)
-        baseline = SRDA(solver="normal", alpha=0.1).fit(data, y)
+        baseline = SRDA(
+            config=SolverConfig(solver="normal"), alpha=0.1
+        ).fit(data, y)
         np.testing.assert_allclose(
             model.components_, baseline.components_, atol=1e-5
         )
@@ -99,11 +110,13 @@ class TestSketchedSolver:
         y = np.arange(60) % 3
         kwargs = dict(alpha=0.5, max_iter=500, tol=1e-10)
         with pytest.warns(RobustnessWarning, match="tall"):
-            model = SRDA(solver="sketched_lsqr", **kwargs).fit(X, y)
+            model = SRDA(
+                config=SolverConfig(solver="sketched_lsqr"), **kwargs
+            ).fit(X, y)
         assert model.solver_used_ == "lsqr"
         assert model.fit_report_.solver == "lsqr"
         assert model.fit_report_.requested_solver == "sketched_lsqr"
-        plain = SRDA(solver="lsqr", **kwargs).fit(X, y)
+        plain = SRDA(config=SolverConfig(solver="lsqr"), **kwargs).fit(X, y)
         assert np.array_equal(model.components_, plain.components_)
 
     def test_wide_alpha_path_degrades_to_replay(self, rng):
@@ -111,7 +124,7 @@ class TestSketchedSolver:
         y = np.arange(40) % 2
         with pytest.warns(RobustnessWarning, match="tall"):
             path = srda_alpha_path(
-                X, y, [0.5, 5.0], solver="sketched_lsqr",
+                X, y, [0.5, 5.0], config=SolverConfig(solver="sketched_lsqr"),
                 max_iter=500, tol=1e-10,
             )
         plain = srda_alpha_path(X, y, [0.5, 5.0], max_iter=500, tol=1e-10)
@@ -125,9 +138,9 @@ class TestSketchedSolver:
 
     def test_invalid_sketch_parameters_rejected(self):
         with pytest.raises(ValueError, match="sketch_size"):
-            SRDA(sketch_size=0)
+            SRDA(config=SolverConfig(sketch_size=0))
         with pytest.raises(ValueError, match="solver"):
-            SRDA(solver="sketch")
+            SRDA(config=SolverConfig(solver="sketch"))
 
     @pytest.mark.parametrize(
         "surface", ["SolverConfig", "SRDA", "srda_alpha_path"]
@@ -154,12 +167,17 @@ class TestShardedComposition:
         # fold's low bits — that is the parallel layer's documented
         # contract, tested separately below at the 1e-6 level.)
         X, y = sparse_classification_skewed(rng, m=1200, n=80)
-        kwargs = dict(
-            solver="sketched_lsqr", alpha=0.5, max_iter=800, tol=1e-10
-        )
-        serial = SRDA(backend="serial", **kwargs).fit(X, y)
-        thread2 = SRDA(backend="thread", n_jobs=2, **kwargs).fit(X, y)
-        thread4 = SRDA(backend="thread", n_jobs=4, **kwargs).fit(X, y)
+        config = SolverConfig(solver="sketched_lsqr")
+        kwargs = dict(alpha=0.5, max_iter=800, tol=1e-10)
+        serial = SRDA(
+            config=config.replace(backend="serial"), **kwargs
+        ).fit(X, y)
+        thread2 = SRDA(
+            config=config.replace(backend="thread", n_jobs=2), **kwargs
+        ).fit(X, y)
+        thread4 = SRDA(
+            config=config.replace(backend="thread", n_jobs=4), **kwargs
+        ).fit(X, y)
         for other in (thread2, thread4):
             assert np.array_equal(serial.components_, other.components_)
             assert np.array_equal(serial.intercept_, other.intercept_)
@@ -167,11 +185,12 @@ class TestShardedComposition:
 
     def test_sharded_fit_matches_unsharded(self, rng):
         X, y = sparse_classification_skewed(rng, m=1200, n=80)
-        kwargs = dict(
-            solver="sketched_lsqr", alpha=0.5, max_iter=800, tol=1e-10
-        )
-        unsharded = SRDA(**kwargs).fit(X, y)
-        sharded = SRDA(backend="thread", n_jobs=2, **kwargs).fit(X, y)
+        config = SolverConfig(solver="sketched_lsqr")
+        kwargs = dict(alpha=0.5, max_iter=800, tol=1e-10)
+        unsharded = SRDA(config=config, **kwargs).fit(X, y)
+        sharded = SRDA(
+            config=config.replace(backend="thread", n_jobs=2), **kwargs
+        ).fit(X, y)
         np.testing.assert_allclose(
             sharded.components_, unsharded.components_, atol=1e-6
         )
@@ -184,12 +203,12 @@ class TestSketchedAlphaPath:
         X, y = ill_conditioned_classification(rng, m=160, n=24)
         alphas = [0.1, 1.0, 10.0]
         path = srda_alpha_path(
-            X, y, alphas, solver="sketched_lsqr",
+            X, y, alphas, config=SolverConfig(solver="sketched_lsqr"),
             max_iter=800, tol=1e-10,
         )
         for alpha, model in zip(alphas, path):
             single = SRDA(
-                solver="sketched_lsqr", alpha=alpha,
+                config=SolverConfig(solver="sketched_lsqr"), alpha=alpha,
                 max_iter=800, tol=1e-10,
             ).fit(X, y)
             assert model.components_.tobytes() == single.components_.tobytes()
@@ -221,7 +240,7 @@ class TestSketchedAlphaPath:
         alphas = [0.5, 5.0]
         plain = srda_alpha_path(X, y, alphas, max_iter=2000, tol=1e-10)
         fast = srda_alpha_path(
-            X, y, alphas, solver="sketched_lsqr",
+            X, y, alphas, config=SolverConfig(solver="sketched_lsqr"),
             max_iter=2000, tol=1e-10,
         )
         for a, b in zip(plain, fast):
@@ -232,4 +251,4 @@ class TestSketchedAlphaPath:
     def test_invalid_solver_rejected(self, rng):
         X, y = ill_conditioned_classification(rng, m=60, n=10)
         with pytest.raises(ValueError, match="solver"):
-            srda_alpha_path(X, y, [1.0], solver="normal")
+            srda_alpha_path(X, y, [1.0], config=SolverConfig(solver="normal"))

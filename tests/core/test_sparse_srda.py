@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import SolverConfig
 from repro.core.sparse_srda import SparseSRDA
 from repro.core.srda import SRDA
 from repro.linalg.sparse import CSRMatrix
@@ -44,7 +45,7 @@ class TestSparseSRDA:
         X, y = small_classification
         sparse_model = SparseSRDA(alpha=1.0, l1_ratio=0.0, max_iter=5000,
                                   tol=1e-12).fit(X, y)
-        srda = SRDA(alpha=1.0, solver="normal").fit(X, y)
+        srda = SRDA(alpha=1.0, config=SolverConfig(solver="normal")).fit(X, y)
         assert np.allclose(
             sparse_model.components_, srda.components_, atol=1e-6
         )

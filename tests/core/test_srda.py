@@ -80,7 +80,7 @@ class TestParameters:
 
     def test_invalid_solver(self):
         with pytest.raises(ValueError):
-            SRDA(solver="cg")
+            SRDA(config=SolverConfig(solver="cg"))
 
     def test_invalid_max_iter(self):
         with pytest.raises(ValueError):
@@ -92,7 +92,9 @@ class TestParameters:
         X, y = small_classification
         norms = [
             np.linalg.norm(
-                SRDA(alpha=alpha, solver="normal").fit(X, y).components_
+                SRDA(
+                    alpha=alpha, config=SolverConfig(solver="normal")
+                ).fit(X, y).components_
             )
             for alpha in (0.01, 1.0, 100.0)
         ]
@@ -111,7 +113,9 @@ class TestParameters:
     def test_centered_normal_on_sparse_rejected(self, sparse_classification):
         S, _, y = sparse_classification
         with pytest.raises(ValueError, match="densifies"):
-            SRDA(centering=True, solver="normal").fit(S, y)
+            SRDA(
+                centering=True, config=SolverConfig(solver="normal")
+            ).fit(S, y)
 
     def test_sparse_implicit_centering_matches_dense_centering(
         self, sparse_classification
@@ -120,9 +124,15 @@ class TestParameters:
         # and must match explicit dense centering exactly
         S, dense, y = sparse_classification
         implicit = SRDA(
-            alpha=1.0, centering=True, solver="lsqr", max_iter=500, tol=1e-14
+            alpha=1.0,
+            centering=True,
+            config=SolverConfig(solver="lsqr"),
+            max_iter=500,
+            tol=1e-14,
         ).fit(S, y)
-        explicit = SRDA(alpha=1.0, centering=True, solver="normal").fit(dense, y)
+        explicit = SRDA(
+            alpha=1.0, centering=True, config=SolverConfig(solver="normal")
+        ).fit(dense, y)
         assert np.allclose(
             implicit.components_, explicit.components_, atol=1e-6
         )
@@ -130,14 +140,20 @@ class TestParameters:
 
     def test_solver_used_reported(self, small_classification):
         X, y = small_classification
-        assert SRDA(solver="normal").fit(X, y).solver_used_ == "normal"
-        assert SRDA(solver="lsqr").fit(X, y).solver_used_ == "lsqr"
+        assert SRDA(
+            config=SolverConfig(solver="normal")
+        ).fit(X, y).solver_used_ == "normal"
+        assert SRDA(
+            config=SolverConfig(solver="lsqr")
+        ).fit(X, y).solver_used_ == "lsqr"
         # dense small input resolves to normal under auto
-        assert SRDA(solver="auto").fit(X, y).solver_used_ == "normal"
+        assert SRDA(
+            config=SolverConfig(solver="auto")
+        ).fit(X, y).solver_used_ == "normal"
 
     def test_auto_prefers_lsqr_for_sparse(self, sparse_classification):
         S, _, y = sparse_classification
-        model = SRDA(solver="auto").fit(S, y)
+        model = SRDA(config=SolverConfig(solver="auto")).fit(S, y)
         assert model.solver_used_ == "lsqr"
 
     def test_auto_switches_to_lsqr_above_size_limit(
@@ -147,22 +163,31 @@ class TestParameters:
 
         X, y = small_classification
         monkeypatch.setattr(srda_module, "_AUTO_NORMAL_LIMIT", 5)
-        model = SRDA(solver="auto", max_iter=200, tol=1e-12).fit(X, y)
+        model = SRDA(
+            config=SolverConfig(solver="auto"), max_iter=200, tol=1e-12
+        ).fit(X, y)
         assert model.solver_used_ == "lsqr"
 
     def test_lsqr_iteration_telemetry(self, small_classification):
         X, y = small_classification
-        model = SRDA(solver="lsqr", max_iter=7, tol=0.0).fit(X, y)
+        model = SRDA(
+            config=SolverConfig(solver="lsqr"), max_iter=7, tol=0.0
+        ).fit(X, y)
         assert model.lsqr_iterations_ == [7, 7]
-        normal = SRDA(solver="normal").fit(X, y)
+        normal = SRDA(config=SolverConfig(solver="normal")).fit(X, y)
         assert normal.lsqr_iterations_ is None
 
 
 class TestSolverAgreement:
     def test_normal_vs_lsqr(self, small_classification):
         X, y = small_classification
-        a = SRDA(alpha=1.0, solver="normal").fit(X, y)
-        b = SRDA(alpha=1.0, solver="lsqr", max_iter=500, tol=1e-14).fit(X, y)
+        a = SRDA(alpha=1.0, config=SolverConfig(solver="normal")).fit(X, y)
+        b = SRDA(
+            alpha=1.0,
+            config=SolverConfig(solver="lsqr"),
+            max_iter=500,
+            tol=1e-14,
+        ).fit(X, y)
         assert np.allclose(a.components_, b.components_, atol=1e-6)
         assert np.allclose(a.intercept_, b.intercept_, atol=1e-6)
 
@@ -172,7 +197,7 @@ class TestSolverAgreement:
         m, n = 12, 30
         X = rng.standard_normal((m, n))
         y = np.arange(m) % 3
-        model = SRDA(alpha=0.7, solver="normal").fit(X, y)
+        model = SRDA(alpha=0.7, config=SolverConfig(solver="normal")).fit(X, y)
         from repro.core.responses import generate_responses
 
         mean = X.mean(axis=0)
@@ -189,7 +214,9 @@ class TestSolverAgreement:
         m, n = 20, 8
         X = rng.standard_normal((m, n))
         y = np.arange(m) % 3
-        model = SRDA(alpha=0.7, solver="normal", centering=False).fit(X, y)
+        model = SRDA(
+            alpha=0.7, config=SolverConfig(solver="normal"), centering=False
+        ).fit(X, y)
         from repro.core.responses import generate_responses
 
         X_aug = np.hstack([X, np.ones((m, 1))])
@@ -203,9 +230,13 @@ class TestSolverAgreement:
     def test_sparse_equals_dense(self, sparse_classification):
         # same formulation (bias absorption) on both storage layouts
         S, dense, y = sparse_classification
-        sparse_model = SRDA(alpha=1.0, solver="lsqr", max_iter=500,
-                            tol=1e-14).fit(S, y)
-        dense_model = SRDA(alpha=1.0, solver="normal",
+        sparse_model = SRDA(
+            alpha=1.0,
+            config=SolverConfig(solver="lsqr"),
+            max_iter=500,
+            tol=1e-14,
+        ).fit(S, y)
+        dense_model = SRDA(alpha=1.0, config=SolverConfig(solver="normal"),
                            centering=False).fit(dense, y)
         assert np.allclose(
             sparse_model.components_, dense_model.components_, atol=1e-6
@@ -213,9 +244,13 @@ class TestSolverAgreement:
 
     def test_scipy_sparse_input(self, sparse_classification):
         _, dense, y = sparse_classification
-        scipy_model = SRDA(alpha=1.0, solver="lsqr", max_iter=500,
-                           tol=1e-14).fit(sp.csr_matrix(dense), y)
-        dense_model = SRDA(alpha=1.0, solver="normal",
+        scipy_model = SRDA(
+            alpha=1.0,
+            config=SolverConfig(solver="lsqr"),
+            max_iter=500,
+            tol=1e-14,
+        ).fit(sp.csr_matrix(dense), y)
+        dense_model = SRDA(alpha=1.0, config=SolverConfig(solver="normal"),
                            centering=False).fit(dense, y)
         assert np.allclose(
             scipy_model.components_, dense_model.components_, atol=1e-6
@@ -227,8 +262,10 @@ class TestSolverAgreement:
         # the two III-B realizations differ only through the penalized
         # bias, an O(α) effect: they coincide in the α → 0 limit
         _, dense, y = sparse_classification
-        centered = SRDA(alpha=1e-10, solver="normal").fit(dense, y)
-        augmented = SRDA(alpha=1e-10, solver="normal",
+        centered = SRDA(
+            alpha=1e-10, config=SolverConfig(solver="normal")
+        ).fit(dense, y)
+        augmented = SRDA(alpha=1e-10, config=SolverConfig(solver="normal"),
                          centering=False).fit(dense, y)
         Z1 = centered.transform(dense)
         Z2 = augmented.transform(dense)
@@ -236,7 +273,12 @@ class TestSolverAgreement:
 
     def test_sparse_transform_and_predict(self, sparse_classification):
         S, dense, y = sparse_classification
-        model = SRDA(alpha=1.0, solver="lsqr", max_iter=300, tol=1e-13).fit(S, y)
+        model = SRDA(
+            alpha=1.0,
+            config=SolverConfig(solver="lsqr"),
+            max_iter=300,
+            tol=1e-13,
+        ).fit(S, y)
         assert np.allclose(model.transform(S), model.transform(dense), atol=1e-9)
         assert np.array_equal(model.predict(S), model.predict(dense))
 
@@ -246,8 +288,10 @@ class TestInvariances:
         # relabeling classes must not change the embedding subspace
         X, y = small_classification
         mapping = np.array([2, 0, 1])
-        a = SRDA(alpha=1.0, solver="normal").fit(X, y)
-        b = SRDA(alpha=1.0, solver="normal").fit(X, mapping[y])
+        a = SRDA(alpha=1.0, config=SolverConfig(solver="normal")).fit(X, y)
+        b = SRDA(
+            alpha=1.0, config=SolverConfig(solver="normal")
+        ).fit(X, mapping[y])
         Za, Zb = a.transform(X), b.transform(X)
         # compare class-centroid pairwise distances (rotation invariant)
         def centroid_distances(Z, labels):
@@ -263,8 +307,10 @@ class TestInvariances:
     def test_sample_order_invariance(self, small_classification, rng):
         X, y = small_classification
         perm = rng.permutation(X.shape[0])
-        a = SRDA(alpha=1.0, solver="normal").fit(X, y)
-        b = SRDA(alpha=1.0, solver="normal").fit(X[perm], y[perm])
+        a = SRDA(alpha=1.0, config=SolverConfig(solver="normal")).fit(X, y)
+        b = SRDA(
+            alpha=1.0, config=SolverConfig(solver="normal")
+        ).fit(X[perm], y[perm])
         assert np.allclose(a.components_, b.components_, atol=1e-8)
         assert np.allclose(a.intercept_, b.intercept_, atol=1e-8)
 
@@ -272,8 +318,10 @@ class TestInvariances:
         # the absorbed intercept makes predictions shift-invariant
         X, y = small_classification
         shift = 100.0 * np.ones(X.shape[1])
-        a = SRDA(alpha=1.0, solver="normal").fit(X, y)
-        b = SRDA(alpha=1.0, solver="normal").fit(X + shift, y)
+        a = SRDA(alpha=1.0, config=SolverConfig(solver="normal")).fit(X, y)
+        b = SRDA(
+            alpha=1.0, config=SolverConfig(solver="normal")
+        ).fit(X + shift, y)
         assert np.array_equal(a.predict(X), b.predict(X + shift))
 
     def test_duplicated_dataset_same_direction(self, small_classification):
@@ -282,8 +330,8 @@ class TestInvariances:
         X, y = small_classification
         X2 = np.vstack([X, X])
         y2 = np.concatenate([y, y])
-        a = SRDA(alpha=1e-8, solver="normal").fit(X, y)
-        b = SRDA(alpha=1e-8, solver="normal").fit(X2, y2)
+        a = SRDA(alpha=1e-8, config=SolverConfig(solver="normal")).fit(X, y)
+        b = SRDA(alpha=1e-8, config=SolverConfig(solver="normal")).fit(X2, y2)
         assert np.array_equal(a.predict(X), b.predict(X))
 
 
@@ -300,7 +348,9 @@ class TestBlockPath:
         self, small_classification, sequential_lsqr_srda
     ):
         X, y = small_classification
-        kwargs = dict(alpha=0.5, solver="lsqr", max_iter=15, tol=0.0)
+        kwargs = dict(
+            alpha=0.5, config=SolverConfig(solver="lsqr"), max_iter=15, tol=0.0
+        )
         blocked = SRDA(**kwargs).fit(X, y)
         sequential = sequential_lsqr_srda(**kwargs).fit(X, y)
         assert np.allclose(
@@ -331,7 +381,9 @@ class TestBlockPath:
         # amplifies summation-order rounding through the Golub–Kahan
         # recurrence (both paths drift from exact arithmetic equally).
         matrix, _, y = sparse_classification
-        kwargs = dict(alpha=1.0, solver="lsqr", max_iter=12, tol=0.0)
+        kwargs = dict(
+            alpha=1.0, config=SolverConfig(solver="lsqr"), max_iter=12, tol=0.0
+        )
         blocked = SRDA(**kwargs).fit(matrix, y)
         sequential = sequential_lsqr_srda(**kwargs).fit(matrix, y)
         assert np.allclose(
@@ -345,7 +397,12 @@ class TestBlockPath:
         self, sparse_classification, sequential_lsqr_srda
     ):
         matrix, _, y = sparse_classification
-        kwargs = dict(alpha=1.0, solver="lsqr", max_iter=200, tol=1e-8)
+        kwargs = dict(
+            alpha=1.0,
+            config=SolverConfig(solver="lsqr"),
+            max_iter=200,
+            tol=1e-8,
+        )
         blocked = SRDA(**kwargs).fit(matrix, y)
         sequential = sequential_lsqr_srda(**kwargs).fit(matrix, y)
         scale = max(1.0, np.max(np.abs(sequential.components_)))
@@ -358,7 +415,11 @@ class TestBlockPath:
     def test_block_warm_start(self, small_classification, sequential_lsqr_srda):
         X, y = small_classification
         kwargs = dict(
-            alpha=0.5, solver="lsqr", max_iter=10, tol=0.0, warm_start=True
+            alpha=0.5,
+            config=SolverConfig(solver="lsqr"),
+            max_iter=10,
+            tol=0.0,
+            warm_start=True,
         )
         blocked = SRDA(**kwargs)
         sequential = sequential_lsqr_srda(**kwargs)
@@ -388,7 +449,10 @@ class TestAlphaPath:
         assert len(models) == len(alphas)
         for alpha, model in zip(alphas, models):
             cold = SRDA(
-                alpha=alpha, solver="lsqr", max_iter=15, tol=0.0
+                alpha=alpha,
+                config=SolverConfig(solver="lsqr"),
+                max_iter=15,
+                tol=0.0,
             ).fit(matrix, y)
             assert np.array_equal(model.components_, cold.components_)
             assert np.array_equal(model.intercept_, cold.intercept_)
@@ -406,7 +470,10 @@ class TestAlphaPath:
         models = srda_alpha_path(X, y, [0.1, 1.0], max_iter=15, tol=0.0)
         for alpha, model in zip((0.1, 1.0), models):
             cold = SRDA(
-                alpha=alpha, solver="lsqr", max_iter=15, tol=0.0
+                alpha=alpha,
+                config=SolverConfig(solver="lsqr"),
+                max_iter=15,
+                tol=0.0,
             ).fit(X, y)
             assert model.centered_ is True
             assert np.array_equal(model.components_, cold.components_)

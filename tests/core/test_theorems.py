@@ -10,6 +10,7 @@
 import numpy as np
 import pytest
 
+from repro import SolverConfig
 from repro.baselines.lda import LDA
 from repro.core.graph import lda_weight_matrix
 from repro.core.responses import generate_responses
@@ -67,7 +68,9 @@ class TestCorollary3:
 
     def test_classes_collapse_to_points(self, problem):
         X, y, c = problem
-        Z = SRDA(alpha=0.0, solver="normal").fit_transform(X, y)
+        Z = SRDA(
+            alpha=0.0, config=SolverConfig(solver="normal")
+        ).fit_transform(X, y)
         for k in range(c):
             rows = Z[y == k]
             assert np.abs(rows - rows[0]).max() < 1e-6
@@ -86,10 +89,14 @@ class TestCorollary3:
         # at the collapse point both separate classes perfectly and
         # class-point configurations are full-rank simplices).
         X, y, c = problem
-        Z_srda = SRDA(alpha=0.0, solver="normal").fit_transform(X, y)
+        Z_srda = SRDA(
+            alpha=0.0, config=SolverConfig(solver="normal")
+        ).fit_transform(X, y)
         Z_lda = LDA().fit(X, y).transform(X)
         # classification agrees exactly on training data
-        assert SRDA(alpha=0.0, solver="normal").fit(X, y).score(X, y) == 1.0
+        assert SRDA(
+            alpha=0.0, config=SolverConfig(solver="normal")
+        ).fit(X, y).score(X, y) == 1.0
         assert LDA().fit(X, y).score(X, y) == 1.0
         # both embeddings have rank c-1 (non-degenerate simplex)
         assert np.linalg.matrix_rank(Z_srda - Z_srda.mean(0), tol=1e-6) == c - 1
@@ -100,7 +107,9 @@ class TestCorollary3:
         # between successive solutions shrinks
         X, y, _ = problem
         solutions = [
-            SRDA(alpha=alpha, solver="normal").fit(X, y).components_
+            SRDA(
+                alpha=alpha, config=SolverConfig(solver="normal")
+            ).fit(X, y).components_
             for alpha in (1e-2, 1e-5, 1e-8, 0.0)
         ]
         gaps = [
@@ -131,7 +140,9 @@ class TestRegularizationBehavior:
         X_test, y_test = sample(60)
         scores = {}
         for alpha in (0.0, 1.0):
-            model = SRDA(alpha=alpha, solver="normal").fit(X_train, y_train)
+            model = SRDA(
+                alpha=alpha, config=SolverConfig(solver="normal")
+            ).fit(X_train, y_train)
             assert model.score(X_train, y_train) == 1.0
             scores[alpha] = model.score(X_test, y_test)
         assert scores[1.0] >= scores[0.0]

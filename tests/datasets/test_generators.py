@@ -9,6 +9,7 @@ separable at one sample per class.
 import numpy as np
 import pytest
 
+from repro import SolverConfig
 from repro.core.srda import SRDA
 from repro.datasets import (
     make_digits,
@@ -183,7 +184,9 @@ class TestText:
 
         d = make_text(n_docs=800, vocab_size=4000, seed=3)
         train, test = ratio_split(d.y, 0.3, rng)
-        model = SRDA(alpha=1.0, solver="lsqr", max_iter=15).fit(*d.subset(train))
+        model = SRDA(
+            alpha=1.0, config=SolverConfig(solver="lsqr"), max_iter=15
+        ).fit(*d.subset(train))
         error = 1.0 - model.score(*d.subset(test))
         assert error < 0.4
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import SolverConfig
 from repro.datasets.vectorizer import (
     STOP_WORDS,
     TfVectorizer,
@@ -157,7 +158,9 @@ class TestRawDocumentGenerator:
         vec = TfVectorizer(min_df=2)
         X_train = vec.fit_transform(docs[:140])
         X_test = vec.transform(docs[140:])
-        model = SRDA(alpha=1.0, solver="lsqr", max_iter=15).fit(
+        model = SRDA(
+            alpha=1.0, config=SolverConfig(solver="lsqr"), max_iter=15
+        ).fit(
             X_train, y[:140]
         )
         error = 1.0 - model.score(X_test, y[140:])

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import SolverConfig
 from repro.core.srda import SRDA, srda_alpha_path
 from repro.distributed import ChaosBackend, ChaosPlan, DistributedBackend
 from repro.linalg.sparse import CSRMatrix
@@ -32,8 +33,12 @@ def problem():
 def reference(problem):
     """The serial-backend fit every scenario must match bitwise."""
     X, y = problem
-    model = SRDA(alpha=1.0, solver="lsqr", max_iter=15, tol=0.0,
-                 backend="serial")
+    model = SRDA(
+        alpha=1.0,
+        config=SolverConfig(solver="lsqr", backend="serial"),
+        max_iter=15,
+        tol=0.0,
+    )
     model.fit(X, y)
     return model
 
@@ -41,8 +46,12 @@ def reference(problem):
 def _fit_with(backend, problem):
     """Fit through ``backend``; returns (model, stats-before-close)."""
     X, y = problem
-    model = SRDA(alpha=1.0, solver="lsqr", max_iter=15, tol=0.0,
-                 backend=backend)
+    model = SRDA(
+        alpha=1.0,
+        config=SolverConfig(solver="lsqr", backend=backend),
+        max_iter=15,
+        tol=0.0,
+    )
     try:
         model.fit(X, y)
         stats = backend.stats()
@@ -148,7 +157,12 @@ class TestAlphaPath:
         X, y = problem
         alphas = [0.1, 1.0, 10.0]
         serial = srda_alpha_path(
-            X, y, alphas=alphas, max_iter=10, tol=0.0, backend="serial"
+            X,
+            y,
+            alphas=alphas,
+            max_iter=10,
+            tol=0.0,
+            config=SolverConfig(solver="lsqr", backend="serial"),
         )
         inner = DistributedBackend(
             n_workers=2, heartbeat_interval=0.5, task_timeout=10.0
@@ -156,7 +170,12 @@ class TestAlphaPath:
         backend = ChaosBackend(inner, ChaosPlan(kill_at={3: 0}))
         try:
             chaotic = srda_alpha_path(
-                X, y, alphas=alphas, max_iter=10, tol=0.0, backend=backend
+                X,
+                y,
+                alphas=alphas,
+                max_iter=10,
+                tol=0.0,
+                config=SolverConfig(solver="lsqr", backend=backend),
             )
             stats = inner.stats()
         finally:

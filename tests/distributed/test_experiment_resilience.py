@@ -6,6 +6,7 @@ checkpoint behind — never corrupt the sweep.
 import numpy as np
 import pytest
 
+from repro import SolverConfig
 from repro.core.srda import SRDA
 from repro.datasets import Dataset
 from repro.distributed import ChaosBackend, ChaosPlan, DistributedBackend
@@ -39,13 +40,21 @@ def _doomed_srda():
         max_retries=1, on_unhealthy="raise",
     )
     backend = ChaosBackend(inner, ChaosPlan(kill_at={0: (0, 1)}))
-    return SRDA(alpha=1.0, solver="lsqr", max_iter=5, tol=0.0,
-                backend=backend)
+    return SRDA(
+        alpha=1.0,
+        config=SolverConfig(solver="lsqr", backend=backend),
+        max_iter=5,
+        tol=0.0,
+    )
 
 
 def _healthy_srda():
-    return SRDA(alpha=1.0, solver="lsqr", max_iter=5, tol=0.0,
-                backend="serial")
+    return SRDA(
+        alpha=1.0,
+        config=SolverConfig(solver="lsqr", backend="serial"),
+        max_iter=5,
+        tol=0.0,
+    )
 
 
 class TestFailureRecording:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import SolverConfig
 from repro.baselines.lda import LDA
 from repro.core.srda import SRDA
 from repro.datasets import Dataset, make_digits, make_text
@@ -87,7 +88,9 @@ class TestRunExperiment:
     def test_ratio_protocol_labels(self):
         d = make_text(n_docs=120, vocab_size=600, n_classes=4, seed=0)
         result = run_experiment(
-            d, {"SRDA": lambda: SRDA(alpha=1.0, solver="lsqr", max_iter=10)},
+            d, {"SRDA": lambda: SRDA(
+                alpha=1.0, config=SolverConfig(solver="lsqr"), max_iter=10
+            )},
             train_sizes=[0.3], n_splits=2, seed=0,
         )
         assert result.size_labels == ["30%"]
@@ -97,7 +100,9 @@ class TestMemoryBudget:
     def test_over_budget_marked_failed(self, tiny_dataset):
         result = run_experiment(
             tiny_dataset,
-            {"LDA": lambda: LDA(), "SRDA (LSQR)": lambda: SRDA(solver="lsqr")},
+            {"LDA": lambda: LDA(), "SRDA (LSQR)": lambda: SRDA(
+                config=SolverConfig(solver="lsqr")
+            )},
             n_splits=2,
             seed=0,
             memory_budget_bytes=100.0,  # absurdly small: everything dense fails

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import SolverConfig
 from repro.core.srda import SRDA
 from repro.eval.model_selection import (
     AlphaSearchResult,
@@ -38,7 +39,7 @@ class TestGridSearch:
     def test_result_structure(self, data):
         X, y = data
         result = grid_search_alpha(
-            lambda a: SRDA(alpha=a, solver="normal"),
+            lambda a: SRDA(alpha=a, config=SolverConfig(solver="normal")),
             X, y, alphas=[0.1, 1.0, 10.0], n_splits=3, seed=0,
         )
         assert isinstance(result, AlphaSearchResult)
@@ -71,7 +72,9 @@ class TestGridSearch:
         dense[y == 1, :5] += 3.0
         X = CSRMatrix.from_dense(dense)
         result = grid_search_alpha(
-            lambda a: SRDA(alpha=a, solver="lsqr", max_iter=30),
+            lambda a: SRDA(
+                alpha=a, config=SolverConfig(solver="lsqr"), max_iter=30
+            ),
             X, y, alphas=[1.0], n_splits=2, seed=0,
         )
         assert np.isfinite(result.mean_errors).all()
@@ -92,7 +95,7 @@ class TestGridSearch:
         y = np.repeat(np.arange(3), 8)
         X = centers[y] + 2.0 * rng.standard_normal((24, n))
         result = grid_search_alpha(
-            lambda a: SRDA(alpha=a, solver="normal"),
+            lambda a: SRDA(alpha=a, config=SolverConfig(solver="normal")),
             X, y, alphas=[1e-6, 1.0, 1e6], n_splits=4, seed=1,
         )
         assert result.best_alpha != 1e6
@@ -115,7 +118,10 @@ class TestGridSearchSRDA:
         kwargs = dict(alphas=[0.1, 1.0, 10.0], n_splits=3, seed=0)
         refit = grid_search_alpha(
             lambda a: SRDA(
-                alpha=a, solver="lsqr", max_iter=15, tol=0.0
+                alpha=a,
+                config=SolverConfig(solver="lsqr"),
+                max_iter=15,
+                tol=0.0,
             ),
             X, y, **kwargs,
         )

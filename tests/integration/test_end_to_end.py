@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import IDRQR, LDA, RLDA, SRDA
+from repro import IDRQR, LDA, RLDA, SRDA, SolverConfig
 from repro.datasets import make_digits, make_faces, make_text
 from repro.eval import figure_series, format_error_table, run_experiment
 
@@ -62,7 +62,9 @@ class TestSparseTextPipeline:
             dataset,
             {
                 "LDA": lambda: LDA(),
-                "SRDA": lambda: SRDA(alpha=1.0, solver="lsqr", max_iter=15),
+                "SRDA": lambda: SRDA(
+                    alpha=1.0, config=SolverConfig(solver="lsqr"), max_iter=15
+                ),
             },
             train_sizes=[0.2],
             n_splits=2,
@@ -80,7 +82,9 @@ class TestSparseTextPipeline:
         untouched."""
         dataset = make_text(n_docs=200, vocab_size=2000, seed=5)
         nnz_before = dataset.X.nnz
-        model = SRDA(alpha=1.0, solver="auto").fit(dataset.X, dataset.y)
+        model = SRDA(
+            alpha=1.0, config=SolverConfig(solver="auto")
+        ).fit(dataset.X, dataset.y)
         assert model.solver_used_ == "lsqr"
         assert dataset.X.nnz == nnz_before
 

@@ -86,7 +86,9 @@ class TestSRDAvsRLDAvsLDA:
 
         Z_lda = LDA().fit(X, y).transform(X)
         Z_rlda = RLDA(alpha=1e-9).fit(X, y).transform(X)
-        Z_srda = SRDA(alpha=1e-9, solver="normal").fit_transform(X, y)
+        Z_srda = SRDA(
+            alpha=1e-9, config=SolverConfig(solver="normal")
+        ).fit_transform(X, y)
 
         def projector(Z):
             Q, _ = np.linalg.qr(Z - Z.mean(axis=0))
@@ -104,7 +106,9 @@ class TestSRDAvsRLDAvsLDA:
         X = centers[y] + rng.standard_normal((m, n))
         X_new = centers[y] + rng.standard_normal((m, n))
         lda_pred = LDA().fit(X, y).predict(X_new)
-        srda_pred = SRDA(alpha=1e-8, solver="normal").fit(X, y).predict(X_new)
+        srda_pred = SRDA(
+            alpha=1e-8, config=SolverConfig(solver="normal")
+        ).fit(X, y).predict(X_new)
         assert np.mean(lda_pred == srda_pred) > 0.97
 
 
@@ -141,8 +145,10 @@ class TestLSQRIterationSufficiency:
         m, n, c = 200, 300, 5
         y = np.arange(m) % c
         X = rng.standard_normal((m, n)) + rng.standard_normal((c, n))[y]
-        exact = SRDA(alpha=1.0, solver="normal").fit(X, y)
-        iterative = SRDA(alpha=1.0, solver="lsqr", max_iter=20, tol=0.0).fit(X, y)
+        exact = SRDA(alpha=1.0, config=SolverConfig(solver="normal")).fit(X, y)
+        iterative = SRDA(
+            alpha=1.0, config=SolverConfig(solver="lsqr"), max_iter=20, tol=0.0
+        ).fit(X, y)
         # compare embeddings (what matters downstream)
         Z_exact = exact.transform(X)
         Z_iter = iterative.transform(X)

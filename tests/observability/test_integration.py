@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import SRDA, KernelSRDA, srda_alpha_path
+from repro import SRDA, KernelSRDA, srda_alpha_path, SolverConfig
 from repro.datasets.base import Dataset
 from repro.datasets.cache import cached
 from repro.eval.experiment import (
@@ -59,7 +59,9 @@ class TestSRDATracing:
 
     def test_normal_path_nests_guarded_solve(self, small_classification):
         X, y = small_classification
-        model = SRDA(alpha=1.0, solver="normal", trace=True).fit(X, y)
+        model = SRDA(
+            alpha=1.0, config=SolverConfig(solver="normal"), trace=True
+        ).fit(X, y)
         sink = model.tracer_.sink
         guarded = sink.find("guarded_solve")
         assert guarded, "guarded_solve should join the estimator trace"
@@ -72,7 +74,11 @@ class TestSRDATracing:
     ):
         X, y = small_classification
         model = SRDA(
-            alpha=1.0, solver="lsqr", max_iter=12, tol=1e-8, trace=True
+            alpha=1.0,
+            config=SolverConfig(solver="lsqr"),
+            max_iter=12,
+            tol=1e-8,
+            trace=True,
         ).fit(X, y)
         events = model.tracer_.sink.find("srda.solve")[0]["events"]
         iteration_events = [
@@ -87,7 +93,11 @@ class TestSRDATracing:
         # the tracer's hook: one lsqr.iteration event per column iteration.
         X, y = small_classification
         model = sequential_lsqr_srda(
-            alpha=1.0, solver="lsqr", max_iter=12, tol=1e-8, trace=True,
+            alpha=1.0,
+            config=SolverConfig(solver="lsqr"),
+            max_iter=12,
+            tol=1e-8,
+            trace=True,
         ).fit(X, y)
         events = model.tracer_.sink.find("srda.solve")[0]["events"]
         iteration_events = [
@@ -97,15 +107,21 @@ class TestSRDATracing:
 
     def test_lsqr_path_counts_flam(self, small_classification):
         X, y = small_classification
-        model = SRDA(alpha=1.0, solver="lsqr", trace=True).fit(X, y)
+        model = SRDA(
+            alpha=1.0, config=SolverConfig(solver="lsqr"), trace=True
+        ).fit(X, y)
         counter = model.tracer_.metrics.get_counter("srda.flam")
         assert counter is not None and counter.value > 0
 
     def test_tracing_does_not_change_the_fit(self, small_classification):
         X, y = small_classification
         for solver in ("normal", "lsqr"):
-            plain = SRDA(alpha=1.0, solver=solver).fit(X, y)
-            traced = SRDA(alpha=1.0, solver=solver, trace=True).fit(X, y)
+            plain = SRDA(
+                alpha=1.0, config=SolverConfig(solver=solver)
+            ).fit(X, y)
+            traced = SRDA(
+                alpha=1.0, config=SolverConfig(solver=solver), trace=True
+            ).fit(X, y)
             np.testing.assert_allclose(
                 plain.components_, traced.components_
             )
@@ -120,7 +136,11 @@ class TestSRDATracing:
     def test_jsonl_trace_validates(self, small_classification, tmp_path):
         X, y = small_classification
         path = tmp_path / "fit.jsonl"
-        model = SRDA(alpha=1.0, solver="lsqr", trace=JsonlSink(path))
+        model = SRDA(
+            alpha=1.0,
+            config=SolverConfig(solver="lsqr"),
+            trace=JsonlSink(path),
+        )
         model.fit(X, y)
         model.tracer_.close()  # final metrics snapshot + file close
         assert validate_trace_file(path) == []
@@ -139,7 +159,9 @@ class TestSRDATracing:
         X, y = small_classification
         for solver in ("normal", "lsqr"):
             model = SRDA(
-                alpha=1.0, solver=solver, validate_operators=True,
+                alpha=1.0,
+                config=SolverConfig(solver=solver),
+                validate_operators=True,
                 trace=True,
             ).fit(X, y)
             checks = model.tracer_.sink.find("srda.contract_check")

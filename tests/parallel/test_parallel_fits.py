@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.baselines.ridge import RidgeClassifier
+from repro.core.semi_supervised import SemiSupervisedSRDA
 from repro.core.solver_config import SolverConfig
 from repro.core.srda import SRDA, srda_alpha_path
 from repro.datasets import Dataset
@@ -35,14 +37,16 @@ def sparse_blobs(blobs, rng):
 class TestSRDAParallelFit:
     def test_backends_agree_bitwise(self, sparse_blobs):
         X, y = sparse_blobs
-        serial = SRDA(alpha=0.5, backend="serial").fit(X, y)
-        threaded = SRDA(alpha=0.5, n_jobs=2).fit(X, y)
+        serial = SRDA(
+            alpha=0.5, config=SolverConfig(backend="serial")
+        ).fit(X, y)
+        threaded = SRDA(alpha=0.5, config=SolverConfig(n_jobs=2)).fit(X, y)
         np.testing.assert_array_equal(serial.components_, threaded.components_)
 
     def test_sharded_close_to_direct(self, sparse_blobs):
         X, y = sparse_blobs
         direct = SRDA(alpha=0.5).fit(X, y)
-        sharded = SRDA(alpha=0.5, n_jobs=2).fit(X, y)
+        sharded = SRDA(alpha=0.5, config=SolverConfig(n_jobs=2)).fit(X, y)
         np.testing.assert_allclose(
             sharded.components_, direct.components_, rtol=1e-8, atol=1e-10
         )
@@ -50,31 +54,65 @@ class TestSRDAParallelFit:
     def test_dense_centered_backends_agree(self, blobs):
         X, y = blobs
         serial = SRDA(
-            alpha=0.5, solver="lsqr", backend="serial", centering=True
+            alpha=0.5,
+            config=SolverConfig(solver="lsqr", backend="serial"),
+            centering=True,
         ).fit(X, y)
         threaded = SRDA(
-            alpha=0.5, solver="lsqr", n_jobs=2, centering=True
+            alpha=0.5,
+            config=SolverConfig(solver="lsqr", n_jobs=2),
+            centering=True,
         ).fit(X, y)
         np.testing.assert_array_equal(serial.components_, threaded.components_)
 
     def test_predictions_unchanged(self, sparse_blobs):
         X, y = sparse_blobs
         direct = SRDA(alpha=0.5).fit(X, y)
-        threaded = SRDA(alpha=0.5, n_jobs=2).fit(X, y)
+        threaded = SRDA(alpha=0.5, config=SolverConfig(n_jobs=2)).fit(X, y)
         np.testing.assert_array_equal(direct.predict(X), threaded.predict(X))
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
-            SRDA(alpha=1.0, backend=3.14)
+            SRDA(alpha=1.0, config=SolverConfig(backend=3.14))
 
     def test_invalid_n_jobs_rejected(self):
         with pytest.raises(ValueError, match="n_jobs"):
-            SRDA(alpha=1.0, n_jobs=0)
+            SRDA(alpha=1.0, config=SolverConfig(n_jobs=0))
 
     def test_params_stored_verbatim(self):
-        model = SRDA(alpha=1.0, n_jobs=-1, backend="thread")
-        assert model.n_jobs == -1
-        assert model.backend == "thread"
+        model = SRDA(
+            alpha=1.0, config=SolverConfig(n_jobs=-1, backend="thread")
+        )
+        assert model.config.n_jobs == -1
+        assert model.config.backend == "thread"
+
+
+class TestSharedStageHonoursConfig:
+    """Every estimator on the shared regression stage shards as SRDA does."""
+
+    @pytest.mark.parametrize(
+        "cls, weights",
+        [(SemiSupervisedSRDA, "components_"), (RidgeClassifier, "coef_")],
+        ids=["SemiSupervisedSRDA", "RidgeClassifier"],
+    )
+    def test_sharded_fit_records_backend(self, cls, weights, rng):
+        # m=1200 rows cut into two shards; the thread backend must
+        # serve the products and leave the solution unchanged.
+        X = rng.standard_normal((1200, 20))
+        y = np.arange(1200) % 3
+        X[np.arange(1200), y] += 3.0
+        direct = cls(config=SolverConfig(solver="lsqr")).fit(X, y)
+        sharded = cls(
+            config=SolverConfig(solver="lsqr", n_jobs=2, backend="thread")
+        ).fit(X, y)
+        assert direct.fit_report_.backend is None
+        assert sharded.fit_report_.backend == "thread"
+        np.testing.assert_allclose(
+            getattr(sharded, weights),
+            getattr(direct, weights),
+            rtol=0,
+            atol=1e-10,
+        )
 
 
 @pytest.fixture(scope="module")
@@ -125,8 +163,12 @@ class TestAlphaPathParallel:
     def test_backends_agree_bitwise(self, sparse_blobs):
         X, y = sparse_blobs
         alphas = [0.01, 0.1, 1.0]
-        serial = srda_alpha_path(X, y, alphas, backend="serial")
-        threaded = srda_alpha_path(X, y, alphas, n_jobs=2)
+        serial = srda_alpha_path(
+            X, y, alphas, config=SolverConfig(solver="lsqr", backend="serial")
+        )
+        threaded = srda_alpha_path(
+            X, y, alphas, config=SolverConfig(solver="lsqr", n_jobs=2)
+        )
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a.components_, b.components_)
 
@@ -134,7 +176,9 @@ class TestAlphaPathParallel:
         X, y = sparse_blobs
         alphas = [0.1, 1.0]
         direct = srda_alpha_path(X, y, alphas)
-        sharded = srda_alpha_path(X, y, alphas, n_jobs=2)
+        sharded = srda_alpha_path(
+            X, y, alphas, config=SolverConfig(solver="lsqr", n_jobs=2)
+        )
         for a, b in zip(direct, sharded):
             np.testing.assert_allclose(
                 b.components_, a.components_, rtol=1e-8, atol=1e-10

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import SolverConfig
 from repro.core.srda import SRDA
 from repro.datasets.base import Dataset
 from repro.datasets.cache import load_dataset, save_dataset
@@ -32,7 +33,9 @@ def classification_case(seed, max_m=25, max_n=10, max_c=4):
 def test_srda_round_trip_preserves_behavior(tmp_path_factory, seed, alpha,
                                             solver):
     X, y = classification_case(seed)
-    model = SRDA(alpha=alpha, solver=solver, max_iter=50).fit(X, y)
+    model = SRDA(
+        alpha=alpha, config=SolverConfig(solver=solver), max_iter=50
+    ).fit(X, y)
     path = tmp_path_factory.mktemp("models") / f"m{seed}"
     loaded = load_model(save_model(model, path))
     assert np.allclose(loaded.transform(X), model.transform(X), atol=1e-12)

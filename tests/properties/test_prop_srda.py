@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import SolverConfig
 from repro.core.srda import SRDA
 from repro.linalg.sparse import CSRMatrix
 
@@ -24,7 +25,9 @@ def classification_case(seed, max_m=30, max_n=15, max_c=5):
 @given(st.integers(0, 2**31 - 1))
 def test_embedding_dimension_always_c_minus_1(seed):
     X, y, c = classification_case(seed)
-    Z = SRDA(alpha=1.0, solver="normal").fit_transform(X, y)
+    Z = SRDA(
+        alpha=1.0, config=SolverConfig(solver="normal")
+    ).fit_transform(X, y)
     assert Z.shape == (X.shape[0], c - 1)
 
 
@@ -32,8 +35,13 @@ def test_embedding_dimension_always_c_minus_1(seed):
 @given(st.integers(0, 2**31 - 1), st.floats(1e-3, 1e3))
 def test_normal_and_lsqr_agree(seed, alpha):
     X, y, _ = classification_case(seed, max_m=20, max_n=10)
-    a = SRDA(alpha=alpha, solver="normal").fit(X, y)
-    b = SRDA(alpha=alpha, solver="lsqr", max_iter=3000, tol=1e-14).fit(X, y)
+    a = SRDA(alpha=alpha, config=SolverConfig(solver="normal")).fit(X, y)
+    b = SRDA(
+        alpha=alpha,
+        config=SolverConfig(solver="lsqr"),
+        max_iter=3000,
+        tol=1e-14,
+    ).fit(X, y)
     scale = max(1.0, np.abs(a.components_).max())
     assert np.abs(a.components_ - b.components_).max() < 1e-5 * scale
 
@@ -43,8 +51,10 @@ def test_normal_and_lsqr_agree(seed, alpha):
 def test_sample_order_invariance(seed):
     X, y, _ = classification_case(seed)
     perm = np.random.default_rng(seed + 1).permutation(X.shape[0])
-    a = SRDA(alpha=1.0, solver="normal").fit(X, y)
-    b = SRDA(alpha=1.0, solver="normal").fit(X[perm], y[perm])
+    a = SRDA(alpha=1.0, config=SolverConfig(solver="normal")).fit(X, y)
+    b = SRDA(
+        alpha=1.0, config=SolverConfig(solver="normal")
+    ).fit(X[perm], y[perm])
     assert np.allclose(a.components_, b.components_, atol=1e-7)
 
 
@@ -54,9 +64,12 @@ def test_sparse_dense_agreement(seed):
     X, y, _ = classification_case(seed, max_m=20, max_n=10)
     X = X.copy()
     X[np.abs(X) < 0.8] = 0.0
-    dense_model = SRDA(alpha=1.0, solver="normal", centering=False).fit(X, y)
-    sparse_model = SRDA(alpha=1.0, solver="lsqr", max_iter=3000,
-                        tol=1e-14).fit(CSRMatrix.from_dense(X), y)
+    dense_model = SRDA(
+        alpha=1.0, config=SolverConfig(solver="normal"), centering=False
+    ).fit(X, y)
+    sparse_model = SRDA(
+        alpha=1.0, config=SolverConfig(solver="lsqr"), max_iter=3000, tol=1e-14
+    ).fit(CSRMatrix.from_dense(X), y)
     assert np.abs(
         dense_model.components_ - sparse_model.components_
     ).max() < 1e-5
@@ -67,8 +80,8 @@ def test_sparse_dense_agreement(seed):
 def test_translation_invariant_predictions(seed, shift_size):
     X, y, _ = classification_case(seed)
     shift = shift_size * np.ones(X.shape[1])
-    a = SRDA(alpha=1.0, solver="normal").fit(X, y)
-    b = SRDA(alpha=1.0, solver="normal").fit(X + shift, y)
+    a = SRDA(alpha=1.0, config=SolverConfig(solver="normal")).fit(X, y)
+    b = SRDA(alpha=1.0, config=SolverConfig(solver="normal")).fit(X + shift, y)
     assert np.array_equal(a.predict(X), b.predict(X + shift))
 
 
@@ -77,7 +90,7 @@ def test_translation_invariant_predictions(seed, shift_size):
 def test_transform_is_affine(seed):
     """transform must be exactly X @ components + intercept."""
     X, y, _ = classification_case(seed)
-    model = SRDA(alpha=1.0, solver="normal").fit(X, y)
+    model = SRDA(alpha=1.0, config=SolverConfig(solver="normal")).fit(X, y)
     Z = model.transform(X)
     assert np.allclose(Z, X @ model.components_ + model.intercept_, atol=1e-10)
 
@@ -86,7 +99,7 @@ def test_transform_is_affine(seed):
 @given(st.integers(0, 2**31 - 1))
 def test_predictions_match_embedding_centroids(seed):
     X, y, c = classification_case(seed)
-    model = SRDA(alpha=1.0, solver="normal").fit(X, y)
+    model = SRDA(alpha=1.0, config=SolverConfig(solver="normal")).fit(X, y)
     Z = model.transform(X)
     predictions = model.predict(X)
     for i in range(X.shape[0]):
