@@ -14,6 +14,7 @@ from benchmarks._harness import once
 from benchmarks.conftest import record_report
 from repro import SRDA, SolverConfig
 from repro.datasets import make_text
+from repro.linalg import kernels
 
 
 def test_sparse_vs_densified(benchmark):
@@ -53,6 +54,7 @@ def test_sparse_vs_densified(benchmark):
                 f"densified fit time:      {dense_time:8.2f} s",
                 f"speedup:                 {dense_time / sparse_time:8.1f}x",
                 f"memory ratio (model):    {1 / density:8.0f}x",
+                f"CSR kernel backend:      {kernels.active_backend():>8}",
             ]
         ),
     )
@@ -69,5 +71,7 @@ def test_sparse_vs_densified(benchmark):
         sparse_model.predict(X_sparse) == dense_model.predict(X_sparse.to_dense())
     )
     assert agreement > 0.995, agreement
-    # the sparse path wins big (density < 1%, ask for ≥ 5x to be safe)
+    # the sparse path wins big (density < 1%, ask for ≥ 5x to be safe).
+    # The margin needs the compiled CSR kernels: on the numpy reference
+    # kernels the ratio reads about 3x on this case.
     assert dense_time > 5.0 * sparse_time, (dense_time, sparse_time)

@@ -346,10 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--backend", default=None,
         choices=BACKEND_NAMES,
-        help="execution backend for SRDA's operator products; "
-        "'distributed' ships shards once to supervised localhost "
-        "worker processes and degrades to a local backend (recorded "
-        "in the fit report) if the cluster becomes unhealthy",
+        help="execution backend for SRDA's operator products: 'serial' "
+        "runs the shards inline, 'thread' on --workers threads",
     )
     bench.add_argument(
         "--workers", type=int, default=None, metavar="N",

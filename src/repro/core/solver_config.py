@@ -55,9 +55,9 @@ class SolverConfig:
         direct, ``-1`` every core).
     backend:
         Execution backend for sharded products: ``None``, a name
-        (``"serial"``/``"thread"`` in-host, ``"distributed"`` across
-        processes), or a live :class:`repro.parallel.Backend`.  Unknown
-        names fail here, at construction.
+        (``"serial"``/``"thread"``), or a live
+        :class:`repro.parallel.Backend`.  Unknown names fail here, at
+        construction.
     kernel_backend:
         CSR kernel backend for operator products: ``None`` (defer to
         the ``REPRO_KERNEL_BACKEND`` environment variable, default

@@ -88,29 +88,9 @@ _AUTO_NORMAL_LIMIT = 2000
 
 
 def _note_parallel_backend(report: FitReport, sharded) -> None:
-    """Record which backend served the products (and any degradation).
-
-    Called after the solve, before the sharded operator closes.  A
-    distributed fit that lost its cluster mid-solve records the full
-    ladder (``"distributed->serial"``) plus a
-    :class:`~repro.robustness.RobustnessWarning` — the result is still
-    bitwise correct (same shard layout), but the operator should know
-    the cluster died under them.
-    """
-    if sharded is None:
-        return
-    degraded_from = getattr(sharded, "degraded_from", None)
-    if degraded_from is None:
+    """Record which backend served the products of a sharded solve."""
+    if sharded is not None:
         report.backend = sharded.backend.name
-        return
-    report.backend = f"{degraded_from}->{sharded.backend.name}"
-    report.add_warning(
-        f"distributed cluster became unhealthy mid-fit; products fell "
-        f"back to the {sharded.backend.name} backend "
-        f"({sharded.degradation_reason}); results are unchanged (the "
-        "shard layout, and therefore every bit of every product, does "
-        "not depend on the backend)"
-    )
 
 
 def _note_singletons(counts, report: FitReport, emit: bool) -> None:

@@ -343,9 +343,7 @@ def run_experiment(
     backend:
         Execution backend for the parallel cells: ``None`` (pick from
         ``n_jobs``), ``"serial"``/``"thread"``, or a live
-        :class:`repro.parallel.Backend` (shared, not closed).  A remote
-        backend (``"distributed"``) is rejected — cells close over live
-        estimators and dataset views that must stay in-process.
+        :class:`repro.parallel.Backend` (shared, not closed).
     """
     if retries < 0:
         raise ValueError("retries must be non-negative")
@@ -380,14 +378,6 @@ def run_experiment(
 
     runner = resolve_backend(backend, n_jobs)
     owns_runner = not isinstance(backend, Backend)
-    if runner.remote:
-        if owns_runner:
-            runner.close()
-        raise ValueError(
-            "run_experiment parallelizes cells with in-process closures; "
-            "use a serial or thread backend (the distributed backend is "
-            "for operator products)"
-        )
 
     tracer = current_tracer()
     try:

@@ -53,45 +53,6 @@ class InvariantViolationError(ReproError, RuntimeError):
     """
 
 
-class TransportError(ReproError, ConnectionError):
-    """A distributed-transport operation failed.
-
-    Root of the transport sub-taxonomy used by :mod:`repro.distributed`.
-    Keeps ``ConnectionError`` as a builtin base so callers that treat
-    network trouble generically (including the CLI's ``OSError``
-    handler) see these without knowing the repro taxonomy.
-    """
-
-
-class ProtocolError(TransportError):
-    """A wire frame violated the protocol contract.
-
-    Raised on bad magic bytes, an unsupported protocol version, an
-    oversized length prefix, or a CRC mismatch between the frame header
-    and its payload.  A protocol error poisons the whole byte stream
-    (framing can no longer be trusted), so the supervisor treats the
-    connection — not just the message — as failed.
-    """
-
-
-class WorkerCrashError(TransportError):
-    """A worker process died while it held in-flight work.
-
-    Used by the distributed supervisor to classify a dead worker before
-    reassigning its shards.
-    """
-
-
-class ClusterUnhealthyError(TransportError):
-    """The distributed cluster can no longer serve products.
-
-    Raised when every worker is dead, or the bounded
-    retry/reassignment budget is exhausted.  The sharded-operator layer
-    catches this to degrade gracefully to a local backend (recorded in
-    ``fit_report_``); ``on_unhealthy="raise"`` propagates it instead.
-    """
-
-
 class ContractViolationError(ReproError):
     """An operator failed a runtime numeric contract.
 

@@ -6,9 +6,7 @@ operator into contiguous row shards
 (:class:`~repro.parallel.sharded.ShardedOperator`) and fans the
 per-shard kernels out on an execution
 :class:`~repro.parallel.backends.Backend`: serial (the default, a pure
-refactoring) or threads (the CSR kernels release the GIL) in-host, and
-:mod:`repro.distributed` (shards shipped once to supervised worker
-processes) across processes.
+refactoring) or threads (the CSR kernels release the GIL).
 
 Entry points most callers want:
 

@@ -14,10 +14,6 @@ One protocol, two in-host implementations:
   (and therefore spans opened in a worker) nest under the span that was
   open at the fan-out point.
 
-Cross-process execution is :class:`repro.distributed.DistributedBackend`
-(``backend="distributed"``), the one backend with :attr:`Backend.remote`
-set: its tasks cross a process boundary, so it cannot run closures.
-
 Determinism: a backend never changes *what* is computed, only *where*.
 ``map`` always returns results in submission order, and the sharded
 kernels are written so their output depends only on the shard layout —
@@ -48,20 +44,27 @@ __all__ = [
 ]
 
 #: Accepted string spellings for :func:`resolve_backend`.
-BACKEND_NAMES = ("serial", "thread", "distributed")
+BACKEND_NAMES = ("serial", "thread")
+
+#: Names of deleted backends, rejected with a pointer to ``"thread"``.
+_REMOVED_BACKENDS = ("process", "distributed")
 
 
 def effective_n_jobs(n_jobs: Optional[int]) -> int:
     """Normalize an ``n_jobs`` parameter to a positive worker count.
 
     ``None`` means 1 (no parallelism); ``-1`` means every available
-    core; positive integers pass through.  Zero and other negatives are
-    rejected — there is no sklearn-style ``-2`` arithmetic here.
+    core: the cores this process may run on (its CPU-affinity mask)
+    where the platform reports one, else ``os.cpu_count()``.  Positive
+    integers pass through.  Zero and other negatives are rejected —
+    there is no sklearn-style ``-2`` arithmetic here.
     """
     if n_jobs is None:
         return 1
     count = int(n_jobs)
     if count == -1:
+        if hasattr(os, "sched_getaffinity"):
+            return max(1, len(os.sched_getaffinity(0)))
         return max(1, os.cpu_count() or 1)
     if count < 1:
         raise ValueError(f"n_jobs must be a positive integer or -1, got {n_jobs}")
@@ -76,17 +79,11 @@ class Backend:
     :meth:`close`\\ d when owned (context-manager support is provided).
     """
 
-    #: Display name ("serial" / "thread" / "distributed").
+    #: Display name ("serial" / "thread").
     name: str = "backend"
 
     #: Worker count this backend fans out to.
     n_workers: int = 1
-
-    #: True when tasks run in another process (the distributed
-    #: backend): shard payloads must be *shipped* to workers and task
-    #: callables cannot be closures.  The sharded layer checks this to
-    #: pick the remote transport path.
-    remote: bool = False
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> List[Any]:
         """Apply ``fn`` to every item; results in submission order."""
@@ -165,17 +162,15 @@ def check_backend_name(backend: Union[None, str, Backend]) -> None:
     """Reject a backend spelling :func:`resolve_backend` cannot build.
 
     ``None`` and :class:`Backend` instances always pass; anything else
-    must be one of the strings in :data:`BACKEND_NAMES`.  ``"process"``
-    gets a message naming its replacements, ``"thread"`` (in-host) and
-    ``"distributed"`` (cross-process).
+    must be one of the strings in :data:`BACKEND_NAMES`.  The removed
+    ``"process"`` and ``"distributed"`` backends get a message naming
+    their replacement, ``"thread"``.
     """
     if backend is None or isinstance(backend, Backend):
         return
-    if backend == "process":
+    if backend in _REMOVED_BACKENDS:
         raise ValueError(
-            "the process backend was removed; use backend='thread' for "
-            "in-host parallelism or backend='distributed' to run shards "
-            "in other processes"
+            f"the {backend} backend was removed; use backend='thread'"
         )
     if backend not in BACKEND_NAMES:
         raise ValueError(
@@ -194,7 +189,7 @@ def resolve_backend(
       keeps ownership and is responsible for closing it);
     - ``None`` picks :class:`SerialBackend` for one job and
       :class:`ThreadBackend` otherwise;
-    - ``"serial"``/``"thread"``/``"distributed"`` select explicitly,
+    - ``"serial"``/``"thread"`` select explicitly,
       sized by ``n_jobs``; any other name raises ``ValueError`` (see
       :func:`check_backend_name`).
     """
@@ -206,10 +201,4 @@ def resolve_backend(
         return SerialBackend() if jobs <= 1 else ThreadBackend(jobs)
     if backend == "serial":
         return SerialBackend()
-    if backend == "thread":
-        return ThreadBackend(jobs)
-    # Imported lazily: the distributed stack (sockets, subprocess
-    # supervision) stays out of the import graph until requested.
-    from repro.distributed.backend import DistributedBackend
-
-    return DistributedBackend(jobs)
+    return ThreadBackend(jobs)

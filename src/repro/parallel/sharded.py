@@ -51,13 +51,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro._typing import FloatArray, FloatDType, IntArray
-from repro.exceptions import TransportError
 from repro.linalg import kernels
 from repro.linalg.dense import dense_matmul
 from repro.linalg.operators import LinearOperator, as_operator
 from repro.linalg.sparse import CSRMatrix
 from repro.observability import current_tracer
-from repro.parallel.backends import Backend, SerialBackend, resolve_backend
+from repro.parallel.backends import Backend, resolve_backend
 
 __all__ = [
     "ShardedOperator",
@@ -65,7 +64,6 @@ __all__ = [
     "default_shard_count",
     "nnz_shard_bounds",
     "shard_bounds",
-    "shard_kernel_result",
 ]
 
 #: Rows per shard below which splitting stops paying for itself.
@@ -174,7 +172,7 @@ def csr_row_slice(matrix: CSRMatrix, start: int, stop: int) -> CSRMatrix:
 _FORWARD = ("matvec", "matmat")
 
 
-def shard_kernel_result(
+def _shard_kernel_result(
     mode: str,
     block: Any,
     kernel: str,
@@ -185,17 +183,14 @@ def shard_kernel_result(
     Complexity: O(nnz) per block (``nnz`` = the block's stored entries;
     ``O(nnz·c)`` for ``c``-column operands).
 
-    The single arithmetic body behind every transport: in-process
-    backends copy the result into the output's rows, and distributed
-    workers ship it back over a socket.  ``operand`` is always whole.
-    A CSR adjoint block is a row slice of ``X.T``, so it runs the
-    forward kernel; a dense adjoint block is a column block of ``X``,
-    and both dense directions go through
+    The single arithmetic body behind every sharded product: the
+    backend's task copies the result into the output's rows.
+    ``operand`` is always whole.  A CSR adjoint block is a row slice of
+    ``X.T``, so it runs the forward kernel; a dense adjoint block is a
+    column block of ``X``, and both dense directions go through
     :func:`~repro.linalg.dense.dense_matmul`, the one orientation rule
     for dense products (float64 blocks run with the thin operand on
-    the left).  Both transports evaluating these exact expressions is
-    what makes the distributed backend bitwise-identical to the local
-    ones.
+    the left).
     """
     if mode == "csr":
         # Through the kernel dispatcher, so thread workers run the
@@ -226,7 +221,7 @@ class ShardedOperator(LinearOperator):
         sequence of :class:`LinearOperator` row blocks (ops mode — the
         hook fault-injection tests use to plant a
         :class:`~repro.linalg.operators.FaultyOperator` inside one
-        shard; serial/thread backends only).
+        shard).
     n_shards:
         Number of contiguous row shards, and of adjoint blocks.
         Default: :func:`default_shard_count` of the row count —
@@ -313,22 +308,6 @@ class ShardedOperator(LinearOperator):
         elif self._mode != "ops":
             self._build_blocks()
 
-        #: Set when a remote cluster failed and products fell back to a
-        #: local backend; surfaced into ``fit_report_`` by the solvers.
-        self.degraded_from: Optional[str] = None
-        self.degradation_reason: Optional[str] = None
-
-        self._uses_remote = self.backend.remote
-        self._remote_keys: Dict[bool, List[str]] = {}
-        if self._uses_remote and self._direct is None:
-            try:
-                self._ship_remote_shards()
-            except TransportError as exc:
-                if getattr(self.backend, "on_unhealthy", "degrade") != "degrade":
-                    self.close()
-                    raise
-                self._degrade(exc)
-
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
@@ -345,11 +324,6 @@ class ShardedOperator(LinearOperator):
         if n_shards is not None and int(n_shards) != len(ops):
             raise ValueError(
                 f"n_shards={n_shards} conflicts with {len(ops)} row blocks"
-            )
-        if self.backend.remote:
-            raise ValueError(
-                "operator-sequence sharding cannot cross a process "
-                "boundary; use a serial or thread backend"
             )
         self._ops = ops
         bounds = []
@@ -385,53 +359,6 @@ class ShardedOperator(LinearOperator):
                 False: [self.array[:, a:b] for a, b in adjoint_bounds],
             }
         self._block_bounds = {True: self._bounds, False: adjoint_bounds}
-
-    def _ship_remote_shards(self) -> None:
-        """One-time checksummed shipment of every block to the cluster.
-
-        Both block sets cross the wire exactly once; per-product
-        traffic is limited to the operand and each block's rows of the
-        result.
-        """
-        for forward, blocks in self._blocks.items():
-            payloads: List[Dict[str, Any]] = []
-            for block in blocks:
-                if self._mode == "csr":
-                    arrays = {
-                        "data": block.data,
-                        "indices": block.indices,
-                        "indptr": block.indptr,
-                    }
-                else:
-                    arrays = {"block": np.ascontiguousarray(block)}
-                payloads.append(
-                    {"kind": self._mode, "shape": block.shape, "arrays": arrays}
-                )
-            self._remote_keys[forward] = self.backend.ship_shards(payloads)
-
-    def _degrade(self, exc: BaseException) -> None:
-        """Fall back to the serial backend after cluster failure.
-
-        The local blocks built at construction make this a pure
-        transport switch: the layout — and therefore every bit of every
-        subsequent product — is unchanged.
-        """
-        reason = f"{type(exc).__name__}: {exc}"
-        self.degraded_from = self.backend.name
-        self.degradation_reason = reason
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.metrics.counter("parallel.degradations").add(1.0)
-            tracer.event(
-                "parallel.backend_degraded",
-                from_backend=self.backend.name,
-                reason=reason[:200],
-            )
-        if self._owns_backend:
-            self.backend.close()
-        self.backend = SerialBackend()
-        self._owns_backend = True
-        self._uses_remote = False
 
     # ------------------------------------------------------------------
     # Operator contract
@@ -471,53 +398,17 @@ class ShardedOperator(LinearOperator):
         out = np.empty(
             shape, np.result_type(self.dtype, operand.dtype), order="F"
         )
-        if self._uses_remote:
-            try:
-                return self._run_remote(kernel, operand, out)
-            except TransportError as exc:
-                if (
-                    getattr(self.backend, "on_unhealthy", "degrade")
-                    != "degrade"
-                ):
-                    raise
-                # Fall through to the local path: same blocks, same
-                # kernels — the product below is bit-for-bit what the
-                # cluster would have returned.
-                self._degrade(exc)
         blocks = self._blocks[forward]
 
         def run_block(index: int) -> float:
             t0 = time.perf_counter()
             start, stop = bounds[index]
-            out[start:stop] = shard_kernel_result(
+            out[start:stop] = _shard_kernel_result(
                 self._mode, blocks[index], kernel, operand
             )
             return time.perf_counter() - t0
 
         self._record(self.backend.map(run_block, list(range(len(blocks)))))
-        return out
-
-    def _run_remote(
-        self, kernel: str, operand: FloatArray, out: FloatArray
-    ) -> FloatArray:
-        """Stream one product through the remote cluster.
-
-        Every task ships the whole operand and returns its block's rows
-        of the result, which land where :meth:`_run` would write them.
-        """
-        forward = kernel in _FORWARD
-        tasks = [
-            {"key": key, "kernel": kernel, "operand": operand}
-            for key in self._remote_keys[forward]
-        ]
-        arrays = self.backend.run_tasks(tasks)
-        for (start, stop), array in zip(self._block_bounds[forward], arrays):
-            out[start:stop] = array
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.metrics.counter("parallel.shard_products").add(
-                float(len(tasks))
-            )
         return out
 
     def _ops_adjoint(self, kernel: str, operand: FloatArray) -> FloatArray:

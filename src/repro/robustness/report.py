@@ -68,9 +68,8 @@ class FitReport:
         False when any response column terminated on a failure code
         (divergence, stagnation) or the fallback chain was exhausted.
     backend:
-        Execution backend the operator products ran on (``None`` on
-        the direct single-core path).  A degraded distributed fit
-        records the ladder, e.g. ``"distributed->serial"``.
+        Execution backend the operator products ran on (``"serial"``
+        or ``"thread"``; ``None`` on the direct single-core path).
     incremental:
         ``None`` for a cold ``fit``.  A ``partial_fit`` records how the
         batch was absorbed: batch count, new/total row counts, the

@@ -313,7 +313,11 @@ class TestSolverKeywordsRemoved:
 class TestSolverConfigValidation:
     @pytest.mark.parametrize(
         "name, message",
-        [("bogus", "unknown backend"), ("process", "process backend was removed")],
+        [
+            ("bogus", "unknown backend"),
+            ("process", "process backend was removed"),
+            ("distributed", "distributed backend was removed"),
+        ],
     )
     def test_unknown_backend_name_fails_at_construction(self, name, message):
         # solver="normal" never resolves the backend, so only the
@@ -321,6 +325,6 @@ class TestSolverConfigValidation:
         with pytest.raises(ValueError, match=message):
             SolverConfig(solver="normal", backend=name)
 
-    @pytest.mark.parametrize("name", [None, "serial", "thread", "distributed"])
+    @pytest.mark.parametrize("name", [None, "serial", "thread"])
     def test_known_backend_name_constructs(self, name):
         assert SolverConfig(backend=name).backend == name

@@ -315,19 +315,6 @@ class TestRidgeOracle:
         assert threaded.fit_report_.backend == "thread"
         _assert_bitwise(serial, threaded, X)
 
-    @pytest.mark.slow
-    @pytest.mark.distributed
-    def test_distributed_agrees_bitwise(self, oracle_problem):
-        _, X, dense, _ = oracle_problem
-        direct = self._fit(oracle_problem, **SRDA_PATHS["lsqr"])
-        remote = self._fit(
-            oracle_problem, solver="lsqr", backend="distributed", n_jobs=2
-        )
-        assert remote.fit_report_.backend == "distributed"
-        _assert_bitwise(direct, remote, X)
-        reference = _reference(dense, remote.responses_, remote.centered_)
-        _assert_near_reference(remote.components_, remote.intercept_, reference)
-
     @pytest.mark.parametrize("solver", ["normal", "lsqr"])
     def test_semi_supervised_matches_reference(self, oracle_problem, solver):
         _, X, dense, y = oracle_problem

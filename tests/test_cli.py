@@ -31,8 +31,9 @@ class TestParser:
         assert args.backend == name
 
     def test_bench_removed_process_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "pie", "--backend", "process"])
+        for name in ("process", "distributed"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["bench", "pie", "--backend", name])
 
 
 class TestCommands:

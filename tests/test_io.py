@@ -102,6 +102,24 @@ class TestRoundTrip:
         assert np.array_equal(loaded.transform(X), model.transform(X))
         assert np.array_equal(loaded.predict(X), model.predict(X))
 
+    def test_archive_never_names_an_execution_backend(
+        self, small_classification, tmp_path
+    ):
+        # Where the products ran never changes the fitted arrays, so an
+        # archive records neither backend nor n_jobs, and none can name
+        # a backend that no longer exists.
+        X, y = small_classification
+        config = SolverConfig(solver="lsqr", backend="thread", n_jobs=2)
+        model = SRDA(alpha=0.5, config=config).fit(X, y)
+        path = save_model(model, tmp_path / "t")
+        with np.load(path, allow_pickle=False) as archive:
+            params = json.loads(str(archive["params_json"]))
+        assert "backend" not in params
+        assert "n_jobs" not in params
+        loaded = load_model(path)
+        assert np.array_equal(loaded.transform(X), model.transform(X))
+        assert np.array_equal(loaded.predict(X), model.predict(X))
+
 
 class TestValidation:
     def test_unfitted_rejected(self, tmp_path):
