@@ -154,7 +154,9 @@ def _run_complexity(args: argparse.Namespace) -> int:
     # modules, none of which a plain lint run should pay for.
     from repro.analysis.complexity.harness import (
         baseline_payload,
+        contention_notice,
         findings_from_results,
+        host_load,
         load_baseline,
         run_harness,
         write_report,
@@ -171,6 +173,10 @@ def _run_complexity(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+    host = host_load()
+    notice = contention_notice(host)
+    if notice is not None:
+        print(notice, file=sys.stderr)
     results = run_harness(
         names=names, scale=args.complexity_scale, seed=args.complexity_seed
     )
@@ -200,6 +206,7 @@ def _run_complexity(args: argparse.Namespace) -> int:
             results,
             findings,
             scale=args.complexity_scale,
+            host=host,
         )
 
     result = LintResult(

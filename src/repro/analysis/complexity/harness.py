@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -51,7 +52,9 @@ __all__ = [
     "RATCHET_MARGIN",
     "ProbeResult",
     "baseline_payload",
+    "contention_notice",
     "findings_from_results",
+    "host_load",
     "load_baseline",
     "run_harness",
     "run_probe",
@@ -250,14 +253,51 @@ def baseline_payload(
     }
 
 
+def host_load() -> Dict[str, Any]:
+    """The host's load averages and this process's usable cores.
+
+    The probes fit exponents to wall time, so other work on the host
+    bends them: two probes read 2.01 and 2.42 against a claimed 1.00
+    while a test suite shared a 2-core host, and 0 findings run alone.
+    ``loadavg`` is ``os.getloadavg()`` (1, 5, 15 minutes), ``None``
+    where the platform has none.
+    """
+    from repro.parallel.backends import effective_n_jobs
+
+    try:
+        load: Optional[List[float]] = [float(v) for v in os.getloadavg()]
+    except (AttributeError, OSError):
+        load = None
+    return {"loadavg": load, "usable_cores": effective_n_jobs(-1)}
+
+
+def contention_notice(host: Mapping[str, Any]) -> Optional[str]:
+    """One line when the 1-minute load reaches the usable cores, else ``None``."""
+    load = host.get("loadavg")
+    cores = host["usable_cores"]
+    if load is None or load[0] < cores:
+        return None
+    return (
+        f"notice: 1-minute load {load[0]:.2f} >= {cores} usable core(s); "
+        "the wall-clock probes may read high from contention, so run "
+        "them alone"
+    )
+
+
 def write_report(
     path: Path,
     results: Sequence[ProbeResult],
     findings: Sequence[Finding],
     scale: str,
+    host: Optional[Mapping[str, Any]] = None,
 ) -> None:
-    """Persist the fitted-exponent report (the CI artifact)."""
+    """Persist the fitted-exponent report (the CI artifact).
+
+    ``host`` (see :func:`host_load`) records the load the probes ran
+    under; it informs the reader and changes no verdict.
+    """
     payload = {
+        "host": dict(host) if host is not None else None,
         "scale": scale,
         "probes": {result.name: result.to_json() for result in results},
         "violations": [

@@ -69,7 +69,7 @@ from repro.linalg.block_lsqr import (
     SharedBidiagonalization,
     block_lsqr,
 )
-from repro.linalg.dense import dense_matmul
+from repro.linalg.dense import dense_matmul, normal_gram
 from repro.linalg.lsqr import FAILURE_ISTOPS, ISTOP_REASONS
 from repro.linalg.operators import (
     AppendOnesOperator,
@@ -202,9 +202,22 @@ def _contract_check(op: LinearOperator, tracer: Tracer) -> None:
 
 
 def _normal_equations(
-    X: FloatArray, targets: FloatArray, alpha: float, report: FitReport
+    X: FloatArray,
+    targets: FloatArray,
+    alpha: float,
+    mean: Optional[FloatArray],
+    report: FitReport,
+    emit_warnings: bool,
 ) -> FloatArray:
     """Normal equations (Eqn 20), dual (Eqn 21) when wide, on dense X.
+
+    Solves for ``X̄ = X - 1μᵀ`` (``mean`` given) or ``[X 1]``.  The
+    primal ``n × n`` system (``n + 1`` bordered) is accumulated by
+    :func:`~repro.linalg.dense.normal_gram` from row blocks, so its
+    working memory beyond ``X`` is ``O(n² + B·n)`` for a block of ``B``
+    rows: one Gram, one factor, one block, never ``X̄``.  The dual
+    ``m × m`` system forms ``X̄`` when centered (``m < n`` there, so it
+    is no larger than ``X``) and ``XXᵀ + 11ᵀ`` in place when bordered.
 
     Both systems go through :func:`repro.robustness.guarded_solve`, so
     a rank-deficient Gram matrix (including the ``alpha = 0`` limit of
@@ -213,16 +226,33 @@ def _normal_equations(
     ``NotPositiveDefiniteError``.
     """
     m, n = X.shape
-    if n <= m:
-        result = guarded_solve(
-            X.T @ X, dense_matmul(X.T, targets), alpha=alpha, report=report
-        )
+    if (n if mean is not None else n + 1) <= m:
+        gram, rhs = normal_gram(X, targets, mean)
+        if mean is not None:
+            _note_zero_variance(
+                int(np.sum(np.diagonal(gram) == 0)), report, emit_warnings
+            )
+        result = guarded_solve(gram, rhs, alpha=alpha, report=report)
         solution = result.x
+    elif mean is not None:
+        # Dual: (X̄X̄ᵀ + αI) B = Ȳ in m dims, then A = X̄ᵀ B — exact
+        # because X̄ᵀ(X̄X̄ᵀ + αI)⁻¹ = (X̄ᵀX̄ + αI)⁻¹X̄ᵀ.
+        centered = X - mean
+        _note_zero_variance(
+            int(np.sum(~centered.any(axis=0))), report, emit_warnings
+        )
+        result = guarded_solve(
+            centered @ centered.T, targets, alpha=alpha, report=report
+        )
+        solution = dense_matmul(centered.T, result.x)
     else:
-        # Dual: (XXᵀ + αI) B = Ȳ in m dims, then A = Xᵀ B — exact
-        # because Xᵀ(XXᵀ + αI)⁻¹ = (XᵀX + αI)⁻¹Xᵀ.
-        result = guarded_solve(X @ X.T, targets, alpha=alpha, report=report)
-        solution = dense_matmul(X.T, result.x)
+        # Bordered dual: [X 1][X 1]ᵀ = XXᵀ + 11ᵀ, weights [XᵀB; 1ᵀB].
+        gram = X @ X.T
+        gram += 1.0
+        result = guarded_solve(gram, targets, alpha=alpha, report=report)
+        solution = np.empty((n + 1, targets.shape[1]))
+        solution[:n] = dense_matmul(X.T, result.x)
+        solution[n] = result.x.sum(axis=0)
     if result.fallbacks:
         report.add_warning(
             f"normal-equations solve degraded to {result.solver} "
@@ -230,6 +260,19 @@ def _normal_equations(
             f"condition~{result.condition_estimate:.3g})"
         )
     return solution
+
+
+def _note_zero_variance(
+    zero_var: int, report: FitReport, emit_warnings: bool
+) -> None:
+    """Record the features a centered fit found constant."""
+    if zero_var:
+        report.add_warning(
+            f"{zero_var} features have zero variance; they carry "
+            "no discriminant information and make the Gram "
+            "matrix singular at alpha=0",
+            emit=emit_warnings,
+        )
 
 
 def _split_weights(
@@ -272,9 +315,11 @@ def solve_ridge(
     estimator that regresses onto responses or indicators goes through
     here:
 
-    - ``solver="normal"`` — :func:`_normal_equations` on the explicit
-      dense matrix: primal ``n × n`` or dual ``m × m`` Gram, whichever
-      is smaller, through the guarded fallback chain;
+    - ``solver="normal"`` — :func:`_normal_equations` on dense ``X``:
+      primal ``n × n`` or dual ``m × m`` Gram, whichever is smaller,
+      through the guarded fallback chain.  The primal Gram is
+      accumulated from row blocks of ``B`` rows, so the working memory
+      beyond ``X`` is ``O(n² + B·n)``: ``X̄`` is never formed;
     - ``"lsqr"`` — one blocked Golub–Kahan run
       (:func:`~repro.linalg.block_lsqr.block_lsqr`, damping ``√α``)
       over the implicit centering / append-ones operator, sharded when
@@ -295,29 +340,24 @@ def solve_ridge(
     the last ``None`` off the LSQR path.
     """
     if solver == "normal":
-        mean = None
-        if center:
-            if isinstance(X, CSRMatrix) or is_sparse(X):
-                raise ValueError(
-                    "centering sparse input densifies it; use "
-                    "solver='lsqr' (implicit centering) or centering=False"
-                )
-            X = np.asarray(X, dtype=np.float64)
-            mean = X.mean(axis=0)
-            matrix = X - mean
-            zero_var = int(np.sum(~matrix.any(axis=0)))
-            if zero_var:
-                report.add_warning(
-                    f"{zero_var} features have zero variance; they carry "
-                    "no discriminant information and make the Gram "
-                    "matrix singular at alpha=0",
-                    emit=emit_warnings,
-                )
-        else:
-            matrix = np.hstack([as_dense(X), np.ones((X.shape[0], 1))])
+        if center and (isinstance(X, CSRMatrix) or is_sparse(X)):
+            raise ValueError(
+                "centering sparse input densifies it; use "
+                "solver='lsqr' (implicit centering) or centering=False"
+            )
+        X = as_dense(X)
+        mean = X.mean(axis=0) if center else None
         if validate:
-            _contract_check(as_operator(matrix), tracer)
-        weights = _normal_equations(matrix, targets, alpha, report)
+            data = as_operator(X)
+            _contract_check(
+                CenteringOperator(data, mean)
+                if center
+                else AppendOnesOperator(data),
+                tracer,
+            )
+        weights = _normal_equations(
+            X, targets, alpha, mean, report, emit_warnings
+        )
         return _split_weights(weights, mean) + (solver, None)
 
     with _ridge_operator(X, center, config) as (system, sharded):

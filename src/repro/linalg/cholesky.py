@@ -6,8 +6,9 @@ when ``n > m``) as ``L Lᵀ`` with ``L`` lower triangular, at ``n³/6``
 flam, and then substitutes each of the ``c-1`` responses at ``n²`` flam
 each.
 
-- :func:`cholesky` — LAPACK ``dpotrf`` on the lower triangle, with an
-  explicit positive-definiteness and finite-pivot check.
+- :func:`cholesky` — LAPACK ``dpotrf`` on the lower triangle of a
+  Fortran-ordered copy, with an explicit positive-definiteness and
+  finite-pivot check.
 - :func:`solve_triangular` — LAPACK triangular solve (``dtrtrs``), vector
   or matrix right-hand sides.
 - :func:`solve_cholesky` / :func:`solve_factored` — factor once, solve
@@ -40,6 +41,10 @@ def cholesky(A: ArrayLike) -> Float64Array:
     Complexity: O(n^3) — the dense-baseline cost SRDA's iterative
     regression avoids (``n³/6`` flam).
 
+    ``A`` itself is never written: the factor is computed in one
+    Fortran-ordered copy, the layout LAPACK factors without a further
+    copy of its own.
+
     Parameters
     ----------
     A:
@@ -57,12 +62,21 @@ def cholesky(A: ArrayLike) -> Float64Array:
         If a non-positive, NaN or infinite pivot is encountered; the
         message names the leading minor it belongs to.
     """
+    return _cholesky_in_place(np.array(A, dtype=np.float64, order="F"))
+
+
+def _cholesky_in_place(matrix: Float64Array) -> Float64Array:
+    """Factor a Fortran-ordered float64 ``matrix`` into its own memory.
+
+    The one ``dpotrf`` call of the package: :func:`cholesky` hands it a
+    fresh copy, :func:`repro.robustness.guarded_solve` the one shifted
+    copy it makes per attempt.  Returns ``matrix``, now holding ``L``.
+    """
     from scipy.linalg import lapack
 
-    matrix = np.asarray(A, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("cholesky requires a square matrix")
-    L, info = lapack.dpotrf(matrix, lower=True, clean=True)
+    L, info = lapack.dpotrf(matrix, lower=True, clean=True, overwrite_a=True)
     if info < 0:  # pragma: no cover - the arguments above are always legal
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
     # ``dpotrf`` stops at the first non-positive pivot (``info`` names

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro._typing import FloatArray
+from repro._typing import Float64Array, FloatArray
+
+#: Bytes of one row block of :func:`normal_gram`: its scratch buffer and
+#: the panels the Gram's lower triangle is mirrored in.  256 rows at
+#: ``n = 1024``; the block stays cache-sized whatever ``m`` is.
+GRAM_BLOCK_BYTES = 2 * 2**20
 
 
 def dense_matmul(A: FloatArray, B: FloatArray) -> FloatArray:
@@ -31,6 +36,65 @@ def dense_matmul(A: FloatArray, B: FloatArray) -> FloatArray:
     if np.result_type(A, B) == np.float64:
         return (B.T @ A.T).T
     return A @ B
+
+
+def normal_gram(
+    X: FloatArray, targets: FloatArray, mean: Optional[FloatArray] = None
+) -> Tuple[Float64Array, Float64Array]:
+    """Primal normal equations ``(X̄ᵀX̄, X̄ᵀT)``, accumulated by row blocks.
+
+    Complexity: O(m·n^2 + m·n·k) for ``(m, n)`` ``X`` and ``(m, k)``
+    ``T``.
+
+    ``X̄`` is ``X - 1μᵀ`` when ``mean`` is given (Eqn 14) and ``[X 1]``
+    otherwise (Section III-B), whose Gram is the bordered
+    ``[[XᵀX, Xᵀ1], [1ᵀX, m]]`` and right-hand side ``[XᵀT; 1ᵀT]``.
+    ``X̄`` is never formed: each block of ``GRAM_BLOCK_BYTES`` is built
+    in one reused float64 scratch buffer and added into the Gram's lower
+    triangle by ``dsyrk`` and into the right-hand side by ``dgemm``.
+    The lower triangle is then mirrored in panels of the same size.
+    Working memory beyond the result is one block.  Both products call
+    scipy's BLAS: taking the right-hand side through numpy's (a separate
+    OpenBLAS) instead made the loop 1.2× slower on one thread and 1.6×
+    on two, on a 2-core x86-64 host at ``4080 × 1024``.
+
+    Returns the symmetric ``(w, w)`` Gram (Fortran-ordered, the layout
+    the Cholesky factor works in) and the ``(w, k)`` right-hand side,
+    with ``w = n`` centered or ``n + 1`` bordered.
+    """
+    from scipy.linalg import blas
+
+    X = np.asarray(X)
+    m, n = X.shape
+    width = n if mean is not None else n + 1
+    rows = max(1, GRAM_BLOCK_BYTES // (8 * width))
+    gram = np.zeros((width, width), order="F")
+    rhs = np.zeros((width, targets.shape[1]), order="F")
+    scratch = np.empty((min(rows, m), width))
+    if mean is None:
+        scratch[:, n] = 1.0
+    for i in range(0, m, rows):
+        block = scratch[: min(rows, m - i)]
+        if mean is not None:
+            np.subtract(X[i : i + rows], mean, out=block)
+        else:
+            block[:, :n] = X[i : i + rows]
+        # ``block.T`` and ``targets[...].T`` are Fortran-ordered, so
+        # f2py passes them through without copying; ``overwrite_c``
+        # accumulates into ``gram`` and ``rhs`` in place.
+        gram = blas.dsyrk(
+            1.0, block.T, beta=1.0, c=gram, trans=0, lower=1, overwrite_c=1
+        )
+        rhs = blas.dgemm(
+            1.0, block.T, targets[i : i + rows].T, beta=1.0, c=rhs,
+            trans_b=1, overwrite_c=1,
+        )
+    for j in range(0, width, rows):
+        end = min(j + rows, width)
+        diagonal = gram[j:end, j:end]
+        diagonal[...] = np.tril(diagonal) + np.tril(diagonal, -1).T
+        gram[j:end, end:] = gram[end:, j:end].T
+    return gram, rhs
 
 
 def symmetric_eigh(A: FloatArray) -> Tuple[FloatArray, FloatArray]:

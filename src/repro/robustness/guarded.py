@@ -42,7 +42,7 @@ from repro._typing import FloatArray
 from repro.exceptions import ReproError
 from repro.linalg.cholesky import (
     NotPositiveDefiniteError,
-    cholesky,
+    _cholesky_in_place,
     solve_factored,
 )
 from repro.linalg.block_lsqr import block_lsqr
@@ -123,13 +123,30 @@ def estimate_condition(
     factor the estimate is ``inf`` — the honest answer for a matrix
     that refused to factor.
     """
-    n = system.shape[0]
+    return _shifted_condition(system, 0.0, L, iterations)
+
+
+def _shifted_condition(
+    gram: FloatArray,
+    shift: float,
+    L: Optional[FloatArray] = None,
+    iterations: int = 8,
+) -> float:
+    """:func:`estimate_condition` of ``gram + shift·I``, never formed.
+
+    The power iteration applies ``gram @ v + shift * v``, so the caller
+    needs no shifted copy of ``gram`` beside the one its factor
+    overwrote.
+    """
+    n = gram.shape[0]
     if n == 0:
         return 1.0
     v = np.ones(n) / np.sqrt(n)
     lam_max = 0.0
     for _ in range(iterations):
-        w = system @ v
+        w = gram @ v
+        if shift:
+            w += shift * v
         lam_max = float(np.linalg.norm(w))
         if lam_max == 0.0 or not np.isfinite(lam_max):
             break
@@ -165,6 +182,14 @@ def guarded_solve(
     report: Optional[FitReport] = None,
 ) -> GuardedSolveResult:
     """Solve ``(gram + alpha·I) x = rhs`` with the guarded fallback chain.
+
+    ``gram`` is only read.  Each Cholesky attempt makes one
+    Fortran-ordered copy of it, shifts that copy's diagonal and lets
+    LAPACK factor it in place; a failed attempt's copy is released
+    before the next one is made, and the condition estimate iterates on
+    ``gram @ v + shift·v``.  So a solve holds ``gram`` and at most one
+    ``n × n`` copy beside it (the LSQR rescue's shifted system, when
+    ``alpha > 0``, is that copy).
 
     Parameters
     ----------
@@ -245,11 +270,13 @@ def _solve_chain(
         tracer.event("guarded_solve.fallback", step=step)
 
     def _try_cholesky(shift: float, label: str):
-        system = gram.copy()
+        # The attempt's one copy of ``gram``: shifted, then overwritten
+        # by its own factor; ``gram`` itself is only read.
+        system = np.array(gram, order="F")
         if shift:
             system[np.diag_indices_from(system)] += shift
         try:
-            L = cholesky(system)
+            L = _cholesky_in_place(system)
         except NotPositiveDefiniteError as exc:
             _fallback(f"{label} failed ({exc})")
             return None
@@ -257,18 +284,18 @@ def _solve_chain(
         if not np.all(np.isfinite(x)):
             _fallback(f"{label} produced non-finite solution")
             return None
-        return system, L, x
+        return L, x
 
     # Step 1: plain Cholesky at the base alpha.
     outcome = _try_cholesky(alpha, "cholesky")
     if outcome is not None:
-        system, L, x = outcome
+        L, x = outcome
         return _finish(
             GuardedSolveResult(
                 x=x,
                 solver="cholesky",
                 effective_alpha=alpha,
-                condition_estimate=estimate_condition(system, L),
+                condition_estimate=_shifted_condition(gram, alpha, L),
                 fallbacks=attempts,
             )
         )
@@ -282,13 +309,13 @@ def _solve_chain(
             effective, f"jitter retry k={k} (effective_alpha={effective:.3g})"
         )
         if outcome is not None:
-            system, L, x = outcome
+            L, x = outcome
             return _finish(
                 GuardedSolveResult(
                     x=x,
                     solver="cholesky+jitter",
                     effective_alpha=effective,
-                    condition_estimate=estimate_condition(system, L),
+                    condition_estimate=_shifted_condition(gram, effective, L),
                     fallbacks=attempts,
                 )
             )
@@ -296,8 +323,9 @@ def _solve_chain(
     # Step 3: LSQR rescue — minimum-norm solve of the (singular) system.
     if rescue_iter_lim is None:
         rescue_iter_lim = max(50, min(2 * n, 500))
-    system = gram.copy()
+    system = gram
     if alpha:
+        system = gram.copy()
         system[np.diag_indices_from(system)] += alpha
     columns = rhs.reshape(n, -1)
     # All rescue columns ride one blocked Golub–Kahan iteration: the
@@ -333,7 +361,7 @@ def _solve_chain(
             x=x[:, 0] if rhs.ndim == 1 else x,
             solver="lsqr-rescue",
             effective_alpha=alpha,
-            condition_estimate=estimate_condition(system),
+            condition_estimate=float("inf"),
             fallbacks=attempts,
             lsqr_istop=istops,
             lsqr_iterations=iterations,

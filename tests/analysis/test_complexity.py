@@ -26,7 +26,9 @@ from repro.analysis.complexity.harness import (
     RATCHET_MARGIN,
     ProbeResult,
     baseline_payload,
+    contention_notice,
     findings_from_results,
+    host_load,
     load_baseline,
     run_probe,
     write_report,
@@ -297,6 +299,28 @@ class TestHarnessVerdicts:
         assert payload["scale"] == "smoke"
         assert payload["probes"]["csr_matvec"]["fitted_exponent"] == 2.5
         assert payload["violations"][0]["rule"] == "RPR009"
+        assert payload["host"] is None
+
+    def test_report_records_host_load(self, tmp_path):
+        host = host_load()
+        assert host["usable_cores"] >= 1
+        assert host["loadavg"] is None or len(host["loadavg"]) == 3
+        report = tmp_path / "report.json"
+        write_report(report, [_result(fitted=1.0)], [], "smoke", host=host)
+        assert json.loads(report.read_text())["host"] == host
+
+    @pytest.mark.parametrize(
+        "load, notice", [(None, False), (1.99, False), (2.0, True), (5.0, True)]
+    )
+    def test_contention_notice_at_load_of_usable_cores(self, load, notice):
+        host = {
+            "loadavg": None if load is None else [load, 0.0, 0.0],
+            "usable_cores": 2,
+        }
+        line = contention_notice(host)
+        assert (line is not None) == notice
+        if notice:
+            assert line.startswith("notice:") and "\n" not in line
 
 
 # ----------------------------------------------------------------------

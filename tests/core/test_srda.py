@@ -1,5 +1,7 @@
 """Unit tests for the SRDA estimator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse as sp
@@ -227,6 +229,36 @@ class TestSolverAgreement:
         assert np.allclose(model.components_, ref[:-1], atol=1e-8)
         assert np.allclose(model.intercept_, ref[-1], atol=1e-8)
 
+    def test_augmented_dual_matches_paper_formulation(self, rng):
+        # n + 1 > m: the bordered dual XXᵀ + 11ᵀ with weights [XᵀB; 1ᵀB]
+        m, n = 12, 30
+        X = rng.standard_normal((m, n))
+        y = np.arange(m) % 3
+        model = SRDA(
+            alpha=0.7, config=SolverConfig(solver="normal"), centering=False
+        ).fit(X, y)
+        from repro.core.responses import generate_responses
+
+        X_aug = np.hstack([X, np.ones((m, 1))])
+        R = generate_responses(y, 3)
+        ref = np.linalg.solve(
+            X_aug.T @ X_aug + 0.7 * np.eye(n + 1), X_aug.T @ R
+        )
+        assert np.allclose(model.components_, ref[:-1], atol=1e-8)
+        assert np.allclose(model.intercept_, ref[-1], atol=1e-8)
+
+    @pytest.mark.parametrize("m", [12, 40])
+    def test_zero_variance_count_on_both_sides(self, rng, m):
+        # primal (m > n) counts from the Gram's diagonal, dual from X̄
+        X = rng.standard_normal((m, 20))
+        X[:, [2, 9]] = 7.0
+        model = SRDA(alpha=1.0, config=SolverConfig(solver="normal")).fit(
+            X, np.arange(m) % 3
+        )
+        assert "2 features have zero variance" in " ".join(
+            model.fit_report_.warnings
+        )
+
     def test_sparse_equals_dense(self, sparse_classification):
         # same formulation (bias absorption) on both storage layouts
         S, dense, y = sparse_classification
@@ -281,6 +313,30 @@ class TestSolverAgreement:
         ).fit(S, y)
         assert np.allclose(model.transform(S), model.transform(dense), atol=1e-9)
         assert np.array_equal(model.predict(S), model.predict(dense))
+
+
+class TestNormalPathMemory:
+    """The primal normal path holds one Gram, never a modified copy of X."""
+
+    @pytest.mark.parametrize("centering", ["auto", False])
+    def test_fit_peak_below_half_the_data(self, rng, centering):
+        X = rng.standard_normal((6000, 200))
+        y = rng.integers(0, 10, 6000)
+
+        def fit():
+            return SRDA(
+                centering=centering, config=SolverConfig(solver="normal")
+            ).fit(X, y)
+
+        fit()  # lazy imports outside the traced window
+        tracemalloc.start()
+        try:
+            model = fit()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.fit_report_.solver == "cholesky"
+        assert peak < X.nbytes / 2
 
 
 class TestInvariances:

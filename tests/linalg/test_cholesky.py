@@ -72,6 +72,22 @@ class TestCholesky:
         corrupted[np.triu_indices(12, 1)] = 999.0
         assert np.allclose(cholesky(corrupted), cholesky(A))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_is_not_written(self, rng, order):
+        A = np.array(spd_matrix(rng, 30), order=order)
+        before = A.copy(order="A")
+        L = cholesky(A)
+        assert not np.shares_memory(L, A)
+        assert A.flags[f"{order}_CONTIGUOUS"]
+        np.testing.assert_array_equal(A, before)
+
+    def test_failed_factorization_leaves_input(self, rng):
+        A = -spd_matrix(rng, 12)
+        before = A.copy()
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky(A)
+        np.testing.assert_array_equal(A, before)
+
     def test_diagonal_matrix(self):
         d = np.array([4.0, 9.0, 16.0])
         assert np.allclose(cholesky(np.diag(d)), np.diag(np.sqrt(d)))

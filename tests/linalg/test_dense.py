@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.linalg.dense import (
+    GRAM_BLOCK_BYTES,
     dense_matmul,
     generalized_eigh,
     is_orthonormal,
+    normal_gram,
     ridge_solution,
     solve_lstsq,
     symmetric_eigh,
@@ -48,6 +50,89 @@ class TestDenseMatmul:
         assert np.abs(result - expected).max() <= 1e-12 * scale
         if result.ndim == 2:
             assert result.flags.f_contiguous
+
+
+#: Features of the blocked-Gram fixtures: 256-row blocks centered.
+GRAM_N = 1024
+
+
+def _block_rows(width):
+    return GRAM_BLOCK_BYTES // (8 * width)
+
+
+def _layout(X, layout):
+    """``X`` as a C-ordered, Fortran-ordered or strided-view input."""
+    if layout == "C":
+        return np.ascontiguousarray(X)
+    if layout == "F":
+        return np.asfortranarray(X)
+    padded = np.zeros((X.shape[0], 2 * X.shape[1]))
+    padded[:, ::2] = X
+    return padded[:, ::2]
+
+
+def _assert_close_to_largest(actual, expected):
+    atol = 1e-13 * np.abs(expected).max()
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=atol)
+
+
+class TestNormalGram:
+    """The row-blocked Gram equals the one formed from explicit ``X̄``."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("rows", ["1", "B-1", "B", "B+1", "3B+7"])
+    def test_centered_matches_explicit(self, rng, rows, layout):
+        B = _block_rows(GRAM_N)
+        m = {"1": 1, "B-1": B - 1, "B": B, "B+1": B + 1, "3B+7": 3 * B + 7}
+        X = _layout(
+            rng.standard_normal((m[rows], GRAM_N)) + 3.0, layout
+        )
+        T = rng.standard_normal((m[rows], 4))
+        mean = X.mean(axis=0)
+        centered = X - mean
+        gram, rhs = normal_gram(X, T, mean)
+        assert gram.flags.f_contiguous
+        np.testing.assert_array_equal(gram, gram.T)
+        _assert_close_to_largest(gram, centered.T @ centered)
+        _assert_close_to_largest(rhs, centered.T @ T)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("rows", ["1", "B-1", "B", "B+1", "3B+7"])
+    def test_bordered_matches_explicit(self, rng, rows, layout):
+        B = _block_rows(GRAM_N + 1)
+        m = {"1": 1, "B-1": B - 1, "B": B, "B+1": B + 1, "3B+7": 3 * B + 7}
+        X = _layout(rng.standard_normal((m[rows], GRAM_N)), layout)
+        T = rng.standard_normal((m[rows], 4))
+        augmented = np.hstack([X, np.ones((m[rows], 1))])
+        gram, rhs = normal_gram(X, T)
+        assert gram.shape == (GRAM_N + 1, GRAM_N + 1)
+        np.testing.assert_array_equal(gram, gram.T)
+        assert gram[-1, -1] == m[rows]
+        _assert_close_to_largest(gram, augmented.T @ augmented)
+        _assert_close_to_largest(rhs, augmented.T @ T)
+
+    def test_input_is_not_written(self, rng):
+        X = rng.standard_normal((600, 300))
+        T = rng.standard_normal((600, 3))
+        before = (X.copy(), T.copy())
+        normal_gram(X, T, X.mean(axis=0))
+        normal_gram(X, T)
+        np.testing.assert_array_equal(X, before[0])
+        np.testing.assert_array_equal(T, before[1])
+
+    def test_zero_variance_count_matches_explicit_rule(self, rng):
+        # Constant columns, one of them a value whose mean is inexact,
+        # plus a near-constant column that must not count.
+        X = rng.standard_normal((3 * _block_rows(64) + 7, 64))
+        X[:, 3] = 0.1
+        X[:, 17] = -2.5
+        X[:, 40] = 7.0
+        X[0, 41] = X[1, 41] + 1e-12
+        mean = X.mean(axis=0)
+        gram, _ = normal_gram(X, np.ones((X.shape[0], 1)), mean)
+        explicit = int(np.sum(~(X - mean).any(axis=0)))
+        assert explicit >= 2  # 7.0 and -2.5 average exactly
+        assert int(np.sum(np.diagonal(gram) == 0)) == explicit
 
 
 class TestSymmetricEigh:

@@ -6,6 +6,7 @@ parity assertion here is therefore ``array_equal`` on the raw values
 (and dtype checks), never ``allclose``.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -301,6 +302,30 @@ class TestOnePassBlockKernels:
         assert nan.any()
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@needs_compiled
+def test_f32_matvec_scratch_is_traced():
+    # The float32 matvec sums each row in a scratch segment as long as
+    # the longest row; it is allocated where tracemalloc sees it.
+    nnz = 10**6
+    matrix = CSRMatrix(
+        np.ones(nnz, dtype=np.float32),
+        np.arange(nnz, dtype=np.int64),
+        np.array([0, nnz], dtype=np.int64),
+        (1, nnz),
+    )
+    v = np.ones(nnz, dtype=np.float32)
+    with use_backend("compiled"):
+        csr_matvec(matrix, v)
+        tracemalloc.start()
+        try:
+            out = csr_matvec(matrix, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out[0] == nnz
+    assert peak >= 4 * 10**6
 
 
 @needs_compiled

@@ -1,5 +1,7 @@
 """The guarded solver chain: Cholesky → jittered retries → LSQR rescue."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,60 @@ class TestFallbackChain:
         assert all("leading minor 3 " in step for step in attempts[:7])
         assert attempts[0].startswith("cholesky failed")
         assert attempts[-1].startswith("lsqr rescue")
+
+
+class TestOneCopy:
+    """``gram`` is only read, and each attempt holds one copy of it."""
+
+    @pytest.mark.parametrize(
+        "case", ["cholesky", "jitter-retry", "lsqr-rescue", "rescue-alpha"]
+    )
+    def test_gram_is_left_byte_identical(self, rng, case):
+        if case == "cholesky":
+            G, alpha, retries = _spd(rng, 12), 0.5, 6
+        elif case == "rescue-alpha":
+            # indefinite: the rescue shifts its own copy by alpha
+            G, alpha, retries = _spd(rng, 12) - 5.0 * np.eye(12), 1e-3, 0
+        else:
+            G, alpha = _singular_gram(rng, 12, rank=4), 0.0
+            retries = 6 if case == "jitter-retry" else 0
+        before = G.tobytes()
+        result = guarded_solve(
+            G, rng.standard_normal((12, 2)), alpha=alpha,
+            max_jitter_retries=retries,
+        )
+        expected = {
+            "cholesky": "cholesky",
+            "jitter-retry": "cholesky+jitter",
+            "lsqr-rescue": "lsqr-rescue",
+            "rescue-alpha": "lsqr-rescue",
+        }[case]
+        assert result.solver == expected
+        assert G.tobytes() == before
+
+    def test_condition_estimate_of_the_shifted_system(self, rng):
+        # Estimated from ``gram`` and the shift, never a shifted copy.
+        A = _spd(rng, 20, cond=100.0)
+        result = guarded_solve(A, rng.standard_normal(20), alpha=3.0)
+        shifted = A + 3.0 * np.eye(20)
+        assert result.condition_estimate == pytest.approx(
+            estimate_condition(shifted, cholesky(shifted)), rel=1e-10
+        )
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_peak_memory_is_one_copy(self, rng, order):
+        B = rng.standard_normal((400, 400))
+        G = np.array(B @ B.T + 400.0 * np.eye(400), order=order)
+        b = rng.standard_normal((400, 3))
+        guarded_solve(G, b, alpha=1.0)  # scipy's lazy imports first
+        tracemalloc.start()
+        try:
+            result = guarded_solve(G, b, alpha=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.solver == "cholesky"
+        assert peak <= 1.25 * G.nbytes
 
 
 class TestConditionEstimate:
