@@ -171,6 +171,28 @@ class TestSRDATracing:
             assert attributes["checks"] > 0
 
 
+    @pytest.mark.parametrize(
+        "centering, operator",
+        [("auto", "CenteringOperator"), (False, "AppendOnesOperator")],
+    )
+    def test_normal_path_checks_the_implicit_operator(
+        self, small_classification, centering, operator
+    ):
+        # the normal path forms no X̄ or [X 1]; it checks the operator
+        # those matrices stand for
+        X, y = small_classification
+        model = SRDA(
+            alpha=1.0,
+            config=SolverConfig(solver="normal"),
+            centering=centering,
+            validate_operators=True,
+            trace=True,
+        ).fit(X, y)
+        (check,) = model.tracer_.sink.find("srda.contract_check")
+        assert check["attributes"]["operator"] == operator
+        assert check["attributes"]["ok"] is True
+
+
 class TestKernelSRDATracing:
     def test_traced_fit_phases(self, small_classification):
         X, y = small_classification
