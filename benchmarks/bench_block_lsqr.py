@@ -5,7 +5,10 @@ onward:
 
 1. **Wall time** of per-column :func:`repro.linalg.lsqr.lsqr` vs one
    :func:`repro.linalg.block_lsqr.block_lsqr` call over the same
-   ``c - 1`` right-hand sides, at several ``(m, n, c, s)`` points.
+   ``c - 1`` right-hand sides, at several ``(m, n, c, s)`` points, and
+   the ``tracemalloc`` peak of one blocked solve (``peak_mb``, next to
+   the size of one ``(n, c - 1)`` block, ``block_mb``), measured after
+   the timed repeats so the matrix's cached transpose is not in it.
 2. **Flam** (multiply-add pairs charged at nnz per product column, via
    :class:`repro.complexity.FlamCountingOperator`) for both paths —
    identical by construction, which is what makes flam/second a fair
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import tracemalloc
 
 import numpy as np
 
@@ -80,6 +84,16 @@ def make_rhs(m, classes, dtype, seed=1):
     return rng.standard_normal((m, classes - 1)).astype(dtype)
 
 
+def peak_mb(fn):
+    """Peak MiB ``tracemalloc`` sees allocated while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def run_case(case, iter_lim, damp, repeats):
     matrix = make_problem(
         case["m"], case["n"], case["row_nnz"], case["dtype"]
@@ -109,6 +123,7 @@ def run_case(case, iter_lim, damp, repeats):
     op.reset()
     blk_seconds, blk_x = best_of(repeats, blocked)
     blk_flam = op.flam / repeats
+    blk_peak = peak_mb(blocked)
 
     scale = max(1.0, float(np.max(np.abs(seq_x))))
     max_rel_diff = float(np.max(np.abs(seq_x - blk_x)) / scale)
@@ -128,7 +143,12 @@ def run_case(case, iter_lim, damp, repeats):
         "damp": damp,
         "nnz": matrix.nnz,
         "sequential": {"seconds": seq_seconds, "flam": seq_flam},
-        "blocked": {"seconds": blk_seconds, "flam": blk_flam},
+        "blocked": {
+            "seconds": blk_seconds,
+            "flam": blk_flam,
+            "peak_mb": blk_peak,
+        },
+        "block_mb": B.dtype.itemsize * case["n"] * k / 2**20,
         "speedup": seq_seconds / blk_seconds,
         "max_rel_diff": max_rel_diff,
         "parity_bound": bound,
@@ -298,7 +318,9 @@ def main(argv=None):
             f"seq {result['sequential']['seconds']:.3f}s "
             f"blk {result['blocked']['seconds']:.3f}s "
             f"speedup {result['speedup']:.2f}x "
-            f"(max rel diff {result['max_rel_diff']:.2e})"
+            f"(max rel diff {result['max_rel_diff']:.2e}), "
+            f"peak {result['blocked']['peak_mb']:.1f} MiB = "
+            f"{result['blocked']['peak_mb'] / result['block_mb']:.2f} blocks"
         )
 
     sweep = run_alpha_sweep(

@@ -10,6 +10,24 @@ matrix's cached transpose (:attr:`~repro.linalg.sparse.CSRMatrix.T`,
 built once by ``csr_transpose``), so each output entry of an adjoint
 is the storage-order sum of one row of ``A.T``.
 
+Block products return a row-major ``(rows, k)`` block on both
+backends: a CSR row's stored entries each feed the ``k`` values of one
+output row, and a row-major operand ``B`` (the layout the compiled
+kernel reads) needs no copy when it is itself the row-major result of
+an earlier product.  ``csr_matmat``/``csr_rmatmat`` also take a
+destination ``out=`` of any layout — a shard's row range of the whole
+product, a block with a spare row — and write every entry of it, empty
+rows as zeros, so the destination needs no zeroing.  Either way the
+values are the same bits.
+
+Block LSQR's per-iteration vector work — the ``u``/``v`` updates with
+their column norms, the ``x``/``w`` direction update and the column
+normalizations — goes through the same seam (``block_add_sumsq``,
+``block_advance``, ``block_divide``).  The reference is the numpy row
+panel code of :mod:`repro.linalg.panels`; the compiled backend fuses
+each update into one pass over the rows, in the same rounding and the
+same pinned reduction order.
+
 This module puts a dispatch seam in front of those loops with two
 interchangeable backends:
 
@@ -68,13 +86,17 @@ from typing import ContextManager, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro._typing import FloatArray, IntArray
-from repro.linalg.sparse import CSRMatrix, as_value_dtype
+from repro._typing import BoolArray, FloatArray, IntArray
+from repro.linalg import panels
+from repro.linalg.sparse import CSRMatrix, as_value_dtype, product_block
 
 __all__ = [
     "KERNEL_BACKENDS",
     "KERNEL_BACKEND_ENV",
     "active_backend",
+    "block_add_sumsq",
+    "block_advance",
+    "block_divide",
     "compiled_available",
     "csr_matmat",
     "csr_matmat_operand",
@@ -299,12 +321,14 @@ def csr_matmat_operand(matrix: CSRMatrix, B: FloatArray) -> FloatArray:
     operand; free when it already has the layout.
 
     The compiled kernel reads the operand row-major (the ``c`` values a
-    stored entry multiplies sit together), the reference column by
-    column.  :func:`csr_matmat` converts its operand itself; a caller
-    that splits one product over several row blocks of ``matrix`` (the
-    sharded operator) converts once here, so no block pays the copy
-    again.  Values are unchanged: the cast is to the dtype the product
-    computes in anyway.
+    stored entry multiplies sit together); the reference gathers each
+    column wherever it lies, so it takes any layout.  :func:`csr_matmat`
+    converts its operand itself; a caller that splits one product over
+    several row blocks of ``matrix`` (the sharded operator) converts
+    once here, so no block pays the copy again.  A row-major block — the
+    result of an earlier product, or a row range of one — is already the
+    compiled layout and is returned as is.  Values are unchanged: the
+    cast is to the dtype the product computes in anyway.
     """
     B = as_value_dtype(B)
     if B.ndim != 2:
@@ -316,39 +340,46 @@ def csr_matmat_operand(matrix: CSRMatrix, B: FloatArray) -> FloatArray:
         and dtype == matrix.dtype
     ):
         return np.ascontiguousarray(B, dtype=dtype)
-    return np.asfortranarray(B, dtype=dtype)
+    return B
 
 
-def csr_matmat(matrix: CSRMatrix, B: FloatArray) -> FloatArray:
+def csr_matmat(
+    matrix: CSRMatrix, B: FloatArray, out: Optional[FloatArray] = None
+) -> FloatArray:
     """``A @ B`` for a dense block through the selected backend.
 
     Complexity: O(nnz·c) for a ``c``-column block — identical flam to
     ``c`` mat-vecs on either backend.
 
     The compiled kernel reads the matrix once per product (once per
-    32-column panel on wider blocks) against a row-major copy of ``B``;
-    the result is Fortran-ordered on both backends.
+    32-column panel on wider blocks) against a row-major ``B`` (copied
+    only when ``B`` has another layout).  The result is a new
+    row-major block on both backends, or ``out``: an array of exactly
+    the product's shape and dtype, in any layout, not overlapping
+    ``B``, whose every entry is written (empty rows as zeros).  The
+    values are the same bits either way.
     """
     B = as_value_dtype(B)
-    if active_backend() != "compiled" or not _storage_ok(matrix):
-        return matrix.matmat(B)
-    if B.ndim == 1:
+    if B.ndim == 1 and out is None:
         return csr_matvec(matrix, B)
-    if B.shape[0] != matrix.shape[1]:
+    if B.ndim != 2 or B.shape[0] != matrix.shape[1]:
         raise ValueError("dimension mismatch in matmat")
-    k = B.shape[1]
-    if k == 1:
-        return csr_matvec(matrix, B[:, 0])[:, None]
     dtype = np.result_type(matrix.data, B)
-    if dtype != matrix.dtype:
-        return matrix.matmat(B)
+    if (
+        active_backend() != "compiled"
+        or not _storage_ok(matrix)
+        or dtype != matrix.dtype
+    ):
+        return matrix.matmat(B, out=out)
+    out = product_block((matrix.shape[0], B.shape[1]), dtype, out)
     Bc = np.ascontiguousarray(B, dtype=dtype)
-    out = np.zeros((matrix.shape[0], k), dtype=dtype, order="F")
     _compiled.csr_matmat(matrix.data, matrix.indices, matrix.indptr, Bc, out)
     return out
 
 
-def csr_rmatmat(matrix: CSRMatrix, U: FloatArray) -> FloatArray:
+def csr_rmatmat(
+    matrix: CSRMatrix, U: FloatArray, out: Optional[FloatArray] = None
+) -> FloatArray:
     """``A.T @ U`` for a dense block through the selected backend.
 
     Complexity: O(nnz·c) per call, plus the one-time transpose build
@@ -356,14 +387,15 @@ def csr_rmatmat(matrix: CSRMatrix, U: FloatArray) -> FloatArray:
 
     Routed through the (lazily cached) transpose exactly as the
     reference is, so the forward sweep kernel — whichever backend — is
-    reused and the result stays bitwise-stable.
+    reused and the result stays bitwise-stable; ``out`` is
+    :func:`csr_matmat`'s destination, ``(n, k)``.
     """
     U = as_value_dtype(U)
-    if U.ndim == 1:
+    if U.ndim == 1 and out is None:
         return csr_rmatvec(matrix, U)
-    if U.shape[0] != matrix.shape[0]:
+    if U.ndim != 2 or U.shape[0] != matrix.shape[0]:
         raise ValueError("dimension mismatch in rmatmat")
-    return csr_matmat(matrix.T, U)
+    return csr_matmat(matrix.T, U, out=out)
 
 
 def csr_transpose(
@@ -388,3 +420,88 @@ def csr_transpose(
         matrix.data, matrix.indices, matrix.indptr, t_data, t_indices, t_indptr
     )
     return t_data, t_indices, t_indptr
+
+
+# ----------------------------------------------------------------------
+# Block LSQR vector recurrences
+# ----------------------------------------------------------------------
+
+
+def _blocks_compiled(*blocks: FloatArray) -> bool:
+    """Whether the compiled loops serve these blocks: one float dtype,
+    and not empty."""
+    dtype = blocks[0].dtype
+    return (
+        active_backend() == "compiled"
+        and blocks[0].size > 0
+        and dtype in (np.float32, np.float64)
+        and all(block.dtype == dtype for block in blocks)
+    )
+
+
+def block_add_sumsq(
+    A: FloatArray, X: FloatArray, scale: FloatArray, scratch: FloatArray
+) -> FloatArray:
+    """``A += X * scale`` in place; ``A``'s new column sums of squares.
+
+    Complexity: O(n·k) for ``(n, k)`` blocks — one pass over the rows on
+    the compiled backend.
+
+    :func:`repro.linalg.panels.add_sumsq` is the reference; ``scale``
+    is float64 and ``scratch`` a float64
+    :func:`~repro.linalg.panels.panel_scratch` with at least ``k``
+    columns.
+    """
+    scale = np.ascontiguousarray(scale, dtype=np.float64)
+    if not _blocks_compiled(A, X):
+        return panels.add_sumsq(A, X, scale, scratch)
+    out = np.empty(A.shape[1])
+    _compiled.block_add_sumsq(
+        A, X, scale, scratch[0], panels.PANEL_ROWS, out
+    )
+    return out
+
+
+def block_advance(
+    W: FloatArray,
+    Xa: FloatArray,
+    V: FloatArray,
+    t1: FloatArray,
+    t2: FloatArray,
+    scratch: FloatArray,
+) -> FloatArray:
+    """LSQR's ``Xa += t1·W`` and ``W = t2·W + V``, in place.
+
+    Complexity: O(n·k) for ``(n, k)`` blocks — one pass over the rows on
+    the compiled backend.
+
+    Returns ``W``'s column sums of squares from before the update.
+    :func:`repro.linalg.panels.advance_directions` is the reference;
+    the compiled loop runs when all three blocks share one dtype.
+    """
+    if not _blocks_compiled(W, Xa, V):
+        return panels.advance_directions(W, Xa, V, t1, t2, scratch)
+    out = np.empty(W.shape[1])
+    _compiled.block_advance(
+        W,
+        Xa,
+        V,
+        np.ascontiguousarray(t1, dtype=W.dtype),
+        np.ascontiguousarray(t2, dtype=W.dtype),
+        scratch[0],
+        panels.PANEL_ROWS,
+        out,
+    )
+    return out
+
+
+def block_divide(block: FloatArray, d: FloatArray, mask: BoolArray) -> None:
+    """``block[:, j] /= d[j]`` in place where ``mask[j]``.
+
+    Complexity: O(n·k).
+    """
+    if not _blocks_compiled(block):
+        panels.divide_columns(block, d, mask)
+        return
+    # x / 1 is x exactly, so an unmasked column divides by 1.
+    _compiled.block_divide(block, np.where(mask, d, 1.0))

@@ -21,13 +21,27 @@ without a specialized block product fall back to a per-column sweep of
 ``_matvec``, which keeps per-column semantics (fault injection, counts)
 identical to the sequential path.
 
+Every product returns a new array, so a structural operator may finish
+its base's result in place: the centering correction and the ones
+column are applied to the block the base product just allocated, and
+no full-size temporary is formed.  The append-ones adjoint goes one
+step further.  Its result is the base adjoint plus one row, so it
+allocates the ``(n+1, k)`` block itself and lends rows ``:n`` to the
+base (:func:`lend_destination`).  The CSR and sharded products write
+straight into lent rows; any other base returns its own array, which
+is copied in.  The loan, not a parameter, carries the destination, so
+every product keeps its one-operand signature and every wrapper
+around it still sees the call.
+
 Operators compose, transpose, and count their products (for the empirical
 complexity validation in :mod:`repro.complexity.counter`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Tuple, Union
+import threading
+from contextlib import contextmanager
+from typing import Any, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,7 +49,62 @@ from repro._typing import DTypeLike, FloatArray, FloatDType, MatrixLike
 from repro.exceptions import ReproError
 from repro.linalg import kernels
 from repro.linalg.dense import dense_matmul
+from repro.linalg.panels import add_product, column_sums
 from repro.linalg.sparse import CSRMatrix, as_value_dtype, is_sparse
+
+
+class _Loan(threading.local):
+    """The destination lent on this thread, and the operator it is for."""
+
+    operator: Optional["LinearOperator"] = None
+    out: Optional[FloatArray] = None
+
+
+_LOAN = _Loan()
+
+
+@contextmanager
+def lend_destination(
+    operator: "LinearOperator", out: FloatArray
+) -> Iterator[None]:
+    """Lend ``out`` to ``operator``'s next block product on this thread.
+
+    Complexity: O(1) — sets and restores one thread-local slot.
+
+    Inside the block, a product of ``operator`` that can write in place
+    claims ``out`` through :func:`borrowed_destination` and returns it.
+    Any other product leaves it alone, so the lender checks whether the
+    result ``is out`` and copies otherwise.  Thread-local, so a shard
+    worker thread never sees its caller's loan.
+    """
+    saved = (_LOAN.operator, _LOAN.out)
+    _LOAN.operator, _LOAN.out = operator, out
+    try:
+        yield
+    finally:
+        _LOAN.operator, _LOAN.out = saved
+
+
+def borrowed_destination(
+    operator: "LinearOperator", shape: Tuple[int, ...], dtype: FloatDType
+) -> Optional[FloatArray]:
+    """Claim the destination lent to ``operator``, or ``None``.
+
+    Complexity: O(1).
+
+    Only a loan to this very operator, of exactly the product's shape
+    and dtype, is handed out, and only once.
+    """
+    out = _LOAN.out
+    if (
+        out is None
+        or _LOAN.operator is not operator
+        or out.shape != tuple(shape)
+        or out.dtype != dtype
+    ):
+        return None
+    _LOAN.operator, _LOAN.out = None, None
+    return out
 
 
 class LinearOperator:
@@ -226,11 +295,17 @@ class CSROperator(LinearOperator):
     def _rmatvec(self, u: FloatArray) -> FloatArray:
         return kernels.csr_rmatvec(self.matrix, u)
 
+    def _block_out(self, rows: int, operand: FloatArray) -> Optional[FloatArray]:
+        dtype = np.result_type(self.matrix.dtype, operand.dtype)
+        return borrowed_destination(self, (rows, operand.shape[1]), dtype)
+
     def _matmat(self, B: FloatArray) -> FloatArray:
-        return kernels.csr_matmat(self.matrix, B)
+        out = self._block_out(self.shape[0], B)
+        return kernels.csr_matmat(self.matrix, B, out=out)
 
     def _rmatmat(self, U: FloatArray) -> FloatArray:
-        return kernels.csr_rmatmat(self.matrix, U)
+        out = self._block_out(self.shape[1], U)
+        return kernels.csr_rmatmat(self.matrix, U, out=out)
 
 
 class TransposedOperator(LinearOperator):
@@ -300,13 +375,15 @@ class CenteringOperator(LinearOperator):
     def _matmat(self, B: FloatArray) -> FloatArray:
         # (X - 1 μᵀ) B = X B - 1 (μᵀ B): one base block product plus a
         # rank-one correction — centering stays matrix-free at block width
-        return self.base.matmat(B) - (self.column_means @ B)[None, :]
+        out = self.base.matmat(B)
+        out -= (self.column_means @ B)[None, :]
+        return out
 
     def _rmatmat(self, U: FloatArray) -> FloatArray:
-        # (X - 1 μᵀ)ᵀ U = Xᵀ U - μ (1ᵀ U)
-        return self.base.rmatmat(U) - np.outer(
-            self.column_means, U.sum(axis=0)
-        )
+        # (X - 1 μᵀ)ᵀ U = Xᵀ U - μ (1ᵀ U), the outer product formed one
+        # row panel at a time
+        out = self.base.rmatmat(U)
+        return add_product(out, self.column_means[:, None], -column_sums(U))
 
 
 class AppendOnesOperator(LinearOperator):
@@ -338,11 +415,26 @@ class AppendOnesOperator(LinearOperator):
 
     def _matmat(self, B: FloatArray) -> FloatArray:
         # [X | 1] B = X B[:-1] + 1 B[-1]
-        return self.base.matmat(B[:-1]) + B[-1][None, :]
+        out = self.base.matmat(B[:-1])
+        out += B[-1]
+        return out
 
     def _rmatmat(self, U: FloatArray) -> FloatArray:
-        head = self.base.rmatmat(U)
-        return np.vstack([head, U.sum(axis=0)[None, :]])
+        # [X | 1]ᵀ U = [Xᵀ U; 1ᵀ U]: the base writes rows :n of the one
+        # block, the column sums (summed first, so their scratch is gone
+        # before the block exists) fill row n
+        sums = column_sums(U)
+        n = self.base.shape[1]
+        out = np.empty(
+            (n + 1, U.shape[1]), dtype=np.result_type(self.dtype, U.dtype)
+        )
+        head = out[:n]
+        with lend_destination(self.base, head):
+            result = self.base.rmatmat(U)
+        if result is not head:
+            head[...] = result
+        out[n] = sums
+        return out
 
 
 class InjectedFaultError(ReproError, RuntimeError):

@@ -11,6 +11,7 @@ at the convergence plateau the diagnostics live in a cancellation-noise
 regime, so those cases assert looser bounds on ``x`` only.
 """
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -28,7 +29,13 @@ from repro.linalg.operators import (
     FaultyOperator,
     as_operator,
 )
+from repro.linalg.kernels import compiled_available, use_backend
 from repro.linalg.sparse import CSRMatrix
+
+needs_compiled = pytest.mark.skipif(
+    not compiled_available(),
+    reason="compiled kernel extension not built",
+)
 
 
 def sequential_reference(op, B, **kwargs):
@@ -398,3 +405,66 @@ class TestSharedBidiagonalization:
         assert np.array_equal(replay.istop, direct.istop)
         assert np.array_equal(replay.itn, direct.itn)
         assert np.array_equal(replay.X, direct.X)
+
+
+def uniform_csr(m, n, per_row, seed=0):
+    """``m × n`` CSR with ``per_row`` stored entries in every row."""
+    rng = np.random.default_rng(seed)
+    indices = np.sort(
+        np.stack([rng.choice(n, per_row, replace=False) for _ in range(m)]),
+        axis=1,
+    )
+    indptr = np.arange(0, m * per_row + 1, per_row, dtype=np.int64)
+    return CSRMatrix(rng.random(m * per_row), indices.ravel(), indptr, (m, n))
+
+
+def traced_peak(fn):
+    """Peak bytes ``tracemalloc`` sees allocated while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """The solve holds its four ``(n, k)`` blocks (``V``, the next
+    ``V``, ``W``, ``X``) plus operand-sized and panel-sized buffers:
+    no layout copies, no full-size temporaries, no second ``X``."""
+
+    @needs_compiled
+    def test_sparse_append_ones_peak(self):
+        matrix = uniform_csr(3000, 8000, 40)
+        matrix.T  # the transpose is the data's, cached before the solve
+        op = AppendOnesOperator(as_operator(matrix))
+        B = np.random.default_rng(1).standard_normal((3000, 19))
+        with use_backend("compiled"):
+            peak = traced_peak(
+                lambda: block_lsqr(
+                    op, B, damp=1.0, atol=0.0, btol=0.0, iter_lim=10
+                )
+            )
+        block = (8000 + 1) * 19 * 8
+        assert peak <= 5.5 * block, peak / block
+
+    def test_dense_centering_peak(self):
+        rng = np.random.default_rng(2)
+        op = CenteringOperator(as_operator(rng.standard_normal((2400, 1024))))
+        B = rng.standard_normal((2400, 67))
+        peak = traced_peak(
+            lambda: block_lsqr(op, B, damp=1.0, atol=0.0, btol=0.0, iter_lim=10)
+        )
+        # what the solve peaked at before blocks were updated in place
+        assert peak <= 7.09 * 2**20, peak / 2**20
+
+    def test_fixed_iterations_return_the_iterate_block(self, rng):
+        """Every column freezes at iter_lim together: ``X`` is the
+        solver's own block, laid out as the operator's products are."""
+        matrix, dense = sparse_problem(rng)
+        B = rng.standard_normal((matrix.shape[0], 3))
+        sparse_run = block_lsqr(matrix, B, atol=0.0, btol=0.0, iter_lim=8)
+        dense_run = block_lsqr(dense, B, atol=0.0, btol=0.0, iter_lim=8)
+        assert sparse_run.X.flags.c_contiguous
+        assert dense_run.X.flags.f_contiguous
+        assert np.allclose(sparse_run.X, dense_run.X, atol=1e-10)
