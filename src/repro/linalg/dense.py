@@ -27,8 +27,8 @@ def dense_matmul(A: FloatArray, B: FloatArray) -> FloatArray:
     ``A @ B`` at SRDA's shapes (``BENCH_dense_products.json``: 2000 to
     7480 rows, 784 or 1024 columns, ``k`` = 9 or 67).  The result is
     the transposed view of a C-ordered ``(k, m)`` array, i.e.
-    Fortran-ordered, the layout
-    :func:`~repro.linalg.block_lsqr.block_lsqr` keeps its blocks in.
+    Fortran-ordered; :func:`~repro.linalg.block_lsqr.block_lsqr` keeps
+    its blocks in the layout the products return.
     Float32 products keep the plain ``A @ B``: turned around they ran
     0.6–0.9× as fast forward and 0.9–1.6× on the adjoint, by shape.  1-D
     operands run a GEMV, bit-identical in either orientation.
