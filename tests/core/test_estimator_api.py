@@ -157,13 +157,17 @@ class TestFittedState:
         assert refit.is_fitted()
 
 
-@pytest.mark.parametrize("name", sorted(REGISTRY))
 class TestCopyability:
     """Fitted estimators must survive ``deepcopy`` and pickle — the
     serving layer deep-copies the active model before ``partial_fit``
     so the served original is never mutated.  Live tracer handles
-    (which hold thread locks) are dropped and restored as ``None``."""
+    (which hold thread locks) are dropped and restored as ``None``.
 
+    A streaming model's copies go on with the stream: the copy shares
+    the row store's buffers (and its lock), the pickle holds the stored
+    rows alone."""
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_fitted_deepcopy_round_trip(self, name, small_classification):
         import copy as copy_module
 
@@ -177,6 +181,7 @@ class TestCopyability:
             fitted.transform(X.astype(np.float32)),
         )
 
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_fitted_pickle_round_trip(self, name, small_classification):
         import pickle
 
@@ -188,6 +193,60 @@ class TestCopyability:
             restored.transform(X.astype(np.float32)),
             fitted.transform(X.astype(np.float32)),
         )
+
+
+    @staticmethod
+    def _batches(small_classification):
+        X, y = small_classification
+        order = np.random.default_rng(3).permutation(X.shape[0])
+        X, y = X[order], y[order]
+        return [(X[:40], y[:40]), (X[40:50], y[40:50]), (X[50:], y[50:])]
+
+    @staticmethod
+    def _stream(batches):
+        model = SRDA(config=SolverConfig(solver="lsqr"), tol=0.0)
+        for X, y in batches:
+            model.partial_fit(X, y)
+        return model
+
+    @pytest.mark.parametrize("round_trip", ["deepcopy", "pickle"])
+    def test_stream_continues_bitwise(self, round_trip, small_classification):
+        import copy as copy_module
+        import pickle
+
+        batches = self._batches(small_classification)
+        model = self._stream(batches[:2])
+        if round_trip == "deepcopy":
+            duplicate = copy_module.deepcopy(model)
+        else:
+            duplicate = pickle.loads(pickle.dumps(model))
+        duplicate.partial_fit(*batches[2])
+        fresh = self._stream(batches)
+        np.testing.assert_array_equal(duplicate.components_, fresh.components_)
+        np.testing.assert_array_equal(duplicate.intercept_, fresh.intercept_)
+        assert duplicate.fit_report_.incremental["batches"] == 3
+
+    def test_stream_pickle_grows_with_rows_not_capacity(
+        self, small_classification
+    ):
+        import pickle
+
+        batches = self._batches(small_classification)
+        model = self._stream(batches[:2])
+        store = model._incremental.store
+        capacity = store._shared.data.shape[0]
+        assert capacity > store.rows  # the second batch grew the store
+        restored = pickle.loads(pickle.dumps(model))
+        assert restored._incremental.store._shared.data.shape[0] == store.rows
+        # the pickle of a store with spare capacity is the pickle of the
+        # same rows held in an exactly sized one (up to pickle memo codes),
+        # and each stored row adds its bytes
+        unused = (capacity - store.rows) * store.n_features * 8
+        assert abs(len(pickle.dumps(model)) - len(pickle.dumps(restored))) < 64
+        assert unused >= 64 * 10
+        longer = self._stream(batches)
+        grown = len(pickle.dumps(longer)) - len(pickle.dumps(model))
+        assert grown >= batches[2][0].nbytes
 
 
 class TestSRDAClone:

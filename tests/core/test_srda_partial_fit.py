@@ -12,8 +12,14 @@ The contract under test (documented on :meth:`SRDA.partial_fit`):
   histogram, hence bitwise independent of batch order.
 """
 
+import copy
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro import SRDA, SolverConfig
 from repro.core.responses import response_table_from_counts
@@ -27,6 +33,12 @@ LSQR = dict(
 
 #: Acceptance bound for partial_fit-vs-fit agreement (float64).
 EQUIVALENCE_BOUND = 1e-6
+
+#: Fixed-iteration solves, as the serving writer runs them: streams fed
+#: the same rows must agree bit for bit.
+FIXED = dict(
+    alpha=1.0, config=SolverConfig(solver="lsqr"), max_iter=20, tol=0.0
+)
 
 
 def _blobs(rng, m, n_features=12, n_classes=4, centers=None):
@@ -257,3 +269,252 @@ class TestStreamSemantics:
         model.partial_fit(sp.csr_matrix(X[:30]), y[:30])
         with pytest.raises(ValueError, match="mix sparse and dense"):
             model.partial_fit(X[30:], y[30:])
+
+
+def _stream(batches):
+    """A fresh model fed ``batches`` (pairs of rows and labels) in order."""
+    model = SRDA(**FIXED)
+    for Xb, yb in batches:
+        model.partial_fit(Xb, yb)
+    return model
+
+
+def _stored(model):
+    return model._incremental.store.matrix()
+
+
+def _assert_same_model(model, reference):
+    np.testing.assert_array_equal(model.components_, reference.components_)
+    np.testing.assert_array_equal(model.intercept_, reference.intercept_)
+
+
+class TestBatchCopies:
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_caller_may_reuse_its_batch_buffers(self, layout):
+        """The stream copies each batch: editing the caller's row and
+        label buffers after the call changes no later solve."""
+        rng = np.random.default_rng(14)
+        X, y, _ = _blobs(rng, 90)
+        if layout == "csr":
+            X = sp.csr_matrix(X)
+        first = (X[:60].copy(), y[:60].copy())
+        second = (X[60:], y[60:])
+        expected = _stream([(first[0].copy(), first[1].copy()), second])
+        model = _stream([first])
+        (first[0].data if layout == "csr" else first[0])[:] = 0.0
+        first[1][:] = first[1][::-1].copy()
+        model.partial_fit(*second)
+        _assert_same_model(model, expected)
+
+
+class TestCopyIsolation:
+    """Copies of a streaming model share one row buffer; whichever holder
+    appends, every holder keeps its own rows and continues its own
+    stream exactly as a fresh model fed the same batches would."""
+
+    @pytest.fixture
+    def holders(self):
+        rng = np.random.default_rng(15)
+        X, y, _ = _blobs(rng, 96, n_classes=3)
+        base = [(X[:60], y[:60]), (X[60:66], y[60:66]), (X[66:72], y[66:72])]
+        extra = {
+            "original": (X[72:80], y[72:80]),
+            "copy": (X[80:88], y[80:88]),
+            "older": (X[88:], y[88:]),
+        }
+        model = _stream(base[:2])  # the second batch grows the store
+        older = copy.deepcopy(model)
+        model.partial_fit(*base[2])  # appended in place
+        holders = {
+            "original": model, "copy": copy.deepcopy(model), "older": older
+        }
+        assert np.shares_memory(_stored(model), _stored(older))
+        assert np.shares_memory(_stored(holders["copy"]), _stored(older))
+        expected = {
+            "original": _stream(base + [extra["original"]]),
+            "copy": _stream(base + [extra["copy"]]),
+            "older": _stream(base[:2] + [extra["older"]]),
+        }
+        return holders, extra, expected, X[:12]
+
+    @staticmethod
+    def _snapshot(holders, probe):
+        return {
+            name: (_stored(model).copy(), model.predict(probe))
+            for name, model in holders.items()
+        }
+
+    @staticmethod
+    def _assert_kept(holders, snapshot, probe, names):
+        for name in names:
+            rows, predictions = snapshot[name]
+            np.testing.assert_array_equal(_stored(holders[name]), rows)
+            np.testing.assert_array_equal(
+                holders[name].predict(probe), predictions
+            )
+
+    @pytest.mark.parametrize(
+        "order", [("original", "copy", "older"), ("older", "copy", "original")]
+    )
+    def test_each_holder_continues_its_own_stream(self, holders, order):
+        holders, extra, expected, probe = holders
+        shared = _stored(holders["older"])
+        for name in order:
+            snapshot = self._snapshot(holders, probe)
+            holders[name].partial_fit(*extra[name])
+            self._assert_kept(holders, snapshot, probe, set(holders) - {name})
+        for name in holders:
+            _assert_same_model(holders[name], expected[name])
+        # only the first of the two holders at the high-water mark wrote
+        # in place; the other one and the older version reallocated
+        in_place = [name for name in order if name != "older"][0]
+        for name in holders:
+            assert np.shares_memory(_stored(holders[name]), shared) == (
+                name == in_place
+            )
+
+    def test_concurrent_appends(self, holders):
+        holders, extra, expected, probe = holders
+        shared = _stored(holders["older"])
+        snapshot = self._snapshot(holders, probe)
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def append(name):
+            try:
+                barrier.wait()
+                holders[name].partial_fit(*extra[name])
+            # Boundary: the worker thread hands its failure to the test.
+            except Exception as exc:  # repro: noqa-RPR002
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=append, args=(name,))
+            for name in ("original", "copy")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        self._assert_kept(holders, snapshot, probe, ["older"])
+        holders["older"].partial_fit(*extra["older"])
+        for name in holders:
+            _assert_same_model(holders[name], expected[name])
+        in_place = [
+            np.shares_memory(_stored(holders[name]), shared)
+            for name in ("original", "copy")
+        ]
+        assert sorted(in_place) == [False, True]
+
+    def test_store_appends_from_more_threads_than_cores(self):
+        """Eight handles at the high-water mark append at once, with the
+        interpreter switching threads as often as it can: one writes in
+        place, each other one copies its rows first, and every handle
+        ends with exactly its own rows (two in-place writers would
+        overwrite each other's)."""
+        rng = np.random.default_rng(19)
+        X, y, _ = _blobs(rng, 44)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                # the second batch leaves spare capacity behind the mark
+                model = _stream([(X[:40], y[:40]), (X[40:], y[40:])])
+                base = _stored(model)
+                handles = [
+                    copy.deepcopy(model._incremental.store) for _ in range(8)
+                ]
+                batches = [
+                    (rng.standard_normal((2, X.shape[1])), y[:2])
+                    for _ in handles
+                ]
+                barrier = threading.Barrier(len(handles))
+
+                def append(handle, batch, barrier=barrier):
+                    barrier.wait()
+                    handle.append(*batch)
+
+                threads = [
+                    threading.Thread(target=append, args=pair)
+                    for pair in zip(handles, batches)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                for handle, (rows, labels) in zip(handles, batches):
+                    np.testing.assert_array_equal(
+                        handle.matrix(), np.vstack([X, rows])
+                    )
+                    np.testing.assert_array_equal(
+                        handle.labels(), np.concatenate([y, labels])
+                    )
+                in_place = [
+                    np.shares_memory(handle.matrix(), base)
+                    for handle in handles
+                ]
+                assert sum(in_place) == 1
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestRowStore:
+    def test_dense_view_is_the_vstack(self):
+        rng = np.random.default_rng(16)
+        X, y, _ = _blobs(rng, 70)
+        batches = [(X[:40], y[:40]), (X[40:50], y[40:50]), (X[50:], y[50:])]
+        store = _stream(batches)._incremental.store
+        view = store.matrix()
+        assert view.flags.c_contiguous and not view.flags.writeable
+        np.testing.assert_array_equal(view, np.vstack([b for b, _ in batches]))
+        np.testing.assert_array_equal(store.labels(), y)
+
+    @pytest.mark.parametrize(
+        "dtypes",
+        [
+            ("float64", "float64", "float32"),
+            ("float32", "float32", "float64"),
+            ("float32", "float32", "float32"),
+        ],
+    )
+    def test_csr_view_is_the_vstack(self, dtypes):
+        """Array for array, the stored CSR matrix is scipy's ``vstack``
+        of the batches, with its value-dtype promotion."""
+        rng = np.random.default_rng(17)
+        batches = []
+        for k, (rows, dtype) in enumerate(zip((40, 5, 5), dtypes)):
+            block = sp.random(
+                rows, 30, density=0.2, format="csr", dtype=dtype,
+                random_state=np.random.default_rng([17, k]),
+            )
+            labels = rng.integers(0, 3, size=rows)
+            labels[:3] = np.arange(3)
+            batches.append((block, labels))
+        view = _stored(_stream(batches))
+        expected = sp.vstack([b for b, _ in batches], format="csr")
+        assert view.shape == expected.shape
+        assert view.data.dtype == expected.data.dtype
+        np.testing.assert_array_equal(view.data, expected.data)
+        np.testing.assert_array_equal(view.indices, expected.indices)
+        np.testing.assert_array_equal(view.indptr, expected.indptr)
+
+
+class TestWorkingSet:
+    def test_copy_and_update_allocate_no_rows(self):
+        """An update that fits the store's capacity copies the model and
+        appends the batch in place: nothing the size of the stored rows
+        is allocated, only the solve's ``(m + n)·c`` blocks."""
+        rng = np.random.default_rng(18)
+        X, y, _ = _blobs(rng, 2020, n_features=400, n_classes=3)
+        model = _stream([(X[:2000], y[:2000]), (X[2000:2010], y[2000:2010])])
+        stored = _stored(model).nbytes
+        tracemalloc.start()
+        try:
+            copy.deepcopy(model).partial_fit(X[2010:], y[2010:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * stored, peak / stored

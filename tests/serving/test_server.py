@@ -195,6 +195,53 @@ class TestLifecycle:
         assert payload["version"] == 1
         assert payload["results"] == expected
 
+    def test_update_after_rollback_keeps_the_rolled_back_update(
+        self, serving
+    ):
+        """Registry versions of a stream share one row buffer. After
+        /partial_fit → /rollback → /partial_fit, the second update starts
+        behind the first one's rows, so it copies its own and the first
+        updated version keeps its rows and its model."""
+        base, X, y, app = serving
+
+        def stream(*bounds):
+            model = SRDA(config=SolverConfig(solver="lsqr"), tol=0.0)
+            for lo, hi in zip(bounds, bounds[1:]):
+                model.partial_fit(X[lo:hi], y[lo:hi])
+            return model
+
+        served = stream(0, 48, 51)  # the second batch left spare capacity
+        app.registry.promote("srda", app.registry.register("srda", served))
+        status, payload = _post(
+            base,
+            "/partial_fit",
+            {"rows": X[51:54].tolist(), "labels": y[51:54].tolist()},
+        )
+        assert status == 200
+        first = app.registry.get("srda", payload["version"]).model
+        rows = first._incremental.store.matrix()
+        assert np.shares_memory(rows, served._incremental.store.matrix())
+        expected = first.predict(X)
+
+        assert _post(base, "/rollback", {})[0] == 200
+        status, payload = _post(
+            base,
+            "/partial_fit",
+            {"rows": X[54:57].tolist(), "labels": y[54:57].tolist()},
+        )
+        assert status == 200
+        second = app.registry.get("srda", payload["version"]).model
+        assert not np.shares_memory(
+            second._incremental.store.matrix(), rows
+        )
+        np.testing.assert_array_equal(
+            first._incremental.store.matrix(), X[:54]
+        )
+        np.testing.assert_array_equal(first.predict(X), expected)
+        reference = stream(0, 48, 51, 54)
+        np.testing.assert_array_equal(first.components_, reference.components_)
+        np.testing.assert_array_equal(first.intercept_, reference.intercept_)
+
     def test_promote_missing_version(self, serving):
         base, _, _, _ = serving
         assert _post(base, "/promote", {"version": 41})[0] == 404
