@@ -11,6 +11,9 @@ it actually ran.  Every bench script stamps its payload with
 - ``kernel_backend`` / ``compiled_kernels_available`` — which CSR
   kernel backend produced the numbers (see
   :mod:`repro.linalg.kernels`).
+- ``kernel_tile`` — which compiled lane path float64 block products of
+  three or more columns ran on: ``"avx512f"`` (the register tile) or
+  ``"none"`` (the portable lane loop; also without the extension).
 - ``numpy_version`` / ``blas`` / ``blas_threads`` — which BLAS build
   ran every dense product, and the thread-count environment it ran
   under: dense timings (and the GEMM orientation
@@ -70,6 +73,7 @@ def provenance(gates_enforced: bool) -> dict:
         "cpu_count": os.cpu_count(),
         "kernel_backend": kernels.active_backend(),
         "compiled_kernels_available": kernels.compiled_available(),
+        "kernel_tile": kernels.kernel_tile(),
         "numpy_version": np.__version__,
         "blas": {key: blas.get(key) for key in ("name", "version")},
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_ENV},

@@ -53,6 +53,7 @@ and :func:`srda_alpha_path` shares its operator lifetime.
 
 from __future__ import annotations
 
+import copy
 import threading
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
@@ -827,6 +828,23 @@ class SRDA(LinearEmbedder):
         # partial_fit accumulator; None until the first partial_fit call
         self._incremental: Optional[_IncrementalState] = None
 
+    def __deepcopy__(self, memo: Dict[int, Any]) -> "SRDA":
+        """A deep copy that shares a streamed model's responses.
+
+        ``partial_fit`` leaves ``responses_`` read-only and replaces it
+        on the next batch, so a copy made to take that batch (the
+        serving layer's copy-update-promote) would only copy ``m·(c-1)``
+        values to drop them.  Every other attribute is copied as
+        ``copy.deepcopy`` would, through ``__getstate__``.
+        """
+        twin = type(self).__new__(type(self))
+        memo[id(self)] = twin
+        responses = self.responses_
+        if responses is not None and not responses.flags.writeable:
+            memo[id(responses)] = responses
+        twin.__setstate__(copy.deepcopy(self.__getstate__(), memo))
+        return twin
+
     # ------------------------------------------------------------------
     def fit(self, X, y) -> "SRDA":
         """Learn the ``c - 1`` projective functions from labeled data.
@@ -1024,6 +1042,9 @@ class SRDA(LinearEmbedder):
         with tracer.span("srda.responses", n_classes=int(n_classes)):
             table = response_table_from_counts(state.counts)
             responses = table[y_indices]
+        # Read-only: the next batch replaces it, never writes it, so
+        # copies of the model share it (``__deepcopy__``).
+        responses.flags.writeable = False
         self.responses_ = responses
 
         rebase = state.response_rebasing(classes, table)

@@ -121,6 +121,23 @@ def _masked_errstate(fn):
     return wrapper
 
 
+def _pinned_backend(fn):
+    """Resolve the kernel backend once for the whole call.
+
+    A solve dispatches two block products and several vector updates
+    per iteration through :mod:`repro.linalg.kernels`; under
+    :func:`~repro.linalg.kernels.pinned_backend` each reads the
+    resolved name from a ``ContextVar`` instead of the environment.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        with kernels.pinned_backend():
+            return fn(*args, **kwargs)
+
+    return wrapper
+
+
 @dataclass
 class BlockLSQRResult:
     """Outcome of a blocked LSQR run: per-column arrays of diagnostics.
@@ -673,6 +690,7 @@ def _solve_block(
     )
 
 
+@_pinned_backend
 def block_lsqr(
     A: "MatrixLike",
     B: FloatArray,
@@ -827,6 +845,7 @@ class SharedBidiagonalization:
         column earlier but never iterate past this.
     """
 
+    @_pinned_backend
     @_masked_errstate
     def __init__(
         self, A: MatrixLike, B: FloatArray, iter_lim: int
@@ -865,6 +884,7 @@ class SharedBidiagonalization:
         """Recorded bidiagonalization steps (max replay iterations)."""
         return len(self._steps) - 1
 
+    @_pinned_backend
     def solve(
         self,
         damp: float = 0.0,

@@ -43,6 +43,12 @@ interchangeable backends:
     ``Py_BEGIN_ALLOW_THREADS`` — so thread-backend shard workers
     genuinely overlap instead of serializing on the GIL, which is the
     reason BENCH_parallel.json's ``speedup_vs_direct`` can exceed 1.
+    Its float64 block product has two paths: a portable lane loop whose
+    accumulators sit on the stack, and, on x86-64 CPUs with AVX-512F, a
+    register tile that keeps them in ``zmm`` registers for blocks of
+    three or more columns.  The extension picks the path once, at
+    import, from the CPU's features; :func:`kernel_tile` names it.
+    Both run each lane's multiplies and adds in the same order.
 
 **Bitwise contract.** The compiled kernels replay the reference
 accumulation order exactly — one sequential row sum where the
@@ -104,6 +110,8 @@ __all__ = [
     "csr_rmatmat",
     "csr_rmatvec",
     "csr_transpose",
+    "kernel_tile",
+    "pinned_backend",
     "requested_backend",
     "use_backend",
 ]
@@ -142,6 +150,19 @@ def compiled_available() -> bool:
     Complexity: O(1) — the import was attempted once at module load.
     """
     return _compiled is not None
+
+
+def kernel_tile() -> str:
+    """The register tile compiled float64 block products run on.
+
+    ``"avx512f"`` when the extension holds the AVX-512F tile and the CPU
+    reports AVX-512F; ``"none"`` for the portable lane loop, or when the
+    extension is not built.  Blocks of one or two columns and float32
+    blocks take the lane loop either way; the values are the same bits.
+
+    Complexity: O(1) — the CPU was checked once at import.
+    """
+    return _compiled.kernel_tile() if _compiled is not None else "none"
 
 
 def _validate_backend(name: str) -> str:
@@ -227,6 +248,19 @@ def use_backend(name: Optional[str]) -> ContextManager[None]:
     if name is None:
         return nullcontext()
     return _backend_scope(_validate_backend(name))
+
+
+def pinned_backend() -> ContextManager[None]:
+    """Scope the backend the current selection resolves to.
+
+    Inside the scope every dispatch reads the resolved name from the
+    ``ContextVar`` (thread-backend workers included) instead of the
+    environment, so a solve that makes many kernel calls resolves its
+    backend once.  Per-call routing — dtype, layout — is unchanged.
+
+    Complexity: O(1) — one resolution plus a ContextVar set/reset pair.
+    """
+    return _backend_scope(active_backend())
 
 
 @contextmanager
@@ -352,8 +386,9 @@ def csr_matmat(
     ``c`` mat-vecs on either backend.
 
     The compiled kernel reads the matrix once per product (once per
-    32-column panel on wider blocks) against a row-major ``B`` (copied
-    only when ``B`` has another layout).  The result is a new
+    24-column panel on the float64 register tile, once per 32-column
+    panel on the lane loop) against a row-major ``B`` (copied only when
+    ``B`` has another layout).  The result is a new
     row-major block on both backends, or ``out``: an array of exactly
     the product's shape and dtype, in any layout, not overlapping
     ``B``, whose every entry is written (empty rows as zeros).  The

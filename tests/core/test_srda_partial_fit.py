@@ -518,3 +518,36 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert peak <= 0.1 * stored, peak / stored
+
+    def test_copy_shares_the_streamed_responses(self):
+        """A streamed model's ``responses_`` are read-only and shared by
+        its copies: ``deepcopy`` allocates far less than their bytes,
+        and the copy's next batch replaces its own without touching the
+        original's."""
+        rng = np.random.default_rng(19)
+        X, y, _ = _blobs(rng, 3010, n_features=16, n_classes=12)
+        model = _stream([(X[:1500], y[:1500]), (X[1500:3000], y[1500:3000])])
+        responses = model.responses_
+        before = responses.tobytes()
+        assert not responses.flags.writeable
+        tracemalloc.start()
+        try:
+            twin = copy.deepcopy(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert twin.responses_ is responses
+        assert peak <= 0.25 * responses.nbytes, peak / responses.nbytes
+        twin.partial_fit(X[3000:], y[3000:])
+        assert twin.responses_.shape[0] == 3010
+        assert model.responses_ is responses
+        assert responses.tobytes() == before
+
+    def test_copy_of_a_cold_fit_owns_its_responses(self):
+        rng = np.random.default_rng(20)
+        X, y, _ = _blobs(rng, 200, n_classes=4)
+        model = SRDA(**FIXED).fit(X, y)
+        twin = copy.deepcopy(model)
+        assert model.responses_.flags.writeable
+        assert twin.responses_ is not model.responses_
+        assert np.array_equal(twin.responses_, model.responses_)

@@ -11,8 +11,10 @@ at the convergence plateau the diagnostics live in a cancellation-noise
 regime, so those cases assert looser bounds on ``x`` only.
 """
 
+import os
 import tracemalloc
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +31,12 @@ from repro.linalg.operators import (
     FaultyOperator,
     as_operator,
 )
-from repro.linalg.kernels import compiled_available, use_backend
+from repro.linalg import kernels
+from repro.linalg.kernels import (
+    KERNEL_BACKEND_ENV,
+    compiled_available,
+    use_backend,
+)
 from repro.linalg.sparse import CSRMatrix
 
 needs_compiled = pytest.mark.skipif(
@@ -468,3 +475,56 @@ class TestWorkingSet:
         assert sparse_run.X.flags.c_contiguous
         assert dense_run.X.flags.f_contiguous
         assert np.allclose(sparse_run.X, dense_run.X, atol=1e-10)
+
+
+class EnvironCounter(dict):
+    """A copy of the environment that records every key read through
+    ``get``."""
+
+    def __init__(self, environ):
+        super().__init__(environ)
+        self.reads = []
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+
+class TestBackendResolution:
+    """A solve resolves the kernel backend once, not once per kernel
+    call; each call still routes its own dtype and layout."""
+
+    @pytest.fixture
+    def environ(self, monkeypatch):
+        counter = EnvironCounter(os.environ)
+        monkeypatch.setattr(kernels, "os", SimpleNamespace(environ=counter))
+        return counter
+
+    def test_block_lsqr_reads_the_environment_once(self, rng, environ):
+        matrix, _ = sparse_problem(rng)
+        B = rng.standard_normal((matrix.shape[0], 3))
+        block_lsqr(
+            AppendOnesOperator(as_operator(matrix)), B, damp=1.0, atol=0.0,
+            btol=0.0, iter_lim=8,
+        )
+        assert environ.reads.count(KERNEL_BACKEND_ENV) == 1
+
+    def test_shared_bidiagonalization_reads_it_once_per_call(
+        self, rng, environ
+    ):
+        matrix, _ = sparse_problem(rng)
+        B = rng.standard_normal((matrix.shape[0], 3))
+        shared = SharedBidiagonalization(matrix, B, iter_lim=6)
+        shared.solve(damp=0.5)
+        shared.solve(damp=2.0)
+        assert environ.reads.count(KERNEL_BACKEND_ENV) == 3
+
+    def test_an_enclosing_selection_still_wins(self, rng, environ):
+        matrix, _ = sparse_problem(rng)
+        B = rng.standard_normal((matrix.shape[0], 3))
+        with use_backend("reference"):
+            pinned = block_lsqr(matrix, B, atol=0.0, btol=0.0, iter_lim=5)
+        assert environ.reads.count(KERNEL_BACKEND_ENV) == 0
+        with use_backend("reference"):
+            want = block_lsqr(matrix, B, atol=0.0, btol=0.0, iter_lim=5)
+        assert pinned.X.tobytes() == want.X.tobytes()

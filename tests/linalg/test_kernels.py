@@ -371,6 +371,165 @@ class TestProductDestinations:
             csr_matmat(matrix, B, out=frozen)
 
 
+needs_tile = pytest.mark.skipif(
+    kernels.kernel_tile() != "avx512f",
+    reason="no AVX-512F register tile: the CPU lacks AVX-512F, the build "
+    "is not x86-64 GCC/Clang, or the extension is not built",
+)
+
+
+@pytest.fixture(
+    params=[
+        "reference",
+        pytest.param("lanes", marks=needs_compiled),
+        pytest.param("tile", marks=needs_tile),
+    ]
+)
+def lane_path(request):
+    """Run the test on the reference, then on each compiled path of the
+    float64 block product: the portable lane loop and the AVX-512F
+    register tile (switched through the extension's test hook)."""
+    if request.param == "reference":
+        with use_backend("reference"):
+            yield request.param
+        return
+    previous = kernels._compiled._use_tile(request.param == "tile")
+    try:
+        with use_backend("compiled"):
+            yield request.param
+    finally:
+        kernels._compiled._use_tile(previous)
+
+
+#: Stored entries per row for the tile: empty, single, every short
+#: (< 8 term) tail of ``seg[1:]``, the 8-accumulator block with every
+#: remainder, its last length (129: 128 terms after ``seg[0]``), and the
+#: recursive split from 130 on.
+TILE_ROW_LENGTHS = (
+    (0, 1) + tuple(range(2, 9)) + tuple(range(9, 18)) + (63, 64, 65, 128, 129)
+    + (130, 131, 137, 257, 300, 1100)
+)
+
+
+def tile_matrix(n_cols=60, seed=21):
+    """float64 rows of exactly ``TILE_ROW_LENGTHS`` stored entries, random
+    columns (so duplicates within a row occur)."""
+    rng = np.random.default_rng(seed)
+    lengths = np.asarray(TILE_ROW_LENGTHS)
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(lengths)
+    nnz = int(indptr[-1])
+    return CSRMatrix(
+        rng.standard_normal(nnz),
+        rng.integers(0, n_cols, nnz),
+        indptr,
+        (lengths.size, n_cols),
+    )
+
+
+def reference_products(matrix, B, U):
+    with use_backend("reference"):
+        return matrix.matmat(B), reference_rmatmat(matrix, U)
+
+
+class TestRegisterTile:
+    """float64 block products on the lane loop and on the register tile
+    return the reference's bytes: every mask tail, vector and panel
+    boundary, row length, signed zero and non-finite entry, and output
+    layout."""
+
+    #: 1-50 columns: each 1-7-lane tail of a masked vector, 8/16/24
+    #: lanes (one, two, three full vectors), and 2-3 panels of 24.
+    @pytest.mark.parametrize("k", range(1, 51))
+    def test_widths_bitwise(self, lane_path, k):
+        matrix = tile_matrix()
+        rng = np.random.default_rng(100 + k)
+        B = rng.standard_normal((matrix.shape[1], k))
+        U = rng.standard_normal((matrix.shape[0], k))
+        B[rng.random(B.shape) < 0.1] = -0.0
+        want_mm, want_rm = reference_products(matrix, B, U)
+        got = csr_matmat(matrix, B)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want_mm.tobytes()
+        assert csr_rmatmat(matrix, U).tobytes() == want_rm.tobytes()
+
+    @pytest.mark.parametrize("k", [3, 8, 9, 19, 24, 27])
+    def test_negative_zero_sums(self, lane_path, k):
+        """All-``-0.0`` lanes keep numpy's sign at every row length;
+        a ``+0.0`` lane beside them stays positive."""
+        matrix = tile_matrix()
+        matrix.data[:] = np.abs(matrix.data)
+        B = np.full((matrix.shape[1], k), -0.0)
+        B[:, 1] = 0.0
+        want, _ = reference_products(matrix, B, B[: matrix.shape[0]])
+        got = csr_matmat(matrix, B)
+        assert np.signbit(want[:, 0]).any()
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [3, 8, 19, 24, 31])
+    def test_inf_and_nan_entries(self, lane_path, k):
+        """Positive values with ``inf``/``nan`` in the matrix and the
+        operand: no NaN is made inside a sum, so the bytes match."""
+        matrix = tile_matrix()
+        rng = np.random.default_rng(7)
+        matrix.data[:] = np.abs(matrix.data) + 0.5
+        pick = rng.random(matrix.nnz)
+        matrix.data[pick < 0.01] = np.inf
+        matrix.data[pick > 0.99] = np.nan
+        B = np.abs(rng.standard_normal((matrix.shape[1], k))) + 0.5
+        B[rng.random(B.shape) < 0.02] = np.inf
+        B[rng.random(B.shape) < 0.02] = np.nan
+        U = np.abs(rng.standard_normal((matrix.shape[0], k))) + 0.5
+        U[0, 1] = np.inf
+        U[5, 2] = np.nan
+        with np.errstate(invalid="ignore"):
+            want_mm, want_rm = reference_products(matrix, B, U)
+            assert np.isnan(want_mm).any() and np.isinf(want_mm).any()
+            assert csr_matmat(matrix, B).tobytes() == want_mm.tobytes()
+            assert csr_rmatmat(matrix, U).tobytes() == want_rm.tobytes()
+
+    @pytest.mark.parametrize("k", [3, 5, 19, 24, 33])
+    def test_strided_destinations(self, lane_path, k):
+        """A shard's rows written into its row range of the whole
+        product, the adjoint into rows ``:n`` of an ``(n + 1, k)`` block,
+        and a column-strided block, each NaN-prefilled."""
+        matrix = tile_matrix()
+        m, n = matrix.shape
+        rng = np.random.default_rng(k)
+        B = rng.standard_normal((n, k))
+        U = rng.standard_normal((m, k))
+        want_mm, want_rm = reference_products(matrix, B, U)
+
+        whole = np.full((m, k), np.nan)
+        for start, stop in ((0, 11), (11, 23), (23, m)):
+            shard = CSRMatrix(
+                matrix.data[matrix.indptr[start]:matrix.indptr[stop]],
+                matrix.indices[matrix.indptr[start]:matrix.indptr[stop]],
+                matrix.indptr[start:stop + 1] - matrix.indptr[start],
+                (stop - start, n),
+            )
+            csr_matmat(shard, B, out=whole[start:stop])
+        assert whole.tobytes() == want_mm.tobytes()
+
+        spare = np.full((n + 1, k), np.nan)
+        assert csr_rmatmat(matrix, U, out=spare[:n]).base is spare
+        assert spare[:n].tobytes() == want_rm.tobytes()
+        assert np.isnan(spare[n]).all()
+
+        strided = np.full((m, 2 * k), np.nan)[:, ::2]
+        csr_matmat(matrix, B, out=strided)
+        assert strided.tobytes() == want_mm.tobytes()
+
+    @needs_compiled
+    def test_kernel_tile_names_the_path(self):
+        assert kernels.kernel_tile() in ("avx512f", "none")
+        previous = kernels._compiled._use_tile(False)
+        try:
+            assert kernels.kernel_tile() == "none"
+        finally:
+            kernels._compiled._use_tile(previous)
+
+
 @needs_compiled
 def test_f32_matvec_scratch_is_traced():
     # The float32 matvec sums each row in a scratch segment as long as
@@ -601,6 +760,9 @@ class TestMissingExtensionFallback:
 
     def test_compiled_available_reports_false(self, no_extension):
         assert not compiled_available()
+
+    def test_kernel_tile_reports_none(self, no_extension):
+        assert kernels.kernel_tile() == "none"
 
 
 class TestConfigIntegration:
