@@ -257,8 +257,9 @@ def run_kernel_microbench(case, repeats, min_speedup=MIN_KERNEL_SPEEDUP):
     for backend in backends:
         with kernels.use_backend(backend):
             runs = (
-                best_of(repeats, lambda: kernels.csr_matvec(matrix, v)),
-                best_of(repeats, lambda: kernels.csr_rmatvec(matrix, u)),
+                # a 1-D operand is the mat-vec, the width-1 block product
+                best_of(repeats, lambda: kernels.csr_matmat(matrix, v)),
+                best_of(repeats, lambda: kernels.csr_rmatmat(matrix, u)),
                 best_of(repeats, lambda: kernels.csr_matmat(matrix, B)),
                 best_of(repeats, lambda: kernels.csr_rmatmat(matrix, U)),
                 best_of(repeats, first_transpose),

@@ -21,7 +21,7 @@ from repro.complexity import (
     srda_normal_memory,
     table1,
 )
-from repro.linalg.lsqr import lsqr
+from repro.linalg.block_lsqr import block_lsqr
 from repro.linalg.operators import as_operator
 
 # Table II shapes: (name, m, n, c, s or None) — m is the full dataset.
@@ -79,8 +79,8 @@ def test_empirical_lsqr_cost_matches_model(benchmark, rng=None):
 
     def run():
         op = FlamCountingOperator(as_operator(rng.standard_normal((m, n))))
-        result = lsqr(op, rng.standard_normal(m), iter_lim=iters,
-                      atol=0, btol=0)
+        result = block_lsqr(op, rng.standard_normal(m), iter_lim=iters,
+                            atol=0, btol=0).column(0)
         return op, result
 
     op, result = once(benchmark, run)

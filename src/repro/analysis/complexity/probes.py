@@ -246,14 +246,15 @@ def _kernel_dispatch_builder(kernel: str) -> Builder:
         from repro.linalg import kernels
 
         A = _csr_problem(m, rng)
+        # a 1-D operand is the mat-vec: the width-1 block product
         if kernel == "matvec":
             x = rng.standard_normal(_N_COLS)
-            kernels.csr_matvec(A, x)  # warm row-id / segment caches
-            return lambda: kernels.csr_matvec(A, x)
+            kernels.csr_matmat(A, x)  # warm the segment caches
+            return lambda: kernels.csr_matmat(A, x)
         if kernel == "rmatvec":
             u = rng.standard_normal(m)
-            kernels.csr_rmatvec(A, u)  # warm the cached transpose
-            return lambda: kernels.csr_rmatvec(A, u)
+            kernels.csr_rmatmat(A, u)  # warm the cached transpose
+            return lambda: kernels.csr_rmatmat(A, u)
         B = rng.standard_normal((_N_COLS, _BLOCK_COLS))
         kernels.csr_matmat(A, B)
         return lambda: kernels.csr_matmat(A, B)
@@ -299,12 +300,14 @@ def _build_orthonormalize(m: int, rng: np.random.Generator) -> Thunk:
 
 
 def _build_lsqr(m: int, rng: np.random.Generator) -> Thunk:
-    from repro.linalg.lsqr import lsqr
+    from repro.linalg.block_lsqr import block_lsqr
 
     A = _csr_problem(m, rng)
     b = rng.standard_normal(m)
     A.rmatvec(b)  # warm the cached transpose
-    return lambda: lsqr(A, b, atol=0.0, btol=0.0, conlim=0.0, iter_lim=_ITERATIONS)
+    return lambda: block_lsqr(
+        A, b, atol=0.0, btol=0.0, conlim=0.0, iter_lim=_ITERATIONS
+    )
 
 
 def _build_block_lsqr(m: int, rng: np.random.Generator) -> Thunk:
@@ -454,12 +457,13 @@ register_probe(
 register_probe(
     ProbeSpec(
         name="lsqr_solve",
-        module="repro.linalg.lsqr",
-        qualname="lsqr",
+        module="repro.linalg.block_lsqr",
+        qualname="block_lsqr",
         couplings={"nnz": 1.0, "m": 1.0},
         build=_build_lsqr,
         sizes=_SOLVER_SIZES,
-        note="8 iterations pinned (atol=btol=conlim=0)",
+        note="one 1-D right-hand side; 8 iterations pinned "
+        "(atol=btol=conlim=0)",
     )
 )
 register_probe(
@@ -534,7 +538,7 @@ register_probe(
     ProbeSpec(
         name="kernel_dispatch_matvec",
         module="repro.linalg.kernels",
-        qualname="csr_matvec",
+        qualname="csr_matmat",
         couplings={"nnz": 1.0},
         build=_kernel_dispatch_builder("matvec"),
         note="dispatch layer; backend resolves at run time "
@@ -545,7 +549,7 @@ register_probe(
     ProbeSpec(
         name="kernel_dispatch_rmatvec",
         module="repro.linalg.kernels",
-        qualname="csr_rmatvec",
+        qualname="csr_rmatmat",
         couplings={"nnz": 1.0},
         build=_kernel_dispatch_builder("rmatvec"),
         note="dispatch layer; backend resolves at run time "

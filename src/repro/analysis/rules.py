@@ -43,7 +43,7 @@ RPR010    a float64 temporary allocated inside a loop in a kernel
           module — ``np.zeros``/``np.empty``/``.astype`` without a
           dtype threaded from an argument.
 RPR011    an allocation call inside the per-iteration body of the
-          lsqr / block_lsqr / sharded hot loops, or in a function or
+          block_lsqr / sharded hot loops, or in a function or
           method of the same module that such a loop calls by name —
           the loops must allocate their buffers outside the iteration.
 ========  ==============================================================
@@ -92,7 +92,6 @@ NOQA_RE = re.compile(
 KERNEL_MODULE_SUFFIXES: Tuple[str, ...] = (
     "linalg/sparse.py",
     "linalg/operators.py",
-    "linalg/lsqr.py",
     "linalg/block_lsqr.py",
 )
 
@@ -109,7 +108,6 @@ KERNEL_LOOP_MODULE_SUFFIXES: Tuple[str, ...] = KERNEL_MODULE_SUFFIXES + (
 #: The solver hot loops: any allocation per iteration is a regression
 #: (RPR011's scope).
 HOT_LOOP_MODULE_SUFFIXES: Tuple[str, ...] = (
-    "linalg/lsqr.py",
     "linalg/block_lsqr.py",
     "parallel/sharded.py",
 )
@@ -928,7 +926,7 @@ class HotLoopAllocationRule(Rule):
     name = "hot-loop-allocation"
     summary = (
         "allocation call inside a per-iteration body of the "
-        "lsqr/block_lsqr/sharded hot loops, or in a same-module "
+        "block_lsqr/sharded hot loops, or in a same-module "
         "function or method such a loop calls"
     )
     rationale = (

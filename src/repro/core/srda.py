@@ -67,12 +67,13 @@ from repro.core.responses import response_table_from_counts
 from repro.core.solver_config import SolverConfig
 from repro.linalg import kernels
 from repro.linalg.block_lsqr import (
+    FAILURE_ISTOPS,
+    ISTOP_REASONS,
     BlockLSQRResult,
     SharedBidiagonalization,
     block_lsqr,
 )
 from repro.linalg.dense import dense_matmul, normal_gram
-from repro.linalg.lsqr import FAILURE_ISTOPS, ISTOP_REASONS
 from repro.linalg.operators import (
     AppendOnesOperator,
     CenteringOperator,

@@ -39,7 +39,7 @@ class ConvergenceError(ReproError, RuntimeError):
     Raised where silently returning a half-iterated answer would poison
     downstream results (e.g. the Lanczos eigensolver).  LSQR does *not*
     raise this — its istop codes report convergence state per column and
-    callers decide; see :data:`repro.linalg.lsqr.FAILURE_ISTOPS`.
+    callers decide; see :data:`repro.linalg.block_lsqr.FAILURE_ISTOPS`.
     """
 
 

@@ -13,11 +13,10 @@ Cholesky factor and triangular solves call LAPACK through scipy):
 - :mod:`repro.linalg.cholesky` — LAPACK Cholesky factorization and
   triangular solves behind the positive-definiteness checks the
   normal-equations solver (Eqn 20/21) relies on.
-- :mod:`repro.linalg.lsqr` — the Paige–Saunders LSQR iteration, the
-  linear-time solver of the paper's title.
-- :mod:`repro.linalg.block_lsqr` — the blocked multi-RHS variant that
-  carries all ``c-1`` SRDA systems through shared mat-mats, plus the
-  bidiagonalize-once alpha-sweep engine.
+- :mod:`repro.linalg.block_lsqr` — the Paige–Saunders LSQR iteration,
+  the linear-time solver of the paper's title, run blocked: all ``c-1``
+  SRDA systems share one Golub–Kahan iteration (a 1-D right-hand side
+  is a block of one), plus the bidiagonalize-once alpha-sweep engine.
 - :mod:`repro.linalg.svd` — the cross-product SVD trick from Section II-B.
 - :mod:`repro.linalg.dense` — small dense helpers shared by the baselines,
   and ``dense_matmul``, the one GEMM orientation rule for every dense
@@ -30,18 +29,17 @@ Cholesky factor and triangular solves call LAPACK through scipy):
 """
 
 from repro.linalg.block_lsqr import (
+    FAILURE_ISTOPS,
+    ISTOP_REASONS,
     BlockLSQRResult,
+    LSQRResult,
     SharedBidiagonalization,
     block_lsqr,
 )
 from repro.linalg.cholesky import cholesky, solve_cholesky, solve_triangular
-from repro.linalg.coordinate_descent import (
-    ElasticNetResult,
-    elastic_net,
-    elastic_net_path,
-)
+from repro.linalg.coordinate_descent import ElasticNetResult, elastic_net
 from repro.linalg.dense import solve_lstsq, symmetric_eigh
-from repro.linalg.eigen import jacobi_eigh, lanczos_eigsh
+from repro.linalg.eigen import lanczos_eigsh
 from repro.linalg.gram_schmidt import orthogonalize_against, orthonormalize
 from repro.linalg.kernels import (
     KERNEL_BACKEND_ENV,
@@ -50,7 +48,6 @@ from repro.linalg.kernels import (
     compiled_available,
     use_backend,
 )
-from repro.linalg.lsqr import FAILURE_ISTOPS, ISTOP_REASONS, LSQRResult, lsqr
 from repro.linalg.operators import (
     AppendOnesOperator,
     CenteringOperator,
@@ -107,10 +104,7 @@ __all__ = [
     "cross_product_svd",
     "default_sketch_size",
     "elastic_net",
-    "elastic_net_path",
-    "jacobi_eigh",
     "lanczos_eigsh",
-    "lsqr",
     "orthogonalize_against",
     "orthonormalize",
     "preconditioner_from_gram",

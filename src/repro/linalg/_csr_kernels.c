@@ -6,30 +6,26 @@
  * implementation in repro.linalg.sparse.CSRMatrix.  That contract pins
  * the accumulation order exactly:
  *
- * - the float64 mat-vec mirrors numpy's ``bincount``: each row adds
- *   its products one by one, in storage order, onto the zero the
- *   caller's output holds.
- * - the float32 mat-vec and every ``matmat`` column sweep mirror
- *   ``np.add.reduceat``: each segment reduces as
- *   ``seg[0] + pairwise_sum(seg[1:])`` where ``pairwise_sum`` is
- *   numpy's pairwise algorithm (8-accumulator blocks up to 128
- *   elements, then recursive halving on 8-aligned splits).  The
- *   structure below is a faithful port of numpy's ``pairwise_sum_@TYPE@``
- *   (numpy/_core/src/umath/loops_utils.h.src); the tests assert bit
- *   equality against the live numpy, so a silent ordering change in
- *   either implementation fails loudly.  Sums of fewer than 8 terms
- *   start from a seed zero whose sign numpy has changed across
- *   releases (-0.0 keeps an all-negative-zero sum negative); the
- *   dispatcher reads the live numpy's sign once at import and hands it
- *   over through ``set_pairwise_seed``.
+ * - every ``matmat`` column mirrors ``np.add.reduceat``: each segment
+ *   reduces as ``seg[0] + pairwise_sum(seg[1:])`` where
+ *   ``pairwise_sum`` is numpy's pairwise algorithm (8-accumulator
+ *   blocks up to 128 elements, then recursive halving on 8-aligned
+ *   splits).  The structure below is a faithful port of numpy's
+ *   ``pairwise_sum_@TYPE@`` (numpy/_core/src/umath/loops_utils.h.src);
+ *   the tests assert bit equality against the live numpy, so a silent
+ *   ordering change in either implementation fails loudly.  Sums of
+ *   fewer than 8 terms start from a seed zero whose sign numpy has
+ *   changed across releases (-0.0 keeps an all-negative-zero sum
+ *   negative); the dispatcher reads the live numpy's sign once at
+ *   import and hands it over through ``set_pairwise_seed``.
  * - Products are rounded before they are added, as numpy's separate
  *   multiply and add ufuncs round them.  The build passes
  *   ``-ffp-contract=off`` so no compiler fuses ``acc += a * b`` into an
  *   FMA, which would skip that rounding.
  *
- * There are no adjoint kernels: ``A.T @ u`` and ``A.T @ U`` are the
- * forward kernels run over the transpose, which ``csr_transpose``
- * builds once.
+ * There is one product kernel, ``matmat``.  A mat-vec is its width-1
+ * block, and there are no adjoint kernels: ``A.T @ U`` is the forward
+ * kernel run over the transpose, which ``csr_transpose`` builds once.
  *
  * Block products (``matmat``) read the CSR matrix once per product, not once per operand column.
  * The operand block is row-major, so the ``k`` values a stored entry
@@ -93,108 +89,13 @@
  * to the live numpy's choice before any kernel runs. */
 static npy_double pairwise_seed = -0.0;
 
-#define DEFINE_PAIRWISE(T, SUF)                                          \
-    static T pairwise_sum_##SUF(const T *a, npy_intp n)                  \
-    {                                                                    \
-        if (n < 8) {                                                     \
-            npy_intp i;                                                  \
-            T res = (T)pairwise_seed;                                    \
-            for (i = 0; i < n; i++) {                                    \
-                res += a[i];                                             \
-            }                                                            \
-            return res;                                                  \
-        }                                                                \
-        else if (n <= PW_BLOCKSIZE) {                                    \
-            npy_intp i;                                                  \
-            T r[8], res;                                                 \
-            r[0] = a[0]; r[1] = a[1]; r[2] = a[2]; r[3] = a[3];          \
-            r[4] = a[4]; r[5] = a[5]; r[6] = a[6]; r[7] = a[7];          \
-            for (i = 8; i < n - (n % 8); i += 8) {                       \
-                r[0] += a[i + 0]; r[1] += a[i + 1];                      \
-                r[2] += a[i + 2]; r[3] += a[i + 3];                      \
-                r[4] += a[i + 4]; r[5] += a[i + 5];                      \
-                r[6] += a[i + 6]; r[7] += a[i + 7];                      \
-            }                                                            \
-            res = ((r[0] + r[1]) + (r[2] + r[3])) +                      \
-                  ((r[4] + r[5]) + (r[6] + r[7]));                       \
-            for (; i < n; i++) {                                         \
-                res += a[i];                                             \
-            }                                                            \
-            return res;                                                  \
-        }                                                                \
-        else {                                                           \
-            npy_intp n2 = n / 2;                                         \
-            n2 -= n2 % 8;                                                \
-            return pairwise_sum_##SUF(a, n2) +                           \
-                   pairwise_sum_##SUF(a + n2, n - n2);                   \
-        }                                                                \
-    }                                                                    \
-                                                                         \
-    /* np.add.reduceat on one segment: seg[0] + pairwise(seg[1:]) */     \
-    static T segment_reduce_##SUF(const T *seg, npy_intp n)              \
-    {                                                                    \
-        if (n == 1) {                                                    \
-            return seg[0];                                               \
-        }                                                                \
-        return seg[0] + pairwise_sum_##SUF(seg + 1, n - 1);              \
-    }
-
-/* Only the float32 mat-vec reduces whole segments; the float64 one is
- * bincount-ordered, and ``matmat`` runs its own lane-wide tree. */
-DEFINE_PAIRWISE(npy_float, f32)
-
-/* ------------------------------------------------------------------ */
-/* Kernel bodies (templated over the value type)                       */
-/* ------------------------------------------------------------------ */
-
-/* A @ v, float64: bincount order — sequential scatter-add from zero. */
-static void
-matvec_scatter_f64(const npy_double *data, const npy_int64 *indices,
-                   const npy_int64 *indptr, npy_intp n_rows,
-                   const npy_double *v, npy_double *out)
-{
-    npy_intp r;
-    for (r = 0; r < n_rows; r++) {
-        npy_int64 i, end = indptr[r + 1];
-        npy_double acc = out[r]; /* zero-initialized by the caller */
-        for (i = indptr[r]; i < end; i++) {
-            acc += data[i] * v[indices[i]];
-        }
-        out[r] = acc;
-    }
-}
-
-/* A @ v / A @ B column, reduceat order over row segments. */
-#define DEFINE_MATVEC_SEGMENTS(T, SUF)                                   \
-    static void matvec_segments_##SUF(                                   \
-        const T *data, const npy_int64 *indices, const npy_int64 *indptr,\
-        npy_intp n_rows, const T *v, T *out, T *scratch)                 \
-    {                                                                    \
-        npy_intp r;                                                      \
-        for (r = 0; r < n_rows; r++) {                                   \
-            npy_int64 i, start = indptr[r], end = indptr[r + 1];         \
-            npy_intp len = (npy_intp)(end - start), t = 0;               \
-            if (len == 0) {                                              \
-                continue; /* empty rows stay zero */                     \
-            }                                                            \
-            for (i = start; i < end; i++, t++) {                         \
-                scratch[t] = data[i] * v[indices[i]];                    \
-            }                                                            \
-            out[r] = segment_reduce_##SUF(scratch, len);                 \
-        }                                                                \
-    }
-
-/* Only the float32 variant is instantiated: the float64 reference
- * matvec is bincount-ordered (scatter), never reduceat-ordered. */
-DEFINE_MATVEC_SEGMENTS(npy_float, f32)
-
 /* A @ B, one pass over the matrix.  ``B`` is row-major (row stride
  * ``ldb``); ``out[r, j]`` sits at ``out + r * rs + j * cs`` (element
  * strides, any layout), and every row is written, zero if empty.  For
  * each panel of at most MM_PANEL columns, every row computes
  * ``seg[0] + pairwise_sum(seg[1:])`` of its products in all panel
- * lanes at once; ``pairwise_rows`` is ``pairwise_sum`` with each
- * scalar widened to ``kp`` lanes and each element the product
+ * lanes at once; ``pairwise_rows`` is numpy's ``pairwise_sum`` with
+ * each scalar widened to ``kp`` lanes and each element the product
  * ``data[i] * B[indices[i], :]``, computed where it is consumed. */
 #define MM_PANEL 32
 
@@ -714,93 +615,9 @@ check_array(PyArrayObject *arr, int typenum, int ndim, const char *name)
     return 1;
 }
 
-/* Longest row segment — sizes the per-call scratch buffer. */
-static npy_intp
-max_segment(const npy_int64 *indptr, npy_intp n_rows)
-{
-    npy_intp r, best = 1;
-    for (r = 0; r < n_rows; r++) {
-        npy_intp len = (npy_intp)(indptr[r + 1] - indptr[r]);
-        if (len > best) {
-            best = len;
-        }
-    }
-    return best;
-}
-
 /* ------------------------------------------------------------------ */
 /* Python-visible wrappers                                             */
 /* ------------------------------------------------------------------ */
-
-static PyObject *
-py_csr_matvec(PyObject *self, PyObject *args)
-{
-    PyArrayObject *data, *indices, *indptr, *v, *out;
-    npy_intp n_rows, nnz;
-    int typenum;
-
-    if (!PyArg_ParseTuple(args, "O!O!O!O!O!", &PyArray_Type, &data,
-                          &PyArray_Type, &indices, &PyArray_Type, &indptr,
-                          &PyArray_Type, &v, &PyArray_Type, &out)) {
-        return NULL;
-    }
-    typenum = PyArray_TYPE(data);
-    if (typenum != NPY_DOUBLE && typenum != NPY_FLOAT) {
-        PyErr_SetString(PyExc_ValueError, "data must be float32 or float64");
-        return NULL;
-    }
-    if (!check_array(data, typenum, 1, "data") ||
-        !check_array(indices, NPY_INT64, 1, "indices") ||
-        !check_array(indptr, NPY_INT64, 1, "indptr") ||
-        !check_array(v, typenum, 1, "v") ||
-        !check_array(out, typenum, 1, "out")) {
-        return NULL;
-    }
-    n_rows = PyArray_DIM(indptr, 0) - 1;
-    nnz = PyArray_DIM(data, 0);
-    if (PyArray_DIM(indices, 0) != nnz || PyArray_DIM(out, 0) != n_rows) {
-        PyErr_SetString(PyExc_ValueError, "inconsistent kernel shapes");
-        return NULL;
-    }
-
-    {
-        const npy_int64 *ip = (const npy_int64 *)PyArray_DATA(indptr);
-        const npy_int64 *ind = (const npy_int64 *)PyArray_DATA(indices);
-        int failed = 0;
-        if (typenum == NPY_DOUBLE) {
-            const npy_double *d = (const npy_double *)PyArray_DATA(data);
-            const npy_double *vv = (const npy_double *)PyArray_DATA(v);
-            npy_double *o = (npy_double *)PyArray_DATA(out);
-            Py_BEGIN_ALLOW_THREADS
-            matvec_scatter_f64(d, ind, ip, n_rows, vv, o);
-            Py_END_ALLOW_THREADS
-        }
-        else {
-            const npy_float *d = (const npy_float *)PyArray_DATA(data);
-            const npy_float *vv = (const npy_float *)PyArray_DATA(v);
-            npy_float *o = (npy_float *)PyArray_DATA(out);
-            npy_float *scratch;
-            npy_intp cap = max_segment(ip, n_rows);
-            /* the raw domain needs no GIL and is what tracemalloc
-               traces, so the scratch shows in a traced peak */
-            scratch = (npy_float *)PyMem_RawMalloc(
-                (size_t)cap * sizeof(npy_float));
-            if (scratch == NULL) {
-                failed = 1;
-            }
-            else {
-                Py_BEGIN_ALLOW_THREADS
-                matvec_segments_f32(d, ind, ip, n_rows, vv, o, scratch);
-                Py_END_ALLOW_THREADS
-                PyMem_RawFree(scratch);
-            }
-        }
-        if (failed) {
-            return PyErr_NoMemory();
-        }
-    }
-    Py_RETURN_NONE;
-}
 
 static PyObject *
 py_csr_matmat(PyObject *self, PyObject *args)
@@ -1215,8 +1032,6 @@ py_use_tile(PyObject *self, PyObject *args)
 /* ------------------------------------------------------------------ */
 
 static PyMethodDef csr_kernel_methods[] = {
-    {"csr_matvec", py_csr_matvec, METH_VARARGS,
-     "A @ v into a zeroed out (bincount order for f64, reduceat for f32)."},
     {"csr_matmat", py_csr_matmat, METH_VARARGS,
      "A @ B for C-contiguous B into an out of any strides (every row "
      "written, empty rows as zero), one pass over A, reduceat order per "

@@ -1,16 +1,23 @@
 """Block LSQR — multi-RHS Golub–Kahan iteration with shared mat-mats.
 
+This is the package's one LSQR — Paige & Saunders' iteration for
+sparse least squares (*ACM TOMS* 8(1):43–71, 1982, and Algorithm 583),
+the engine behind the paper's title claim: Golub–Kahan
+bidiagonalization of ``A`` started from ``b``, a QR factorization of
+the bidiagonal updated by Givens rotations, built-in Tikhonov damping
+(``min ‖Ax - b‖² + damp²‖x‖²`` without forming the augmented system),
+and the standard stopping rules (atol/btol, conlim, an iteration cap)
+plus two explicit failure codes (istop 8 and 9).
+
 SRDA's fit cost is ``c-1`` independent damped least-squares solves
-against the *same* operator.  Running them through
-:func:`repro.linalg.lsqr.lsqr` one at a time issues ``2(c-1)``
-memory-bound products per iteration; this module carries all right-hand
-sides through one Golub–Kahan iteration, so each step touches the data
-exactly twice (one ``A @ V`` and one ``A.T @ U`` block product) no
-matter how many systems ride along.  The scalar QR recurrences are
-independent per column, so every column reproduces the sequential
-iteration up to floating-point summation order: istop codes, damping,
-warm starts, and the istop-8/9 failure semantics of
-:func:`repro.linalg.lsqr.lsqr` all carry over per column.
+against the *same* operator.  Solving them one at a time issues
+``2(c-1)`` memory-bound products per iteration; this module carries
+all right-hand sides through one Golub–Kahan iteration, so each step
+touches the data exactly twice (one ``A @ V`` and one ``A.T @ U`` block
+product) no matter how many systems ride along.  The scalar QR
+recurrences are independent per column, so every column runs its own
+LSQR — istop codes, damping, warm starts and the istop-8/9 failures —
+and a 1-D ``b`` is simply a block of one column.
 
 Columns stop independently.  A column whose convergence test fires (or
 that hits istop 8/9) is frozen — its solution and diagnostics recorded
@@ -55,13 +62,6 @@ import numpy as np
 from repro._typing import BoolArray, FloatArray, IntArray, MatrixLike
 
 from repro.linalg import kernels
-from repro.linalg.lsqr import (
-    _STAGNATION_FLOOR,
-    _STAGNATION_RTOL,
-    _STAGNATION_WINDOW,
-    FAILURE_ISTOPS,
-    LSQRResult,
-)
 from repro.linalg.operators import (
     IdentityOperator,
     LinearOperator,
@@ -74,6 +74,94 @@ from repro.observability.hooks import IterationEvent, IterationHook
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.linalg.sketch import SketchPreconditioner
+
+
+#: Human-readable meanings of the termination codes.  0–7 follow Paige &
+#: Saunders / Algorithm 583; 8 and 9 are this implementation's explicit
+#: failure codes, so a diverged or stalled run never passes for an answer.
+ISTOP_REASONS = {
+    0: "x = 0 is the exact solution",
+    1: "residual small enough (btol test)",
+    2: "least-squares optimality reached (atol test)",
+    3: "condition estimate exceeded conlim",
+    4: "residual as small as machine precision allows",
+    5: "optimality as small as machine precision allows",
+    6: "condition estimate at machine-precision limit",
+    7: "iteration limit reached before convergence tests fired",
+    8: "non-finite values encountered (diverged or faulty operator)",
+    9: "residual stagnated far from optimality",
+}
+
+#: Codes that indicate the run failed to make progress (8 = divergence /
+#: NaN contamination, 9 = stagnation).  Code 7 is *not* listed: hitting
+#: the iteration cap is normal operation for the paper's fixed 15–20
+#: iteration protocol (``tol = 0``); callers decide whether it matters.
+FAILURE_ISTOPS = frozenset({8, 9})
+
+#: Consecutive no-progress iterations before stagnation is declared.
+_STAGNATION_WINDOW = 5
+#: Relative residual decrease below which an iteration counts as stalled.
+_STAGNATION_RTOL = 1e-12
+#: Optimality levels that must *both* still be poor for a plateau to be
+#: stagnation rather than ordinary convergence with tol = 0.
+_STAGNATION_FLOOR = 1e-6
+
+
+@dataclass
+class LSQRResult:
+    """Outcome of one column's LSQR run (:meth:`BlockLSQRResult.column`).
+
+    Attributes
+    ----------
+    x:
+        The solution estimate.
+    istop:
+        Why the iteration stopped: 0 = x=0 is the exact solution,
+        1 = residual small (btol test), 2 = least-squares optimality
+        (atol test), 3 = condition-number limit, 7 = iteration limit,
+        8 = non-finite values (divergence/faulty operator),
+        9 = stagnation far from optimality.  See :data:`ISTOP_REASONS`.
+    itn:
+        Iterations performed.
+    r1norm:
+        ``‖b - Ax‖`` (undamped residual norm).
+    r2norm:
+        ``sqrt(‖b - Ax‖² + damp²‖x‖²)`` — the quantity LSQR minimizes.
+    anorm, acond:
+        Frobenius-norm and condition estimates of the (damped) operator.
+    arnorm:
+        ``‖Aᵀr‖`` — the least-squares optimality residual.
+    xnorm:
+        ``‖x‖``.
+    residual_history:
+        ``r2norm`` after each iteration, when history recording is on.
+    """
+
+    x: FloatArray
+    istop: int
+    itn: int
+    r1norm: float
+    r2norm: float
+    anorm: float
+    acond: float
+    arnorm: float
+    xnorm: float
+    residual_history: List[float] = field(default_factory=list)
+
+    @property
+    def failed(self) -> bool:
+        """True when the run diverged (8) or stagnated (9)."""
+        return self.istop in FAILURE_ISTOPS
+
+    @property
+    def converged(self) -> bool:
+        """True when a convergence test fired (not a cap or a failure)."""
+        return self.istop in (0, 1, 2, 4, 5)
+
+    @property
+    def stop_reason(self) -> str:
+        """Human-readable meaning of :attr:`istop`."""
+        return ISTOP_REASONS.get(self.istop, f"unknown code {self.istop}")
 
 
 def _block_event(
@@ -104,8 +192,7 @@ def _block_event(
 def _masked_errstate(fn):
     """Silence IEEE warnings from already-poisoned column lanes.
 
-    The sequential solver breaks out of its loop the moment a non-finite
-    quantity appears, so it never performs arithmetic on NaN/Inf.  The
+    A column stops the moment a non-finite quantity appears, but the
     blocked iteration must carry a poisoned lane to the end of the
     iteration that froze it (the lane is compacted out afterwards), and
     the vectorized updates run over every lane — the resulting
@@ -142,10 +229,10 @@ def _pinned_backend(fn):
 class BlockLSQRResult:
     """Outcome of a blocked LSQR run: per-column arrays of diagnostics.
 
-    Attributes mirror :class:`repro.linalg.lsqr.LSQRResult`, vectorized
-    over the ``k`` right-hand sides: ``X`` is ``(n, k)`` and every
-    diagnostic is a length-``k`` array whose entry ``j`` is exactly what
-    the sequential solver would have reported for column ``j``.
+    Attributes mirror :class:`LSQRResult`, vectorized over the ``k``
+    right-hand sides: ``X`` is ``(n, k)`` and every diagnostic is a
+    length-``k`` array whose entry ``j`` is column ``j``'s own LSQR
+    diagnostic.
     """
 
     X: FloatArray
@@ -173,7 +260,7 @@ class BlockLSQRResult:
         return bool(self.failed.any())
 
     def column(self, j: int) -> LSQRResult:
-        """Column ``j`` repackaged as a sequential :class:`LSQRResult`."""
+        """Column ``j`` repackaged as an :class:`LSQRResult`."""
         return LSQRResult(
             x=np.array(self.X[:, j]),
             istop=int(self.istop[j]),
@@ -193,8 +280,8 @@ class _ColumnState:
 
     Every field is a length-``k_active`` float64 array; :meth:`take`
     compacts all of them together when columns freeze.  The update
-    methods replay the sequential solver's scalar arithmetic verbatim,
-    just vectorized across columns.
+    methods run Paige & Saunders' scalar arithmetic, vectorized across
+    columns.
     """
 
     _FIELDS = (
@@ -280,7 +367,7 @@ class _ColumnState:
         return phi / rho, -theta / rho
 
     def diagnostics(self, alfa: FloatArray, wnorm_sq: FloatArray) -> None:
-        """Norm estimates after the rotation (sequential lines, batched)."""
+        """Norm estimates after the rotation, per column."""
         rho, phi, theta = self.rho, self.phi, self.theta
         self.ddnorm = self.ddnorm + wnorm_sq / rho**2
         delta = self.sn2 * rho
@@ -322,9 +409,12 @@ def _post_step_istop(
 ) -> FloatArray:
     """Per-column istop after one iteration (0 where nothing fired).
 
-    Replays the sequential solver's check order: non-finite → 8 wins,
-    stagnation → 9 next, then the convergence cascade 7…1 where later
-    (stronger) assignments override earlier ones.
+    Check order: non-finite → 8 wins, stagnation → 9 next, then the
+    convergence cascade 7…1 where later (stronger) assignments override
+    earlier ones.  Stagnation is several consecutive iterations with no
+    residual progress while *both* the residual and the optimality
+    tests are still far from firing: a plateau at the least-squares
+    optimum (``arnorm → 0``) is ordinary convergence, not istop 9.
     """
     k = state.rnorm.size
     nonfinite = ~np.isfinite(state.r2norm) | ~np.isfinite(state.xnorm)
@@ -461,8 +551,8 @@ class _LiveBasis:
     def start(self) -> Tuple[FloatArray, FloatArray]:
         """``β₀u = B``, ``α₀v = Aᵀu``; returns ``(β₀, α₀)``.
 
-        A zero column of ``B`` skips the adjoint product the way the
-        sequential solver does, leaving ``v = 0`` and ``α₀ = 0``.  With
+        A zero column of ``B`` gets ``v = 0`` and ``α₀ = 0``, as if its
+        adjoint product were skipped.  With
         no columns no product runs, and ``V`` takes ``B``'s value dtype.
         """
         U = np.array(self.B, copy=True)
@@ -489,7 +579,7 @@ class _LiveBasis:
         ``v``.  The previous ``u`` is held until ``Av`` exists, so the
         allocator reuses its pages instead of faulting in new ones every
         step.  A column with ``β = 0`` keeps its previous ``v`` and
-        ``α`` (the sequential rule).
+        ``α`` (Paige & Saunders' rule).
         """
         V = self.V
         U = self.op.matmat(V)
@@ -606,7 +696,7 @@ def _iterate(
         bad_beta = ~np.isfinite(beta)
         if bad_beta.any():
             # Frozen before any state update: x and diagnostics hold the
-            # last finite iterate, exactly like the sequential break.
+            # last finite iterate.
             out.freeze(active, np.flatnonzero(bad_beta), state, Xa, 8, itn)
 
         bpos = beta > 0
@@ -619,8 +709,8 @@ def _iterate(
         alfa = alfa_next
         bad_alfa = bpos & ~np.isfinite(alfa)
         if bad_alfa.any():
-            # Sequential breaks after the anorm update but before the
-            # rotation; state.anorm is already updated above.
+            # Frozen after the anorm update but before the rotation;
+            # state.anorm is already updated above.
             out.freeze(active, np.flatnonzero(bad_alfa), state, Xa, 8, itn)
         pre_frozen = bad_beta | bad_alfa
 
@@ -707,16 +797,36 @@ def block_lsqr(
     """Solve ``min_X ‖A X - B‖² + damp²‖X‖²`` for all columns at once.
 
     Complexity: O(iters·c·(nnz + m + n)) for ``c`` right-hand-side
-    columns — the same per-column arithmetic as sequential LSQR, with
-    the operator products amortized across the block via ``matmat``.
+    columns — each Golub–Kahan step is one ``matmat`` plus one
+    ``rmatmat`` (``2·nnz·c`` flam) and a handful of length-``m``/``n``
+    vector updates per column.
 
-    Parameters match :func:`repro.linalg.lsqr.lsqr` with ``b`` widened
-    to a block ``B`` of shape ``(m, k)`` (a 1-D ``b`` is treated as one
-    column) and ``x0`` widened to ``X0`` of shape ``(n, k)``.  Each
-    column follows the sequential iteration's arithmetic and stopping
-    rules independently; the only difference is that the operator is
-    applied once per iteration via ``matmat``/``rmatmat`` instead of
-    ``2k`` separate mat-vecs.
+    Parameters
+    ----------
+    A:
+        Dense array, sparse matrix, or :class:`LinearOperator` of shape
+        ``(m, n)``.
+    B:
+        Right-hand sides, ``(m, k)``; a 1-D ``b`` is one column.
+    damp:
+        Tikhonov damping √α; ``damp > 0`` gives exactly the ridge
+        solution SRDA needs.
+    atol, btol:
+        Relative stopping tolerances (see Paige & Saunders §6).
+    conlim:
+        Stop a column when its condition estimate exceeds this.
+    iter_lim:
+        Hard iteration cap; defaults to ``2 n``.  SRDA uses small fixed
+        values (15–20) per the paper.
+    X0:
+        Optional warm start, ``(n, k)`` (1-D for one column); the
+        iteration solves for the correction ``X - X0``.
+    record_history:
+        Keep each column's ``r2norm`` per iteration.
+
+    Each column follows its own arithmetic and stopping rules; the
+    operator is applied once per iteration via ``matmat``/``rmatmat``
+    for all columns still running.
 
     ``precondition`` (from
     :func:`repro.linalg.sketch.build_preconditioner`) runs the block
@@ -731,9 +841,8 @@ def block_lsqr(
     with the still-active column indices; the firing count equals
     ``int(result.itn.max())``.
 
-    Returns a :class:`BlockLSQRResult`; ``result.column(j)`` recovers a
-    sequential-style :class:`~repro.linalg.lsqr.LSQRResult` for any
-    column.
+    Returns a :class:`BlockLSQRResult`; ``result.column(j)`` recovers
+    column ``j`` as an :class:`LSQRResult`.
     """
     op = as_operator(A)
     m, n = op.shape

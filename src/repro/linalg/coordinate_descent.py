@@ -168,37 +168,3 @@ def elastic_net(
         converged=converged,
         n_nonzero=int(np.count_nonzero(coef)),
     )
-
-
-def elastic_net_path(
-    X,
-    y: np.ndarray,
-    alphas: np.ndarray,
-    l1_ratio: float = 0.5,
-    max_iter: int = 1000,
-    tol: float = 1e-6,
-) -> np.ndarray:
-    """Solutions along a decreasing α path, warm-starting each step.
-
-    Complexity: O(k·iters·nnz) for ``k`` path points, with warm starts
-    keeping the effective ``iters`` per point small.
-
-    Returns an ``(len(alphas), n)`` coefficient matrix.  The path trick
-    (solve from strong to weak penalty, reusing the previous solution)
-    is the standard way to get the whole regularization path at little
-    more than the cost of the final solve.
-    """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    if np.any(np.diff(alphas) > 0):
-        raise ValueError("alphas must be non-increasing for warm starts")
-    n = X.shape[1]
-    path = np.zeros((alphas.shape[0], n))
-    coef = None
-    for i, alpha in enumerate(alphas):
-        result = elastic_net(
-            X, y, float(alpha), l1_ratio=l1_ratio,
-            max_iter=max_iter, tol=tol, coef_init=coef,
-        )
-        coef = result.coef
-        path[i] = coef
-    return path

@@ -180,15 +180,3 @@ def generalized_eigh(
     eigvals, W = symmetric_eigh(C)
     V = solve_triangular(L.T, W, lower=False)
     return eigvals, V
-
-
-def is_orthonormal(Q: FloatArray, tol: float = 1e-8) -> bool:
-    """True if the columns of ``Q`` are orthonormal within ``tol``.
-
-    Complexity: O(m·k^2) for a ``(m, k)`` input — the Gram matrix.
-    """
-    Q = np.asarray(Q, dtype=np.float64)
-    if Q.shape[1] == 0:
-        return True
-    gram = Q.T @ Q
-    return bool(np.abs(gram - np.eye(Q.shape[1])).max() <= tol)

@@ -1,18 +1,12 @@
-"""From-scratch symmetric eigensolvers.
+"""A from-scratch Lanczos eigensolver, complementing the LAPACK wrapper
+in :mod:`repro.linalg.dense`.
 
-Two classical algorithms complementing the LAPACK wrapper in
-:mod:`repro.linalg.dense`:
-
-- :func:`jacobi_eigh` — the cyclic Jacobi rotation method for small
-  dense symmetric matrices.  Slow (O(n³) per sweep) but self-contained
-  and extremely accurate; the test suite uses it as an independent
-  oracle for the LAPACK-based paths.
-- :func:`lanczos_eigsh` — the Lanczos iteration with full
-  reorthogonalization for the *leading* eigenpairs of a large symmetric
-  operator.  This is what lets the generalized response construction
-  (:func:`repro.core.graph.graph_responses`) scale past the dense
-  eigensolve: a k-NN affinity only needs its top few eigenvectors, and
-  Lanczos touches it through mat-vecs alone.
+:func:`lanczos_eigsh` runs the Lanczos iteration with full
+reorthogonalization for the *leading* eigenpairs of a large symmetric
+operator.  This is what lets the generalized response construction
+(:func:`repro.core.graph.graph_responses`) scale past the dense
+eigensolve: a k-NN affinity only needs its top few eigenvectors, and
+Lanczos touches it through mat-vecs alone.
 """
 
 from __future__ import annotations
@@ -23,72 +17,6 @@ import numpy as np
 
 from repro.exceptions import ConvergenceError
 from repro.linalg.operators import as_operator
-
-
-def jacobi_eigh(
-    A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 50
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi.
-
-    Complexity: O(iters·n^3) — each cyclic sweep applies ``n(n−1)/2``
-    rotations of O(n) work; ``iters`` sweeps in total.
-
-    Returns ``(eigenvalues, eigenvectors)`` sorted descending, like
-    :func:`repro.linalg.dense.symmetric_eigh`.
-
-    Parameters
-    ----------
-    A:
-        Symmetric matrix (symmetrized defensively).
-    tol:
-        Convergence threshold on the off-diagonal Frobenius norm,
-        relative to the matrix norm.
-    max_sweeps:
-        Upper bound on full cyclic sweeps; Jacobi converges
-        quadratically, so ~10 sweeps suffice in practice.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("jacobi_eigh requires a square matrix")
-    n = A.shape[0]
-    M = 0.5 * (A + A.T)
-    V = np.eye(n)
-    norm = np.linalg.norm(M)
-    if norm == 0.0:
-        return np.zeros(n), V
-
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(M**2) - np.sum(np.diag(M) ** 2))
-        if off <= tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(M[p, q]) <= 1e-300:
-                    continue
-                # Jacobi rotation annihilating M[p, q]
-                theta = (M[q, q] - M[p, p]) / (2.0 * M[p, q])
-                # hypot avoids overflow of theta² for huge ratios
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = M[:, p].copy()
-                rot_q = M[:, q].copy()
-                M[:, p] = c * rot_p - s * rot_q
-                M[:, q] = s * rot_p + c * rot_q
-                rot_p = M[p, :].copy()
-                rot_q = M[q, :].copy()
-                M[p, :] = c * rot_p - s * rot_q
-                M[q, :] = s * rot_p + c * rot_q
-                rot_p = V[:, p].copy()
-                rot_q = V[:, q].copy()
-                V[:, p] = c * rot_p - s * rot_q
-                V[:, q] = s * rot_p + c * rot_q
-
-    eigenvalues = np.diag(M).copy()
-    order = np.argsort(eigenvalues)[::-1]
-    return eigenvalues[order], V[:, order]
 
 
 def lanczos_eigsh(

@@ -107,17 +107,6 @@ def orthonormality_error(Q: ArrayLike) -> float:
     return float(np.abs(gram - np.eye(dense.shape[1])).max())
 
 
-def project_onto_span(v: ArrayLike, basis: ArrayLike) -> Float64Array:
-    """Orthogonal projection of ``v`` onto the span of orthonormal columns.
-
-    Complexity: O(m·k) — two thin matrix–vector products.
-    """
-    Q = np.asarray(basis, dtype=np.float64)
-    dense_v = np.asarray(v, dtype=np.float64)
-    result: Float64Array = Q @ (Q.T @ dense_v)
-    return result
-
-
 def gram_schmidt_qr(
     A: ArrayLike, tol: float = 1e-10
 ) -> Tuple[Float64Array, Float64Array, IntArray]:

@@ -1,14 +1,15 @@
 """Kernel dispatch: pure-numpy reference vs GIL-free compiled CSR kernels.
 
-The paper's linear-time claim rests on O(nnz) products ``A @ v``,
-``A.T @ u`` and their block forms, and every solver in this package
-reaches them through :class:`~repro.linalg.operators.CSROperator` or the
-sharded substrate.  There are two hot loops, both forward:
-``csr_matvec`` (``A @ v``) and ``csr_matmat`` (``A @ B``).  The
-adjoints ``csr_rmatvec``/``csr_rmatmat`` run those same loops over the
-matrix's cached transpose (:attr:`~repro.linalg.sparse.CSRMatrix.T`,
-built once by ``csr_transpose``), so each output entry of an adjoint
-is the storage-order sum of one row of ``A.T``.
+The paper's linear-time claim rests on O(nnz) products ``A @ B`` and
+``A.T @ U``, and every solver in this package reaches them through
+:class:`~repro.linalg.operators.CSROperator` or the sharded substrate.
+There is one hot loop, the forward block product ``csr_matmat``
+(``A @ B``); a mat-vec ``A @ v`` is its width-1 case, so the two shapes
+return the same bits.  The adjoint ``csr_rmatmat`` runs the same loop
+over the matrix's cached transpose
+(:attr:`~repro.linalg.sparse.CSRMatrix.T`, built once by
+``csr_transpose``), so each output entry of an adjoint is the
+storage-order sum of one row of ``A.T``.
 
 Block products return a row-major ``(rows, k)`` block on both
 backends: a CSR row's stored entries each feed the ``k`` values of one
@@ -32,7 +33,7 @@ This module puts a dispatch seam in front of those loops with two
 interchangeable backends:
 
 ``reference``
-    The pure-numpy ``bincount``/``reduceat`` kernels of
+    The pure-numpy ``reduceat`` block kernel of
     :class:`~repro.linalg.sparse.CSRMatrix`, kept verbatim.  This is the
     ground truth every other backend is measured against.
 
@@ -51,10 +52,9 @@ interchangeable backends:
     Both run each lane's multiplies and adds in the same order.
 
 **Bitwise contract.** The compiled kernels replay the reference
-accumulation order exactly — one sequential row sum where the
-reference uses ``np.bincount`` and numpy's pairwise order
-(``seg[0] + pairwise(seg[1:])``) where it uses ``np.add.reduceat`` —
-so the two backends are interchangeable at the bit level, not merely to
+accumulation order exactly — numpy's pairwise order
+(``seg[0] + pairwise(seg[1:])``) of ``np.add.reduceat`` — so the two
+backends are interchangeable at the bit level, not merely to
 rounding.  The parity suite (``tests/linalg/test_kernels.py``) asserts
 ``tobytes()`` equality across dtypes and CSR corner cases.  The one bit
 outside the contract is the sign of a NaN made by adding two NaNs of
@@ -106,9 +106,7 @@ __all__ = [
     "compiled_available",
     "csr_matmat",
     "csr_matmat_operand",
-    "csr_matvec",
     "csr_rmatmat",
-    "csr_rmatvec",
     "csr_transpose",
     "kernel_tile",
     "pinned_backend",
@@ -286,66 +284,9 @@ def _storage_ok(matrix: CSRMatrix) -> bool:
     )
 
 
-def _operand_for_compiled(
-    matrix: CSRMatrix, x: FloatArray
-) -> Optional[FloatArray]:
-    """``x`` as the C kernels need it, or ``None`` to use the reference.
-
-    The compiled kernels compute in the matrix's value dtype.  A
-    float32 operand against a float64 matrix upcasts exactly (so the
-    cast below is bitwise-neutral — numpy's mixed-dtype ufunc does the
-    same promotion); a float64 operand against a float32 matrix would
-    have to *downcast*, which the reference never does, so that case
-    (and any non-native layout) falls back.
-    """
-    if x.dtype == matrix.dtype:
-        return np.ascontiguousarray(x)
-    if matrix.dtype == np.float64:
-        return np.ascontiguousarray(x, dtype=np.float64)
-    return None
-
-
 # ----------------------------------------------------------------------
 # Dispatch functions
 # ----------------------------------------------------------------------
-
-
-def csr_matvec(matrix: CSRMatrix, v: FloatArray) -> FloatArray:
-    """``A @ v`` through the selected kernel backend.
-
-    Complexity: O(nnz) — one multiply-add per stored entry on either
-    backend; the backends differ only in GIL behavior and constant.
-    """
-    v = as_value_dtype(v)
-    if active_backend() != "compiled" or not _storage_ok(matrix):
-        return matrix.matvec(v)
-    if v.shape != (matrix.shape[1],):
-        raise ValueError(
-            f"matvec expects a vector of length {matrix.shape[1]}, "
-            f"got shape {v.shape}"
-        )
-    vc = _operand_for_compiled(matrix, v)
-    if vc is None:
-        return matrix.matvec(v)
-    out = np.zeros(matrix.shape[0], dtype=matrix.dtype)
-    _compiled.csr_matvec(matrix.data, matrix.indices, matrix.indptr, vc, out)
-    return out
-
-
-def csr_rmatvec(matrix: CSRMatrix, u: FloatArray) -> FloatArray:
-    """``A.T @ u``: :func:`csr_matvec` over the cached transpose.
-
-    Complexity: O(nnz) — the adjoint sweep at the same unit price as
-    :func:`csr_matvec`, plus the one-time transpose build
-    (:func:`csr_transpose`), amortized over every later adjoint.
-    """
-    u = as_value_dtype(u)
-    if u.shape != (matrix.shape[0],):
-        raise ValueError(
-            f"rmatvec expects a vector of length {matrix.shape[0]}, "
-            f"got shape {u.shape}"
-        )
-    return csr_matvec(matrix.T, u)
 
 
 def csr_matmat_operand(matrix: CSRMatrix, B: FloatArray) -> FloatArray:
@@ -392,11 +333,18 @@ def csr_matmat(
     row-major block on both backends, or ``out``: an array of exactly
     the product's shape and dtype, in any layout, not overlapping
     ``B``, whose every entry is written (empty rows as zeros).  The
-    values are the same bits either way.
+    values are the same bits either way.  A 1-D ``B`` is a mat-vec:
+    the width-1 block product, returned 1-D.
     """
     B = as_value_dtype(B)
     if B.ndim == 1 and out is None:
-        return csr_matvec(matrix, B)
+        if B.shape != (matrix.shape[1],):
+            raise ValueError(
+                f"matvec expects a vector of length {matrix.shape[1]}, "
+                f"got shape {B.shape}"
+            )
+        # A mat-vec is the width-1 block product: one kernel, one order.
+        return csr_matmat(matrix, B[:, None])[:, 0]
     if B.ndim != 2 or B.shape[0] != matrix.shape[1]:
         raise ValueError("dimension mismatch in matmat")
     dtype = np.result_type(matrix.data, B)
@@ -427,8 +375,12 @@ def csr_rmatmat(
     """
     U = as_value_dtype(U)
     if U.ndim == 1 and out is None:
-        return csr_rmatvec(matrix, U)
-    if U.ndim != 2 or U.shape[0] != matrix.shape[0]:
+        if U.shape != (matrix.shape[0],):
+            raise ValueError(
+                f"rmatvec expects a vector of length {matrix.shape[0]}, "
+                f"got shape {U.shape}"
+            )
+    elif U.ndim != 2 or U.shape[0] != matrix.shape[0]:
         raise ValueError("dimension mismatch in rmatmat")
     return csr_matmat(matrix.T, U, out=out)
 

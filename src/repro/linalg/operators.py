@@ -1,9 +1,11 @@
 """Matrix-free linear operators.
 
-LSQR (and therefore SRDA's linear-time path) only ever needs two products:
-``A @ v`` and ``A.T @ u``.  Expressing the data matrix as an *operator*
-instead of an explicit array is what makes the paper's two memory tricks
-implementable without densifying anything:
+LSQR (and therefore SRDA's linear-time path) only ever needs two
+products: ``A @ B`` and ``A.T @ U`` for dense blocks ``B``/``U``
+(``matmat``/``rmatmat``; a mat-vec ``A @ v`` is the width-1 case).
+Expressing the data matrix as an *operator* instead of an explicit array
+is what makes the paper's two memory tricks implementable without
+densifying anything:
 
 - :class:`AppendOnesOperator` realizes the bias-absorption trick of
   Section III-B — appending a constant 1 feature to every sample so the
@@ -12,14 +14,12 @@ implementable without densifying anything:
   paths (the LDA baseline analysis, tests) that need the centered matrix
   as an operator without allocating a dense copy.
 
-The block solver adds two more products: ``A @ B`` and ``A.T @ U`` for
-dense blocks ``B``/``U`` (``matmat``/``rmatmat``).  Every structural
-operator forwards whole blocks to its base so a multi-RHS solve stays
-matrix-free at block width — centering becomes one base ``matmat`` plus
-a rank-one correction instead of ``k`` corrected mat-vecs.  Operators
-without a specialized block product fall back to a per-column sweep of
-``_matvec``, which keeps per-column semantics (fault injection, counts)
-identical to the sequential path.
+Every structural operator forwards whole blocks to its base so a
+multi-RHS solve stays matrix-free at block width — centering becomes
+one base ``matmat`` plus a rank-one correction instead of ``k``
+corrected mat-vecs.  Operators without a specialized block product fall
+back to a per-column sweep of ``_matvec``, so wrappers with per-product
+semantics (fault injection) see one product per column.
 
 Every product returns a new array, so a structural operator may finish
 its base's result in place: the centering correction and the ones
@@ -273,6 +273,8 @@ class CSROperator(LinearOperator):
     (:mod:`repro.linalg.kernels`), so the compiled GIL-free backend —
     when built and selected — serves every solver that reaches the data
     through this operator, bitwise-identically to the numpy reference.
+    A mat-vec is the width-1 block product, so ``matvec(v)`` and
+    ``matmat(v[:, None])[:, 0]`` return the same bits.
     """
 
     def __init__(self, matrix: Union[CSRMatrix, Any]) -> None:
@@ -290,10 +292,10 @@ class CSROperator(LinearOperator):
         return self.matrix.dtype
 
     def _matvec(self, v: FloatArray) -> FloatArray:
-        return kernels.csr_matvec(self.matrix, v)
+        return kernels.csr_matmat(self.matrix, v)
 
     def _rmatvec(self, u: FloatArray) -> FloatArray:
-        return kernels.csr_rmatvec(self.matrix, u)
+        return kernels.csr_rmatmat(self.matrix, u)
 
     def _block_out(self, rows: int, operand: FloatArray) -> Optional[FloatArray]:
         dtype = np.result_type(self.matrix.dtype, operand.dtype)

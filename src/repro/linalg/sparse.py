@@ -14,18 +14,20 @@ The heavy loops are expressed with numpy ufuncs (``np.add.reduceat``,
 implementation stays usable at the paper's data scale (tens of thousands
 of rows, ~26k columns).
 
-Block products (``matmat``/``rmatmat``) sweep the columns of the dense
-block through a fused gather–multiply–``np.add.reduceat`` kernel over
-precomputed non-empty segment starts, writing each column into a
-row-major result (or a caller's destination, ``out=``).  Measured against the
-alternatives (2-D ``(nnz, k)`` gather/reduceat blocks, chunked
-cache-sized variants, fused ``bincount`` keys), the 1-D sweep wins by
-1.5–2.5×: numpy's 1-D reduceat runs at full memory bandwidth while its
-axis-0 reduction over short ``k``-wide rows does not.  What the block
-kernels amortize across columns — and the single-shot ``matvec``
-deliberately avoids paying for one product — is the cached segment
-structure of non-empty row starts.  The adjoints ``rmatvec``/``rmatmat``
-are the forward kernels run over a lazily cached transpose, built once.
+There is one forward product kernel, the block product ``matmat``: it
+sweeps the columns of the dense block through a fused
+gather–multiply–``np.add.reduceat`` kernel over precomputed non-empty
+segment starts, writing each column into a row-major result (or a
+caller's destination, ``out=``).  Measured against the alternatives
+(2-D ``(nnz, k)`` gather/reduceat blocks, chunked cache-sized variants,
+fused ``bincount`` keys), the 1-D sweep wins by 1.5–2.5×: numpy's 1-D
+reduceat runs at full memory bandwidth while its axis-0 reduction over
+short ``k``-wide rows does not.  A mat-vec is the width-1 block product
+(through :func:`repro.linalg.kernels.csr_matmat`, so it runs on the
+selected kernel backend), which makes ``matvec(v)`` and
+``matmat(v[:, None])[:, 0]`` the same bits.  The adjoints
+``rmatvec``/``rmatmat`` are the forward kernel run over a lazily cached
+transpose, built once.
 
 Values are stored in float64 by default; float32 input is preserved
 end-to-end (products, row slicing, transposes) so memory-bound kernels
@@ -299,6 +301,9 @@ class CSRMatrix:
 
         Complexity: O(nnz) — one multiply-add per stored entry, the
         Table-I unit price the linear-time claim is built on.
+
+        The width-1 block product, on the selected kernel backend: the
+        same bits as ``matmat(v[:, None])[:, 0]``.
         """
         v = as_value_dtype(v)
         if v.shape != (self.shape[1],):
@@ -306,21 +311,10 @@ class CSRMatrix:
                 f"matvec expects a vector of length {self.shape[1]}, "
                 f"got shape {v.shape}"
             )
-        products = self.data * v[self.indices]
-        if products.dtype == np.float64:
-            # bincount is the fastest pure-numpy segmented sum (np.add.at
-            # is an order of magnitude slower on large nnz) — but it
-            # always emits float64, so float32 takes reduceat below.
-            # (astype guards the nnz == 0 corner, where bincount ignores
-            # the weights dtype and emits int64.)
-            return np.bincount(
-                self._row_ids, weights=products, minlength=self.shape[0]
-            ).astype(np.float64, copy=False)
-        out = np.zeros(self.shape[0], dtype=products.dtype)
-        rows = self._nonempty_rows
-        if rows.size:
-            out[rows] = np.add.reduceat(products, self.indptr[rows])
-        return out
+        # imported here: the kernels module imports this one
+        from repro.linalg.kernels import csr_matmat
+
+        return csr_matmat(self, v)
 
     def rmatvec(self, u: FloatArray) -> FloatArray:
         """Compute ``A.T @ u``.
@@ -348,14 +342,13 @@ class CSRMatrix:
         Complexity: O(nnz·c) for a ``c``-column block — identical flam
         to ``c`` mat-vecs; only the wall-clock constant differs.
 
-        Sweeps the columns of ``B`` through a fused
-        gather–multiply–``reduceat`` kernel: each column, gathered at the
-        stored entries' indices, feeds a single segmented sum over the
-        cached non-empty row starts.  Column-for-column this runs ~2×
-        faster than the ``bincount`` mat-vec (measured; 1-D reduceat is
-        the fastest segmented sum numpy exposes once the segment starts
-        exist), which is what the block LSQR solver banks on.  The
-        result is row-major, the layout the compiled kernel writes; with
+        The reference block kernel.  Sweeps the columns of ``B`` through
+        a fused gather–multiply–``reduceat`` kernel: each column,
+        gathered at the stored entries' indices, feeds a single
+        segmented sum over the cached non-empty row starts (1-D reduceat
+        is the fastest segmented sum numpy exposes once the segment
+        starts exist).  The result is row-major, the layout the
+        compiled kernel writes; with
         ``out`` (see :func:`product_block`) every entry of ``out`` is
         written, empty rows as zeros, and ``out`` is returned.
         """
@@ -413,8 +406,8 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     def column_means(self) -> FloatArray:
         """Per-column mean — the sample mean vector used for centering."""
-        # bincount, not np.add.at — same reasoning as the mat-vec kernel
-        # (np.add.at is an order of magnitude slower on large nnz)
+        # bincount, not np.add.at (an order of magnitude slower on
+        # large nnz)
         sums = np.bincount(
             self.indices,
             weights=self.data.astype(np.float64, copy=False),

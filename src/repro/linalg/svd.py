@@ -85,23 +85,3 @@ def _truncate(
     cutoff = tol * eigvals[0]
     keep = eigvals > cutoff
     return np.sqrt(eigvals[keep]), eigvecs[:, keep]
-
-
-def svd_rank(X: np.ndarray, tol: float = 1e-10) -> int:
-    """Numerical rank of ``X`` by the same criterion as the SVD above.
-
-    Complexity: O(m·n^2 + n^3) — delegates to the cross-product SVD.
-    """
-    _, s, _ = cross_product_svd(X, tol=tol)
-    return int(s.shape[0])
-
-
-def low_rank_approximation(X: np.ndarray, rank: int) -> np.ndarray:
-    """Best rank-``k`` approximation of ``X`` (Eckart–Young), a test helper.
-
-    Complexity: O(m·n^2 + n^3 + m·n·k) — full SVD plus the rank-``k``
-    reconstruction.
-    """
-    U, s, V = cross_product_svd(X)
-    k = min(rank, s.shape[0])
-    return (U[:, :k] * s[:k]) @ V[:, :k].T

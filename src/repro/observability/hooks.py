@@ -1,13 +1,12 @@
 """Per-iteration solver hook protocol.
 
-Solvers (:func:`repro.linalg.lsqr.lsqr`,
-:func:`repro.linalg.block_lsqr.block_lsqr`, and
+Solvers (:func:`repro.linalg.block_lsqr.block_lsqr` and
 ``SharedBidiagonalization.solve``) accept an optional ``on_iteration``
 callback.  When provided, the solver invokes it with one
-:class:`IterationEvent` per counted iteration — the hook firing count
-always equals the iteration count the solver reports (``result.itn``
-for :func:`lsqr`, ``max(result.itn)`` block iterations for the block
-solver).  When ``None`` (the default), no per-iteration work happens
+:class:`IterationEvent` per block iteration — the hook firing count
+always equals the iteration count the solver reports
+(``max(result.itn)``, which is ``result.itn[0]`` for a one-column
+solve).  When ``None`` (the default), no per-iteration work happens
 at all.  Every estimator's regression stage
 (:func:`repro.core.srda.solve_ridge`) passes its tracer's hook, so with
 tracing enabled the events land on the span enclosing the solve
@@ -31,7 +30,7 @@ class IterationEvent:
     Attributes
     ----------
     solver:
-        ``"lsqr"``, ``"block_lsqr"``, or ``"shared_bidiagonalization"``.
+        ``"block_lsqr"`` or ``"shared_bidiagonalization"``.
     itn:
         1-based iteration number, equal to the solver's own counter.
     r2norm:
@@ -44,9 +43,8 @@ class IterationEvent:
         The solver's stop flag *as of this iteration* — 0 while still
         running, non-zero on the iteration that triggered a stop.
     active:
-        For block solvers: indices (into the original RHS block) of the
-        columns still iterating when this event fired.  ``None`` for
-        single-RHS LSQR.
+        Indices (into the original RHS block) of the columns still
+        iterating when this event fired; ``None`` when not given.
     """
 
     solver: str

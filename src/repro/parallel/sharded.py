@@ -17,8 +17,9 @@ run the same forward kernel as everything else; dense adjoint blocks
 are the column views ``X[:, c0:c1]``, each computing
 ``X[:, c0:c1].T @ u``.
 
-A CSR block product's kernel writes straight into its rows, with no
-per-shard temporary.  The output may be a destination the caller lent
+A CSR product's kernel — a mat-vec is the width-1 block product —
+writes straight into its rows, with no per-shard temporary.  The output
+may be a destination the caller lent
 (:func:`~repro.linalg.operators.lend_destination`): the append-ones
 adjoint lends rows ``:n`` of its ``(n+1, k)`` block, and the shards
 fill them (with one shard, the loan passes on to the direct
@@ -200,20 +201,20 @@ def _shard_product(
     The single arithmetic body behind every sharded product.
     ``operand`` is always whole and ``rows`` is the block's row range
     of the output.  A CSR adjoint block is a row slice of ``X.T``, so
-    it runs the forward kernel, and a CSR block product writes into
+    it runs the forward kernel, and every CSR product writes into
     ``rows`` itself.  A dense adjoint block is a column block of ``X``,
     and both dense directions go through
     :func:`~repro.linalg.dense.dense_matmul`, the one orientation rule
     for dense products (float64 blocks run with the thin operand on
-    the left); its result, like a mat-vec's, is copied in.
+    the left); its result is copied in.
     """
     if mode == "csr":
         # Through the kernel dispatcher, so thread workers run the
-        # GIL-free compiled backend when selected.
-        if kernel in ("matvec", "rmatvec"):
-            rows[...] = kernels.csr_matvec(block, operand)
-        else:
-            kernels.csr_matmat(block, operand, out=rows)
+        # GIL-free compiled backend when selected; a mat-vec is the
+        # width-1 block product, written into its rows as well.
+        if operand.ndim == 1:
+            operand, rows = operand[:, None], rows[:, None]
+        kernels.csr_matmat(block, operand, out=rows)
     elif mode == "dense":
         rows[...] = dense_matmul(
             block if kernel in _FORWARD else block.T, operand
@@ -228,9 +229,9 @@ class ShardedOperator(LinearOperator):
     """Row-partitioned view of a CSR/dense matrix (or operator stack).
 
     Complexity: O(nnz) per ``matvec``/``rmatvec`` summed across shards
-    (``O(nnz·c)`` for ``c``-column blocks), plus, for mat-vecs and
-    dense blocks, an O(m + n) copy of each block's rows into the
-    output (CSR block products write their rows in place).
+    (``O(nnz·c)`` for ``c``-column blocks), plus, for dense and ops
+    blocks, an O(m + n) copy of each block's rows into the output (CSR
+    products write their rows in place).
 
     Parameters
     ----------

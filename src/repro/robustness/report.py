@@ -56,7 +56,7 @@ class FitReport:
         escalated jitter added by the fallback chain.
     lsqr_istop:
         Per-response LSQR termination codes (see
-        :data:`repro.linalg.lsqr.ISTOP_REASONS`); ``None`` off the LSQR
+        :data:`repro.linalg.block_lsqr.ISTOP_REASONS`); ``None`` off the LSQR
         path.
     lsqr_iterations:
         Per-response LSQR iteration counts.

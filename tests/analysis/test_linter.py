@@ -697,7 +697,7 @@ class TestFloat64LoopTemporary:
 # ----------------------------------------------------------------------
 # RPR011 — allocations inside the solver hot loops
 # ----------------------------------------------------------------------
-HOT_PATH = "src/repro/linalg/lsqr.py"
+HOT_PATH = "src/repro/linalg/block_lsqr.py"
 
 
 class TestHotLoopAllocation:

@@ -11,7 +11,7 @@ from repro.complexity.counter import (
     predicted_lsqr_flam,
 )
 from repro.core.srda import SRDA
-from repro.linalg.lsqr import lsqr
+from repro.linalg.block_lsqr import block_lsqr
 from repro.linalg.operators import (
     AppendOnesOperator,
     CenteringOperator,
@@ -86,7 +86,9 @@ class TestFlamCounting:
         per-iteration term of the model exactly."""
         A = rng.standard_normal((60, 25))
         op = FlamCountingOperator(as_operator(A))
-        result = lsqr(op, rng.standard_normal(60), iter_lim=12, atol=0, btol=0)
+        result = block_lsqr(
+            op, rng.standard_normal(60), iter_lim=12, atol=0, btol=0
+        ).column(0)
         nnz = 60 * 25
         # setup does one rmatvec; each iteration one matvec + one rmatvec
         expected = (2 * result.itn + 1) * nnz
@@ -95,6 +97,10 @@ class TestFlamCounting:
         model = predicted_lsqr_flam(60, 25, result.itn)
         data_term = 2 * result.itn * nnz
         assert abs(model - data_term) == result.itn * (3 * 60 + 5 * 25)
+        # the closed form per iteration: 2·nnz + 3m + 5n, with nnz = m·n
+        # for dense data
+        assert predicted_lsqr_flam(10, 4, 1) == 2 * 40 + 30 + 20
+        assert predicted_lsqr_flam(10, 4, 1, nnz=12) == 24 + 30 + 20
 
 
 class TestLogLogSlope:

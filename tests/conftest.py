@@ -73,17 +73,19 @@ def sequential_lsqr_srda():
     """An SRDA subclass whose fits solve one response column at a time.
 
     While its ``fit`` runs, the regression stage's ``block_lsqr`` (the
-    name :func:`repro.core.srda.solve_ridge` calls) is replaced by the
-    reference :func:`repro.linalg.lsqr`, run once per column with the
-    same damping, tolerances, warm starts, preconditioner and tracer
-    hook — an independent reference to check SRDA's blocked
-    Golub–Kahan fit against.  The per-column results feed the same
-    report diagnostics.  A test that never reaches the reference fails
-    at teardown, so the seam cannot silently stop overriding anything.
+    name :func:`repro.core.srda.solve_ridge` calls) is replaced by
+    scipy's LSQR (:func:`tests.lsqr_reference.scipy_lsqr`), run once
+    per column with the same damping, tolerances and warm starts — an
+    independent reference to check SRDA's blocked Golub–Kahan fit
+    against.  The per-column results feed the same report diagnostics.
+    scipy takes no preconditioner or iteration hook, so a fit that
+    passes either fails here.  A test that never reaches the reference
+    fails at teardown, so the seam cannot silently stop overriding
+    anything.
     """
     from repro.core import srda as srda_module
     from repro.core.srda import SRDA
-    from repro.linalg.lsqr import lsqr
+    from tests.lsqr_reference import scipy_lsqr
 
     solved_columns = []
 
@@ -101,8 +103,11 @@ def sequential_lsqr_srda():
         A, B, damp, atol, btol, iter_lim, X0=None, on_iteration=None,
         precondition=None,
     ):
+        assert on_iteration is None and precondition is None, (
+            "scipy's lsqr takes no iteration hook or preconditioner"
+        )
         columns = [
-            lsqr(
+            scipy_lsqr(
                 A,
                 B[:, j],
                 damp=damp,
@@ -110,8 +115,6 @@ def sequential_lsqr_srda():
                 btol=btol,
                 iter_lim=iter_lim,
                 x0=None if X0 is None else X0[:, j],
-                on_iteration=on_iteration,
-                precondition=precondition,
             )
             for j in range(B.shape[1])
         ]

@@ -19,7 +19,6 @@ from repro.core.solver_config import SolverConfig
 from repro.core.srda import srda_alpha_path
 from repro.linalg.dense import ridge_solution
 from repro.linalg.kernels import compiled_available
-from repro.linalg.lsqr import lsqr
 from repro.linalg.operators import (
     AppendOnesOperator,
     CenteringOperator,
@@ -28,6 +27,7 @@ from repro.linalg.operators import (
 from repro.linalg.sparse import CSRMatrix
 from repro.parallel.sharded import default_shard_count
 from repro.robustness import RobustnessWarning
+from tests.lsqr_reference import scipy_lsqr
 
 
 class TestAppendOnesEqualsCentering:
@@ -61,11 +61,11 @@ class TestAppendOnesEqualsCentering:
         y = np.arange(m) % 4
         ybar = generate_responses(y, 4)[:, 0]
 
-        aug_result = lsqr(
+        aug_result = scipy_lsqr(
             AppendOnesOperator(as_operator(csr)), ybar,
             atol=1e-13, btol=1e-13, iter_lim=3000,
         )
-        cen_result = lsqr(
+        cen_result = scipy_lsqr(
             CenteringOperator(as_operator(csr)), ybar,
             atol=1e-13, btol=1e-13, iter_lim=3000,
         )

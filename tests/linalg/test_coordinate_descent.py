@@ -5,7 +5,6 @@ import pytest
 
 from repro.linalg.coordinate_descent import (
     elastic_net,
-    elastic_net_path,
     soft_threshold,
 )
 from repro.linalg.sparse import CSRMatrix
@@ -124,30 +123,16 @@ class TestElasticNet:
         assert result.coef[3] == 0.0
 
 
-class TestPath:
-    def test_path_shape_and_warm_start_consistency(self, rng):
+class TestWarmStart:
+    def test_coef_init_matches_cold_solve(self, rng):
         X = rng.standard_normal((40, 10))
         y = rng.standard_normal(40)
-        alphas = np.array([5.0, 1.0, 0.2])
-        path = elastic_net_path(X, y, alphas, l1_ratio=1.0, max_iter=5000,
-                                tol=1e-11)
-        assert path.shape == (3, 10)
-        # each path point matches an independent cold solve
-        for alpha, coef in zip(alphas, path):
-            cold = elastic_net(X, y, float(alpha), l1_ratio=1.0,
-                               max_iter=5000, tol=1e-11)
-            assert np.allclose(coef, cold.coef, atol=1e-6)
-
-    def test_increasing_alphas_rejected(self, rng):
-        X = rng.standard_normal((10, 3))
-        y = rng.standard_normal(10)
-        with pytest.raises(ValueError):
-            elastic_net_path(X, y, np.array([1.0, 2.0]))
-
-    def test_sparsity_monotone_along_path(self, rng):
-        X = rng.standard_normal((60, 20))
-        y = X[:, :3] @ np.array([2.0, -1.0, 3.0]) + 0.1 * rng.standard_normal(60)
-        alphas = np.array([20.0, 5.0, 1.0, 0.1])
-        path = elastic_net_path(X, y, alphas, l1_ratio=1.0, max_iter=3000)
-        nnz = [np.count_nonzero(p) for p in path]
-        assert nnz[0] <= nnz[-1]
+        coef = None
+        # each solve starts from the previous, stronger-penalty solution
+        for alpha in (5.0, 1.0, 0.2):
+            warm = elastic_net(X, y, alpha, l1_ratio=1.0, max_iter=5000,
+                               tol=1e-11, coef_init=coef)
+            cold = elastic_net(X, y, alpha, l1_ratio=1.0, max_iter=5000,
+                               tol=1e-11)
+            assert np.allclose(warm.coef, cold.coef, atol=1e-6)
+            coef = warm.coef

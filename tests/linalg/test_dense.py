@@ -7,7 +7,6 @@ from repro.linalg.dense import (
     GRAM_BLOCK_BYTES,
     dense_matmul,
     generalized_eigh,
-    is_orthonormal,
     normal_gram,
     ridge_solution,
     solve_lstsq,
@@ -208,19 +207,6 @@ class TestGeneralizedEigh:
         A = np.zeros((5, 5))  # singular; needs the shift
         eigvals, _ = generalized_eigh(B, A, regularization=2.0)
         assert np.allclose(eigvals, 0.5)  # B v = λ (2 I) v → λ = 1/2
-
-
-class TestIsOrthonormal:
-    def test_accepts_identity_columns(self, rng):
-        Q, _ = np.linalg.qr(rng.standard_normal((10, 4)))
-        assert is_orthonormal(Q)
-
-    def test_rejects_scaled(self, rng):
-        Q, _ = np.linalg.qr(rng.standard_normal((10, 4)))
-        assert not is_orthonormal(2.0 * Q)
-
-    def test_empty_is_orthonormal(self):
-        assert is_orthonormal(np.empty((5, 0)))
 
 
 class TestRidgeCholeskyPath:

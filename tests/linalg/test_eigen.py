@@ -1,9 +1,9 @@
-"""Unit tests for the from-scratch eigensolvers."""
+"""Unit tests for the from-scratch Lanczos eigensolver."""
 
 import numpy as np
 import pytest
 
-from repro.linalg.eigen import jacobi_eigh, lanczos_eigsh
+from repro.linalg.eigen import lanczos_eigsh
 from repro.linalg.operators import as_operator
 from repro.linalg.sparse import CSRMatrix
 
@@ -11,49 +11,6 @@ from repro.linalg.sparse import CSRMatrix
 def symmetric(rng, n):
     A = rng.standard_normal((n, n))
     return A + A.T
-
-
-class TestJacobi:
-    @pytest.mark.parametrize("n", [1, 2, 5, 12, 25])
-    def test_matches_numpy(self, rng, n):
-        A = symmetric(rng, n)
-        w, V = jacobi_eigh(A)
-        w_np = np.sort(np.linalg.eigvalsh(A))[::-1]
-        assert np.allclose(w, w_np, atol=1e-9)
-        assert np.allclose(A @ V, V * w, atol=1e-8)
-
-    def test_eigenvectors_orthonormal(self, rng):
-        _, V = jacobi_eigh(symmetric(rng, 10))
-        assert np.allclose(V.T @ V, np.eye(10), atol=1e-10)
-
-    def test_descending_order(self, rng):
-        w, _ = jacobi_eigh(symmetric(rng, 8))
-        assert np.all(np.diff(w) <= 1e-12)
-
-    def test_diagonal_input(self):
-        d = np.array([3.0, -1.0, 7.0])
-        w, V = jacobi_eigh(np.diag(d))
-        assert np.allclose(w, [7.0, 3.0, -1.0])
-
-    def test_zero_matrix(self):
-        w, V = jacobi_eigh(np.zeros((4, 4)))
-        assert np.array_equal(w, np.zeros(4))
-        assert np.allclose(V, np.eye(4))
-
-    def test_asymmetric_input_symmetrized(self, rng):
-        A = rng.standard_normal((6, 6))
-        w, _ = jacobi_eigh(A)
-        w_ref, _ = jacobi_eigh(0.5 * (A + A.T))
-        assert np.allclose(w, w_ref)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            jacobi_eigh(np.ones((2, 3)))
-
-    def test_huge_ratio_no_overflow(self):
-        A = np.array([[1e200, 1.0], [1.0, -1e200]])
-        w, _ = jacobi_eigh(A)
-        assert np.all(np.isfinite(w))
 
 
 class TestLanczos:

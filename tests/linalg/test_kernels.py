@@ -6,7 +6,6 @@ parity assertion here is therefore ``array_equal`` on the raw values
 (and dtype checks), never ``allclose``.
 """
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,14 +18,14 @@ from repro.linalg.kernels import (
     active_backend,
     compiled_available,
     csr_matmat,
-    csr_matvec,
     csr_rmatmat,
-    csr_rmatvec,
     csr_transpose,
     requested_backend,
     use_backend,
 )
+from repro.linalg.operators import CSROperator
 from repro.linalg.sparse import CSRMatrix
+from repro.parallel.sharded import ShardedOperator
 from repro.robustness.report import RobustnessWarning
 
 needs_compiled = pytest.mark.skipif(
@@ -105,11 +104,12 @@ class TestBitwiseParity:
     def test_all_kernels_all_corners(self, backend, dtype):
         for label, matrix in corner_matrices(dtype):
             ops = operands(matrix)
+            # the reference of a mat-vec is its width-1 block
             cases = [
-                ("matvec", csr_matvec(matrix, ops["v"]),
-                 matrix.matvec(ops["v"])),
-                ("rmatvec", csr_rmatvec(matrix, ops["u"]),
-                 matrix.rmatvec(ops["u"])),
+                ("matvec", csr_matmat(matrix, ops["v"]),
+                 matrix.matmat(ops["v"][:, None])[:, 0]),
+                ("rmatvec", csr_rmatmat(matrix, ops["u"]),
+                 matrix.rmatmat(ops["u"][:, None])[:, 0]),
                 ("matmat", csr_matmat(matrix, ops["B"]),
                  matrix.matmat(ops["B"])),
                 ("rmatmat", csr_rmatmat(matrix, ops["U"]),
@@ -121,43 +121,72 @@ class TestBitwiseParity:
                     backend, label, kernel,
                 )
 
+    @pytest.mark.parametrize(
+        "dtype, operand_dtype",
+        [
+            (np.float64, np.float64),
+            (np.float32, np.float32),
+            (np.float64, np.float32),
+        ],
+    )
+    @pytest.mark.parametrize("holder", ["matrix", "operator", 1, 2])
+    def test_matvec_is_the_width_one_block(
+        self, backend, dtype, operand_dtype, holder
+    ):
+        """``A.matvec(v)`` and ``A.rmatvec(u)`` are the bytes of the
+        width-1 ``matmat``/``rmatmat`` column, for a ``CSRMatrix``, its
+        ``CSROperator`` and a ``ShardedOperator`` of 1 or 2 shards —
+        empty rows and ``nnz == 0`` included."""
+        for label, matrix in corner_matrices(dtype):
+            ops = operands(matrix)
+            v = ops["v"].astype(operand_dtype)
+            u = ops["u"].astype(operand_dtype)
+            if holder == "matrix":
+                A = matrix
+            elif holder == "operator":
+                A = CSROperator(matrix)
+            else:
+                A = ShardedOperator(matrix, n_shards=holder, backend="serial")
+            cases = [
+                ("matvec", A.matvec(v), A.matmat(v[:, None])),
+                ("rmatvec", A.rmatvec(u), A.rmatmat(u[:, None])),
+            ]
+            for kernel, got, block in cases:
+                want = block[:, 0]
+                assert got.dtype == want.dtype, (label, kernel)
+                assert got.tobytes() == want.tobytes(), (label, kernel)
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_rmatvec_keeps_the_direct_adjoint_order(self, backend, dtype):
         """The forward kernel over ``A.T`` sums each column of ``A`` in
-        row order, exactly as a direct adjoint does: a ``bincount``
-        scatter over column indices (float64), or ``reduceat`` over the
-        stably column-sorted entries (float32)."""
+        row order, exactly as a direct adjoint does: ``reduceat`` over
+        the stably column-sorted entries."""
         for label, matrix in corner_matrices(dtype):
             u = operands(matrix)["u"]
             products = matrix.data * u[matrix._row_ids]
             n = matrix.shape[1]
-            if dtype == np.float64:
-                want = np.bincount(
-                    matrix.indices, weights=products, minlength=n
-                ).astype(np.float64, copy=False)
-            else:
-                order = np.argsort(matrix.indices, kind="stable")
-                counts = np.bincount(matrix.indices, minlength=n)
-                starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-                cols = np.flatnonzero(counts)
-                want = np.zeros(n, dtype=dtype)
-                if cols.size:
-                    want[cols] = np.add.reduceat(
-                        products[order], starts[cols]
-                    )
-            got = csr_rmatvec(matrix, u)
+            order = np.argsort(matrix.indices, kind="stable")
+            counts = np.bincount(matrix.indices, minlength=n)
+            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+            cols = np.flatnonzero(counts)
+            want = np.zeros(n, dtype=dtype)
+            if cols.size:
+                want[cols] = np.add.reduceat(products[order], starts[cols])
+            got = csr_rmatmat(matrix, u)
             assert got.tobytes() == want.tobytes(), (backend, label)
 
     def test_matvec_negative_zero_semantics(self, backend):
-        """An all-zero row yields +0.0 on both backends (scatter seeds
-        from 0.0, so the sign of zero is the seed's, not the data's)."""
+        """An empty row and a row summing to zero both yield +0.0 on
+        both backends: an empty row is written as zero, and
+        ``1.0 + -1.0`` rounds to +0.0."""
         matrix = CSRMatrix.from_dense(
             np.array([[0.0, 0.0], [1.0, -1.0]])
         )
         v = np.array([1.0, 1.0])
-        got = csr_matvec(matrix, v)
-        want = matrix.matvec(v)
+        got = csr_matmat(matrix, v)
+        want = matrix.matmat(v[:, None])[:, 0]
         assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got).any()
 
 
 #: Column-panel width of the compiled block kernels (32 when unbuilt).
@@ -531,30 +560,6 @@ class TestRegisterTile:
 
 
 @needs_compiled
-def test_f32_matvec_scratch_is_traced():
-    # The float32 matvec sums each row in a scratch segment as long as
-    # the longest row; it is allocated where tracemalloc sees it.
-    nnz = 10**6
-    matrix = CSRMatrix(
-        np.ones(nnz, dtype=np.float32),
-        np.arange(nnz, dtype=np.int64),
-        np.array([0, nnz], dtype=np.int64),
-        (1, nnz),
-    )
-    v = np.ones(nnz, dtype=np.float32)
-    with use_backend("compiled"):
-        csr_matvec(matrix, v)
-        tracemalloc.start()
-        try:
-            out = csr_matvec(matrix, v)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert out[0] == nnz
-    assert peak >= 4 * 10**6
-
-
-@needs_compiled
 class TestCompiledTranspose:
     """The counting-sort transpose returns the argsort build's bytes."""
 
@@ -607,8 +612,8 @@ class TestMixedDtypeRouting:
         dense = rng.standard_normal((10, 6))
         matrix = CSRMatrix.from_dense(dense)
         v32 = rng.standard_normal(6).astype(np.float32)
-        got = csr_matvec(matrix, v32)
-        want = matrix.matvec(v32)
+        got = csr_matmat(matrix, v32)
+        want = matrix.matmat(v32[:, None])[:, 0]
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
 
@@ -616,8 +621,8 @@ class TestMixedDtypeRouting:
         dense = rng.standard_normal((10, 6)).astype(np.float32)
         matrix = CSRMatrix.from_dense(dense)
         v64 = rng.standard_normal(6)
-        got = csr_matvec(matrix, v64)
-        want = matrix.matvec(v64)
+        got = csr_matmat(matrix, v64)
+        want = matrix.matmat(v64[:, None])[:, 0]
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -640,24 +645,24 @@ class TestMixedDtypeRouting:
             padded[::2], base.indices, base.indptr, base.shape
         )
         v = rng.standard_normal(5)
-        assert csr_matvec(strided, v).tobytes() == (
-            base.matvec(v).tobytes()
+        assert csr_matmat(strided, v).tobytes() == (
+            base.matmat(v[:, None])[:, 0].tobytes()
         )
 
     def test_shape_errors_match_reference(self, backend, rng):
         matrix = CSRMatrix.from_dense(rng.standard_normal((6, 4)))
         with pytest.raises(ValueError, match="matvec"):
-            csr_matvec(matrix, np.ones(5))
+            csr_matmat(matrix, np.ones(5))
         with pytest.raises(ValueError, match="rmatvec"):
-            csr_rmatvec(matrix, np.ones(7))
+            csr_rmatmat(matrix, np.ones(7))
         with pytest.raises(ValueError, match="dimension"):
             csr_matmat(matrix, np.ones((5, 2)))
         with pytest.raises(ValueError, match="dimension"):
             csr_rmatmat(matrix, np.ones((7, 2)))
 
     def test_vector_block_routing(self, backend, rng):
-        """1-D operands route through the matvec pair, and single-column
-        blocks stay blocks, exactly as in the reference."""
+        """1-D operands return 1-D mat-vecs, and single-column blocks
+        stay blocks, exactly as in the reference."""
         matrix = CSRMatrix.from_dense(rng.standard_normal((6, 4)))
         v = rng.standard_normal(4)
         u = rng.standard_normal(6)
@@ -741,11 +746,11 @@ class TestMissingExtensionFallback:
         v = rng.standard_normal(4)
         with use_backend("compiled"):
             with pytest.warns(RobustnessWarning, match="not built"):
-                first = csr_matvec(matrix, v)
+                first = csr_matmat(matrix, v)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                second = csr_matvec(matrix, v)
-        assert first.tobytes() == matrix.matvec(v).tobytes()
+                second = csr_matmat(matrix, v)
+        assert first.tobytes() == matrix.matmat(v[:, None])[:, 0].tobytes()
         assert second.tobytes() == first.tobytes()
 
     def test_auto_falls_back_silently(self, no_extension, rng):
@@ -755,8 +760,8 @@ class TestMissingExtensionFallback:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert active_backend() == "reference"
-                result = csr_matvec(matrix, v)
-        assert result.tobytes() == matrix.matvec(v).tobytes()
+                result = csr_matmat(matrix, v)
+        assert result.tobytes() == matrix.matmat(v[:, None])[:, 0].tobytes()
 
     def test_compiled_available_reports_false(self, no_extension):
         assert not compiled_available()

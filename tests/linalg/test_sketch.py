@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.contracts import verify_operator
 from repro.linalg.block_lsqr import block_lsqr
-from repro.linalg.lsqr import lsqr
 from repro.linalg.operators import (
     AppendOnesOperator,
     CenteringOperator,
@@ -24,6 +23,7 @@ from repro.linalg.sketch import (
     sketch_gram,
 )
 from repro.linalg.sparse import CSRMatrix
+from tests.lsqr_reference import scipy_lsqr
 
 
 def dense_sketch(S):
@@ -286,12 +286,14 @@ class TestPreconditionedSolvers:
         b = A @ x_true
         alpha = 1e-8 * np.linalg.norm(A) ** 2 / A.shape[1]
         damp = float(np.sqrt(alpha))
-        plain = lsqr(A, b, damp=damp, atol=1e-10, btol=1e-10, iter_lim=2000)
+        plain = scipy_lsqr(
+            A, b, damp=damp, atol=1e-10, btol=1e-10, iter_lim=2000
+        )
         pre = build_preconditioner(A, alpha=alpha, seed=0)
-        fast = lsqr(
+        fast = block_lsqr(
             A, b, damp=damp, atol=1e-10, btol=1e-10, iter_lim=2000,
             precondition=pre,
-        )
+        ).column(0)
         np.testing.assert_allclose(fast.x, plain.x, atol=1e-6)
         assert fast.itn < plain.itn / 2
 
@@ -300,11 +302,13 @@ class TestPreconditionedSolvers:
         b = rng.standard_normal(120)
         pre = build_preconditioner(A, alpha=0.01, seed=0)
         damp = 0.1
-        cold = lsqr(A, b, damp=damp, precondition=pre, atol=1e-12, btol=1e-12)
-        warm = lsqr(
-            A, b, damp=damp, precondition=pre, x0=cold.x,
+        cold = block_lsqr(
+            A, b, damp=damp, precondition=pre, atol=1e-12, btol=1e-12
+        ).column(0)
+        warm = block_lsqr(
+            A, b, damp=damp, precondition=pre, X0=cold.x,
             atol=1e-12, btol=1e-12,
-        )
+        ).column(0)
         np.testing.assert_allclose(warm.x, cold.x, atol=1e-8)
         assert warm.itn <= cold.itn
 
@@ -329,4 +333,4 @@ class TestPreconditionedSolvers:
         A = rng.standard_normal((20, 5))
         pre = build_preconditioner(rng.standard_normal((20, 6)), alpha=0.1)
         with pytest.raises(ValueError, match="preconditioner dimension"):
-            lsqr(A, np.zeros(20), precondition=pre)
+            block_lsqr(A, np.zeros(20), precondition=pre)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.linalg.block_lsqr import SharedBidiagonalization, block_lsqr
-from repro.linalg.lsqr import lsqr
 from repro.linalg.operators import as_operator
 from repro.observability import (
     InMemorySink,
@@ -49,16 +48,21 @@ class TestIterationEvent:
 
 
 class TestLsqrHook:
+    """One right-hand side (a 1-D ``b``): a one-column block solve."""
+
     def test_count_equals_reported_iterations(self, problem):
         op, B = problem
         recorder = IterationRecorder()
-        result = lsqr(op, B[:, 0], damp=0.5, on_iteration=recorder)
+        result = block_lsqr(
+            op, B[:, 0], damp=0.5, on_iteration=recorder
+        ).column(0)
         assert result.itn > 0
         assert len(recorder) == result.itn
         assert [e.itn for e in recorder.events] == list(
             range(1, result.itn + 1)
         )
-        assert all(e.solver == "lsqr" for e in recorder.events)
+        assert all(e.solver == "block_lsqr" for e in recorder.events)
+        assert all(list(e.active) == [0] for e in recorder.events)
         # The final event carries the stop decision.
         assert recorder.last.istop == result.istop
         assert all(e.istop == 0 for e in recorder.events[:-1])
@@ -66,18 +70,22 @@ class TestLsqrHook:
     def test_count_when_capped_by_iter_lim(self, problem):
         op, B = problem
         recorder = IterationRecorder()
-        result = lsqr(
+        result = block_lsqr(
             op, B[:, 0], damp=0.5, atol=0.0, btol=0.0, iter_lim=4,
             on_iteration=recorder,
-        )
+        ).column(0)
         assert result.itn == 4
         assert len(recorder) == 4
 
     def test_none_hook_changes_nothing(self, problem):
         op, B = problem
         recorder = IterationRecorder()
-        with_hook = lsqr(op, B[:, 0], damp=0.5, on_iteration=recorder)
-        without = lsqr(op, B[:, 0], damp=0.5, on_iteration=None)
+        with_hook = block_lsqr(
+            op, B[:, 0], damp=0.5, on_iteration=recorder
+        ).column(0)
+        without = block_lsqr(
+            op, B[:, 0], damp=0.5, on_iteration=None
+        ).column(0)
         np.testing.assert_allclose(with_hook.x, without.x)
         assert with_hook.itn == without.itn
 
@@ -88,7 +96,7 @@ class TestLsqrHook:
             raise RuntimeError("observer failed")
 
         with pytest.raises(RuntimeError, match="observer failed"):
-            lsqr(op, B[:, 0], damp=0.5, on_iteration=hook)
+            block_lsqr(op, B[:, 0], damp=0.5, on_iteration=hook)
 
 
 class TestBlockLsqrHook:
@@ -135,11 +143,11 @@ class TestTracerHookIntegration:
         sink = InMemorySink()
         tracer = Tracer(sink=sink)
         with tracer.span("solve") as span:
-            result = lsqr(
+            result = block_lsqr(
                 op, B[:, 0], damp=0.5,
                 on_iteration=tracer.iteration_hook(span),
-            )
+            ).column(0)
         events = sink.find("solve")[0]["events"]
         assert len(events) == result.itn
-        assert all(e["name"] == "lsqr.iteration" for e in events)
+        assert all(e["name"] == "block_lsqr.iteration" for e in events)
         assert events[-1]["attributes"]["itn"] == result.itn

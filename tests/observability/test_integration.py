@@ -1,6 +1,7 @@
 """End-to-end instrumentation: estimators, solvers, cache, experiments."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -87,12 +88,27 @@ class TestSRDATracing:
         assert len(iteration_events) == max(model.lsqr_iterations_)
 
     def test_sequential_lsqr_event_count_matches_iterations(
-        self, small_classification, sequential_lsqr_srda
+        self, small_classification, monkeypatch
     ):
         # A solver swapped in for the regression stage's block_lsqr gets
-        # the tracer's hook: one lsqr.iteration event per column iteration.
+        # the tracer's hook: here one one-column solve per response, so
+        # one block_lsqr.iteration event per column iteration.
+        from repro.core import srda as srda_module
+        from repro.linalg.block_lsqr import block_lsqr
+
+        def per_column(A, B, **kwargs):
+            columns = [
+                block_lsqr(A, B[:, j], **kwargs).column(0)
+                for j in range(B.shape[1])
+            ]
+            return SimpleNamespace(
+                X=np.column_stack([column.x for column in columns]),
+                column=columns.__getitem__,
+            )
+
+        monkeypatch.setattr(srda_module, "block_lsqr", per_column)
         X, y = small_classification
-        model = sequential_lsqr_srda(
+        model = SRDA(
             alpha=1.0,
             config=SolverConfig(solver="lsqr"),
             max_iter=12,
@@ -101,8 +117,9 @@ class TestSRDATracing:
         ).fit(X, y)
         events = model.tracer_.sink.find("srda.solve")[0]["events"]
         iteration_events = [
-            e for e in events if e["name"] == "lsqr.iteration"
+            e for e in events if e["name"] == "block_lsqr.iteration"
         ]
+        assert len(model.lsqr_iterations_) > 1
         assert len(iteration_events) == sum(model.lsqr_iterations_)
 
     def test_lsqr_path_counts_flam(self, small_classification):

@@ -6,8 +6,7 @@ import pytest
 from repro.core import srda as srda_module
 from repro.core.solver_config import SolverConfig
 from repro.core.srda import SRDA
-from repro.linalg.block_lsqr import block_lsqr
-from repro.linalg.lsqr import FAILURE_ISTOPS, ISTOP_REASONS, lsqr
+from repro.linalg.block_lsqr import FAILURE_ISTOPS, ISTOP_REASONS, block_lsqr
 from repro.linalg.operators import (
     DenseOperator,
     FaultyOperator,
@@ -70,10 +69,12 @@ class TestFaultyOperator:
 
 
 class TestLSQRUnderFaults:
+    """One right-hand side (a 1-D ``b``): a one-column block solve."""
+
     def test_nan_matvec_sets_istop_8(self, system):
         A, b = system
         op = FaultyOperator(DenseOperator(A), fail_at={4}, mode="nan")
-        result = lsqr(op, b, iter_lim=30)
+        result = block_lsqr(op, b, iter_lim=30).column(0)
         assert result.istop == 8
         assert result.failed
         assert not result.converged
@@ -84,18 +85,19 @@ class TestLSQRUnderFaults:
     def test_inf_rmatvec_sets_istop_8(self, system):
         A, b = system
         op = FaultyOperator(DenseOperator(A), fail_at={5}, mode="inf")
-        result = lsqr(op, b, iter_lim=30)
+        result = block_lsqr(op, b, iter_lim=30).column(0)
         assert result.istop == 8
 
     def test_raise_mode_propagates(self, system):
         A, b = system
         op = FaultyOperator(DenseOperator(A), fail_at={4}, mode="raise")
         with pytest.raises(InjectedFaultError):
-            lsqr(op, b, iter_lim=30)
+            block_lsqr(op, b, iter_lim=30)
 
     def test_clean_run_still_converges(self, system):
         A, b = system
-        result = lsqr(FaultyOperator(DenseOperator(A)), b, iter_lim=100)
+        op = FaultyOperator(DenseOperator(A))
+        result = block_lsqr(op, b, iter_lim=100).column(0)
         assert result.converged
         assert result.istop in (1, 2, 4, 5)
 
