@@ -153,7 +153,6 @@ _LEGACY_RANDOM = frozenset(
 #: Forward/adjoint product pairs every operator must define together.
 _ADJOINT_PAIRS: Tuple[Tuple[str, str], ...] = (
     ("matvec", "rmatvec"),
-    ("_matvec", "_rmatvec"),
     ("matmat", "rmatmat"),
     ("_matmat", "_rmatmat"),
 )

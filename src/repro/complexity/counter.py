@@ -81,14 +81,6 @@ class FlamCountingOperator(LinearOperator):
     def dtype(self) -> np.dtype:
         return self.base.dtype
 
-    def _matvec(self, v: np.ndarray) -> np.ndarray:
-        self._charge(self.nnz)
-        return self.base.matvec(v)
-
-    def _rmatvec(self, u: np.ndarray) -> np.ndarray:
-        self._charge(self.nnz)
-        return self.base.rmatvec(u)
-
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         # A block product touches every stored entry once per column:
         # the flam bill is identical to k mat-vecs, only the wall time

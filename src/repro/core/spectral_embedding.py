@@ -6,10 +6,10 @@ eigenmap), and the regression step turns them into *linear* projective
 functions that extend the embedding to unseen samples — the regularized
 locality-preserving-indexing construction.
 
-The graph eigenproblem is solved with our Lanczos iteration through the
-normalized affinity operator, so only mat-vecs over the (sparse-able)
-graph are needed; for the small graphs in the test-suite a dense solve
-is equivalent and Lanczos is cross-checked against it.
+The graph eigenproblem is solved exactly on the dense normalized
+affinity: LAPACK's ``eigh`` computes only the leading pairs
+(``subset_by_index``), and the result is cross-checked against the full
+dense solve of :func:`repro.core.graph.graph_responses`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.core.graph import knn_affinity
 from repro.core.solver_config import SolverConfig
 from repro.core.srda import solve_ridge
 from repro.linalg.dense import dense_matmul
-from repro.linalg.eigen import lanczos_eigsh
 from repro.observability import resolve_tracer
 from repro.robustness import FitReport
 
@@ -79,16 +78,24 @@ class SpectralRegressionEmbedding(ReproEstimator):
         self.lsqr_iterations_: Optional[List[int]] = None
         self.fit_report_: Optional[FitReport] = None
 
-    def _graph_responses_lanczos(self, W: np.ndarray) -> np.ndarray:
-        """Top non-trivial eigenvectors of D^{-1/2} W D^{-1/2} via Lanczos."""
+    def _graph_responses(self, W: np.ndarray) -> np.ndarray:
+        """Top non-trivial eigenvectors of D^{-1/2} W D^{-1/2}.
+
+        Complexity: O(m³) — one dense symmetric eigensolve of the
+        ``m × m`` graph, which computes only the leading pairs.
+        """
+        from scipy.linalg import eigh
+
         degrees = W.sum(axis=1)
         degrees = np.where(degrees > 0, degrees, 1.0)
         inv_sqrt = 1.0 / np.sqrt(degrees)
         S = (inv_sqrt[:, None] * W) * inv_sqrt[None, :]
         S = 0.5 * (S + S.T)
-        k = self.n_components + 1  # +1 for the trivial top eigenvector
-        _, vectors = lanczos_eigsh(S, k=min(k, S.shape[0]), seed=0)
-        responses = inv_sqrt[:, None] * vectors[:, 1:k]
+        m = S.shape[0]
+        k = min(self.n_components + 1, m)  # +1 for the trivial top pair
+        _, vectors = eigh(S, subset_by_index=[m - k, m - 1])
+        # eigh returns ascending eigenvalues: reverse to leading-first
+        responses = inv_sqrt[:, None] * vectors[:, ::-1][:, 1:k]
         norms = np.linalg.norm(responses, axis=0)
         norms = np.where(norms > 0, norms, 1.0)
         return responses / norms
@@ -100,7 +107,7 @@ class SpectralRegressionEmbedding(ReproEstimator):
         if self.n_components >= m:
             raise ValueError("n_components must be smaller than n_samples")
         W = knn_affinity(X, n_neighbors=self.n_neighbors, mode=self.affinity)
-        responses = self._graph_responses_lanczos(W)
+        responses = self._graph_responses(W)
         self.responses_ = responses
 
         report = FitReport(requested_solver=self.solver)

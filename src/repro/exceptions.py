@@ -37,9 +37,9 @@ class ConvergenceError(ReproError, RuntimeError):
     """An iterative solver exhausted its budget without converging.
 
     Raised where silently returning a half-iterated answer would poison
-    downstream results (e.g. the Lanczos eigensolver).  LSQR does *not*
-    raise this — its istop codes report convergence state per column and
-    callers decide; see :data:`repro.linalg.block_lsqr.FAILURE_ISTOPS`.
+    downstream results.  LSQR does *not* raise this — its istop codes
+    report convergence state per column and callers decide; see
+    :data:`repro.linalg.block_lsqr.FAILURE_ISTOPS`.
     """
 
 

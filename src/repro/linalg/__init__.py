@@ -39,7 +39,6 @@ from repro.linalg.block_lsqr import (
 from repro.linalg.cholesky import cholesky, solve_cholesky, solve_triangular
 from repro.linalg.coordinate_descent import ElasticNetResult, elastic_net
 from repro.linalg.dense import solve_lstsq, symmetric_eigh
-from repro.linalg.eigen import lanczos_eigsh
 from repro.linalg.gram_schmidt import orthogonalize_against, orthonormalize
 from repro.linalg.kernels import (
     KERNEL_BACKEND_ENV,
@@ -104,7 +103,6 @@ __all__ = [
     "cross_product_svd",
     "default_sketch_size",
     "elastic_net",
-    "lanczos_eigsh",
     "orthogonalize_against",
     "orthonormalize",
     "preconditioner_from_gram",

@@ -20,7 +20,6 @@ transpose).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -60,7 +59,6 @@ def elastic_net(
     l1_ratio: float = 0.5,
     max_iter: int = 1000,
     tol: float = 1e-6,
-    coef_init: Optional[np.ndarray] = None,
 ) -> ElasticNetResult:
     """Cyclic coordinate descent for the elastic-net problem above.
 
@@ -83,8 +81,6 @@ def elastic_net(
     tol:
         Stop when the largest coefficient update in a sweep falls below
         ``tol·max(1, ‖coef‖∞)``.
-    coef_init:
-        Warm start.
     """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
@@ -114,24 +110,13 @@ def elastic_net(
     l1_penalty = alpha * l1_ratio
     l2_penalty = alpha * (1.0 - l1_ratio)
 
-    coef = (
-        np.zeros(n)
-        if coef_init is None
-        else np.asarray(coef_init, dtype=np.float64).copy()
-    )
-    if coef.shape != (n,):
-        raise ValueError(f"coef_init must have length {n}")
-
-    # residual r = y - X @ coef, maintained incrementally
+    coef = np.zeros(n)
+    # residual r = y - X @ coef, maintained incrementally from coef = 0
+    residual = y.copy()
     if dense_X is not None:
         col_sq = np.einsum("ij,ij->j", dense_X, dense_X)
-        residual = y - dense_X @ coef
     else:
         col_sq = np.array([float(c @ c) for c in columns])
-        residual = y.copy()
-        for j in range(n):
-            if coef[j] != 0.0:
-                residual[column_rows[j]] -= coef[j] * columns[j]
 
     denom = col_sq + l2_penalty
     converged = False

@@ -14,12 +14,15 @@ densifying anything:
   paths (the LDA baseline analysis, tests) that need the centered matrix
   as an operator without allocating a dense copy.
 
-Every structural operator forwards whole blocks to its base so a
-multi-RHS solve stays matrix-free at block width — centering becomes
-one base ``matmat`` plus a rank-one correction instead of ``k``
-corrected mat-vecs.  Operators without a specialized block product fall
-back to a per-column sweep of ``_matvec``, so wrappers with per-product
-semantics (fault injection) see one product per column.
+Every operator implements exactly one product per direction, the block
+products ``_matmat``/``_rmatmat``; ``matvec(v)`` is the width-1 block
+``_matmat(v[:, None])[:, 0]``, so a mat-vec and a one-column block
+return the same bits.  Every structural operator forwards whole blocks
+to its base so a multi-RHS solve stays matrix-free at block width —
+centering becomes one base ``matmat`` plus a rank-one correction
+instead of ``k`` corrected mat-vecs.  The one per-column sweep is
+:class:`FaultyOperator`'s, whose schedule counts one product per
+column.
 
 Every product returns a new array, so a structural operator may finish
 its base's result in place: the centering correction and the ones
@@ -41,7 +44,16 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Iterable, Iterator, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -108,12 +120,13 @@ def borrowed_destination(
 
 
 class LinearOperator:
-    """Base class: a shape plus ``matvec``/``rmatvec`` products.
+    """Base class: a shape plus ``A @ B`` and ``A.T @ U`` block products.
 
-    Subclasses must set ``self.shape`` and implement ``_matvec`` and
-    ``_rmatvec``.  The public entry points validate dimensions and keep a
-    product count so experiments can report how many passes over the data
-    a solver made.
+    Subclasses must set ``self.shape`` and implement ``_matmat`` and
+    ``_rmatmat``; ``matvec``/``rmatvec`` run them on a width-1 block.
+    The public entry points validate dimensions and keep a product
+    count so experiments can report how many passes over the data a
+    solver made.
     """
 
     shape: Tuple[int, int]
@@ -129,35 +142,11 @@ class LinearOperator:
         """Value dtype of the products (float64 unless data says float32)."""
         return np.dtype(np.float64)
 
-    def _matvec(self, v: FloatArray) -> FloatArray:
-        raise NotImplementedError
-
-    def _rmatvec(self, u: FloatArray) -> FloatArray:
-        raise NotImplementedError
-
     def _matmat(self, B: FloatArray) -> FloatArray:
-        # Per-column fallback.  Goes through _matvec, not matvec, so one
-        # block product counts as one matmat — but still column by
-        # column, so wrappers with per-product semantics (fault
-        # injection) behave exactly as they would sequentially.
-        first = self._matvec(np.ascontiguousarray(B[:, 0]))
-        out = np.empty(
-            (self.shape[0], B.shape[1]), dtype=first.dtype, order="F"
-        )
-        out[:, 0] = first
-        for j in range(1, B.shape[1]):
-            out[:, j] = self._matvec(np.ascontiguousarray(B[:, j]))
-        return out
+        raise NotImplementedError
 
     def _rmatmat(self, U: FloatArray) -> FloatArray:
-        first = self._rmatvec(np.ascontiguousarray(U[:, 0]))
-        out = np.empty(
-            (self.shape[1], U.shape[1]), dtype=first.dtype, order="F"
-        )
-        out[:, 0] = first
-        for j in range(1, U.shape[1]):
-            out[:, j] = self._rmatvec(np.ascontiguousarray(U[:, j]))
-        return out
+        raise NotImplementedError
 
     def matvec(self, v: FloatArray) -> FloatArray:
         """Compute ``A @ v``."""
@@ -167,7 +156,7 @@ class LinearOperator:
                 f"matvec expects length {self.shape[1]}, got {v.shape}"
             )
         self.n_matvec += 1
-        return self._matvec(v)
+        return self._matmat(v[:, None])[:, 0]
 
     def rmatvec(self, u: FloatArray) -> FloatArray:
         """Compute ``A.T @ u``."""
@@ -177,7 +166,7 @@ class LinearOperator:
                 f"rmatvec expects length {self.shape[0]}, got {u.shape}"
             )
         self.n_rmatvec += 1
-        return self._rmatvec(u)
+        return self._rmatmat(u[:, None])[:, 0]
 
     def matmat(self, B: FloatArray) -> FloatArray:
         """Compute ``A @ B`` for a dense block ``B`` in one pass."""
@@ -253,12 +242,6 @@ class DenseOperator(LinearOperator):
     def dtype(self) -> FloatDType:
         return self.array.dtype
 
-    def _matvec(self, v: FloatArray) -> FloatArray:
-        return dense_matmul(self.array, v)
-
-    def _rmatvec(self, u: FloatArray) -> FloatArray:
-        return dense_matmul(self.array.T, u)
-
     def _matmat(self, B: FloatArray) -> FloatArray:
         return dense_matmul(self.array, B)
 
@@ -273,8 +256,6 @@ class CSROperator(LinearOperator):
     (:mod:`repro.linalg.kernels`), so the compiled GIL-free backend —
     when built and selected — serves every solver that reaches the data
     through this operator, bitwise-identically to the numpy reference.
-    A mat-vec is the width-1 block product, so ``matvec(v)`` and
-    ``matmat(v[:, None])[:, 0]`` return the same bits.
     """
 
     def __init__(self, matrix: Union[CSRMatrix, Any]) -> None:
@@ -290,12 +271,6 @@ class CSROperator(LinearOperator):
     @property
     def dtype(self) -> FloatDType:
         return self.matrix.dtype
-
-    def _matvec(self, v: FloatArray) -> FloatArray:
-        return kernels.csr_matmat(self.matrix, v)
-
-    def _rmatvec(self, u: FloatArray) -> FloatArray:
-        return kernels.csr_rmatmat(self.matrix, u)
 
     def _block_out(self, rows: int, operand: FloatArray) -> Optional[FloatArray]:
         dtype = np.result_type(self.matrix.dtype, operand.dtype)
@@ -321,12 +296,6 @@ class TransposedOperator(LinearOperator):
     @property
     def dtype(self) -> FloatDType:
         return self.base.dtype
-
-    def _matvec(self, v: FloatArray) -> FloatArray:
-        return self.base.rmatvec(v)
-
-    def _rmatvec(self, u: FloatArray) -> FloatArray:
-        return self.base.matvec(u)
 
     def _matmat(self, B: FloatArray) -> FloatArray:
         return self.base.rmatmat(B)
@@ -367,13 +336,6 @@ class CenteringOperator(LinearOperator):
     def dtype(self) -> FloatDType:
         return self.base.dtype
 
-    def _matvec(self, v: FloatArray) -> FloatArray:
-        shift = float(self.column_means @ v)
-        return self.base.matvec(v) - shift
-
-    def _rmatvec(self, u: FloatArray) -> FloatArray:
-        return self.base.rmatvec(u) - float(u.sum()) * self.column_means
-
     def _matmat(self, B: FloatArray) -> FloatArray:
         # (X - 1 μᵀ) B = X B - 1 (μᵀ B): one base block product plus a
         # rank-one correction — centering stays matrix-free at block width
@@ -407,13 +369,6 @@ class AppendOnesOperator(LinearOperator):
     @property
     def dtype(self) -> FloatDType:
         return self.base.dtype
-
-    def _matvec(self, v: FloatArray) -> FloatArray:
-        return self.base.matvec(v[:-1]) + v[-1]
-
-    def _rmatvec(self, u: FloatArray) -> FloatArray:
-        head = self.base.rmatvec(u)
-        return np.concatenate([head, [u.sum()]])
 
     def _matmat(self, B: FloatArray) -> FloatArray:
         # [X | 1] B = X B[:-1] + 1 B[-1]
@@ -449,8 +404,10 @@ class FaultyOperator(LinearOperator):
     Testing scaffolding for the robustness layer — wraps any operator
     and, on selected products, either corrupts the output (NaN/Inf) or
     raises :class:`InjectedFaultError`.  Products are counted across
-    ``matvec`` *and* ``rmatvec`` in call order, so ``fail_at={3}``
-    poisons the fourth product LSQR requests regardless of direction.
+    both directions in call order, so ``fail_at={3}`` poisons the
+    fourth product LSQR requests regardless of direction.  A block
+    product runs as one scheduled mat-vec per column, so a ``k``-column
+    block counts ``k`` products and a fault poisons one column only.
 
     Parameters
     ----------
@@ -518,41 +475,27 @@ class FaultyOperator(LinearOperator):
             out[0] = np.nan if self.mode == "nan" else np.inf
         return out
 
-    def _matvec(self, v: FloatArray) -> FloatArray:
-        due = self._due()
-        out = self.base.matvec(v)
-        return self._inject(out, "matvec") if due else out
-
-    def _rmatvec(self, u: FloatArray) -> FloatArray:
-        due = self._due()
-        out = self.base.rmatvec(u)
-        return self._inject(out, "rmatvec") if due else out
-
-
-class ScaledOperator(LinearOperator):
-    """``c * A`` for a scalar ``c``."""
-
-    def __init__(self, base: LinearOperator, scale: float) -> None:
-        super().__init__()
-        self.base = base
-        self.scale = float(scale)
-        self.shape = base.shape
-
-    @property
-    def dtype(self) -> FloatDType:
-        return self.base.dtype
-
-    def _matvec(self, v: FloatArray) -> FloatArray:
-        return self.scale * self.base.matvec(v)
-
-    def _rmatvec(self, u: FloatArray) -> FloatArray:
-        return self.scale * self.base.rmatvec(u)
+    def _sweep(
+        self,
+        product: Callable[[FloatArray], FloatArray],
+        operand: FloatArray,
+        direction: str,
+    ) -> FloatArray:
+        # One scheduled product per column, in column order, exactly as
+        # a sequential solve would request them: a fault lands on the
+        # one column whose product it was scheduled for.
+        columns: List[FloatArray] = []
+        for j in range(operand.shape[1]):
+            due = self._due()
+            column = product(operand[:, j])
+            columns.append(self._inject(column, direction) if due else column)
+        return np.stack(columns, axis=1)
 
     def _matmat(self, B: FloatArray) -> FloatArray:
-        return self.scale * self.base.matmat(B)
+        return self._sweep(self.base.matvec, B, "matvec")
 
     def _rmatmat(self, U: FloatArray) -> FloatArray:
-        return self.scale * self.base.rmatmat(U)
+        return self._sweep(self.base.rmatvec, U, "rmatvec")
 
 
 class StackedOperator(LinearOperator):
@@ -575,14 +518,6 @@ class StackedOperator(LinearOperator):
     @property
     def dtype(self) -> FloatDType:
         return np.result_type(self.top.dtype, self.bottom.dtype)
-
-    def _matvec(self, v: FloatArray) -> FloatArray:
-        return np.concatenate([self.top.matvec(v), self.bottom.matvec(v)])
-
-    def _rmatvec(self, u: FloatArray) -> FloatArray:
-        head = u[: self.top.shape[0]]
-        tail = u[self.top.shape[0] :]
-        return self.top.rmatvec(head) + self.bottom.rmatvec(tail)
 
     def _matmat(self, B: FloatArray) -> FloatArray:
         return np.vstack([self.top.matmat(B), self.bottom.matmat(B)])
@@ -612,12 +547,6 @@ class IdentityOperator(LinearOperator):
     @property
     def dtype(self) -> FloatDType:
         return self._dtype
-
-    def _matvec(self, v: FloatArray) -> FloatArray:
-        return self.scale * v
-
-    def _rmatvec(self, u: FloatArray) -> FloatArray:
-        return self.scale * u
 
     def _matmat(self, B: FloatArray) -> FloatArray:
         return self.scale * B

@@ -107,8 +107,9 @@ class CountSketchOperator(LinearOperator):
     """CountSketch ``S : R^m → R^s``: each coordinate lands in one ±1 bucket.
 
     ``S`` has exactly one nonzero per *column*: coordinate ``i`` is
-    hashed to row ``bucket[i]`` with sign ``sign[i]``.  ``S v`` is a
-    signed bincount (``O(m)``); the adjoint is a gather.  ``E[SᵀS] = I``
+    hashed to row ``bucket[i]`` with sign ``sign[i]``.  ``S B`` is a
+    signed scatter-add (``O(m·k)`` for ``k`` columns); the adjoint is a
+    gather.  ``E[SᵀS] = I``
     and the sketch embeds any fixed ``n``-dimensional column space with
     constant distortion once ``s = O(n²/δ)`` — in practice a small
     multiple of ``n`` suffices for preconditioning, which only needs the
@@ -158,19 +159,6 @@ class CountSketchOperator(LinearOperator):
 
     def _out_dtype(self, operand: FloatArray) -> FloatDType:
         return np.dtype(np.result_type(self._dtype, operand.dtype))
-
-    def _matvec(self, v: FloatArray) -> FloatArray:
-        out_dtype = self._out_dtype(v)
-        weighted = self.signs * v
-        out = np.bincount(
-            self.buckets, weights=weighted, minlength=self.shape[0]
-        )
-        return out.astype(out_dtype, copy=False)
-
-    def _rmatvec(self, u: FloatArray) -> FloatArray:
-        out_dtype = self._out_dtype(u)
-        out = self.signs * u[self.buckets]
-        return out.astype(out_dtype, copy=False)
 
     def _matmat(self, B: FloatArray) -> FloatArray:
         out_dtype = self._out_dtype(B)
@@ -395,12 +383,6 @@ class PreconditionedOperator(LinearOperator):
 
     def _cast(self, out: FloatArray) -> FloatArray:
         return np.asarray(out).astype(self.dtype, copy=False)
-
-    def _matvec(self, v: FloatArray) -> FloatArray:
-        return self.base.matvec(self._cast(self.precondition.apply(v)))
-
-    def _rmatvec(self, u: FloatArray) -> FloatArray:
-        return self._cast(self.precondition.apply_adjoint(self.base.rmatvec(u)))
 
     def _matmat(self, B: FloatArray) -> FloatArray:
         return self.base.matmat(self._cast(self.precondition.apply(B)))

@@ -183,13 +183,10 @@ def csr_row_slice(matrix: CSRMatrix, start: int, stop: int) -> CSRMatrix:
     )
 
 
-_FORWARD = ("matvec", "matmat")
-
-
 def _shard_product(
     mode: str,
     block: Any,
-    kernel: str,
+    forward: bool,
     operand: FloatArray,
     rows: FloatArray,
 ) -> None:
@@ -210,17 +207,10 @@ def _shard_product(
     """
     if mode == "csr":
         # Through the kernel dispatcher, so thread workers run the
-        # GIL-free compiled backend when selected; a mat-vec is the
-        # width-1 block product, written into its rows as well.
-        if operand.ndim == 1:
-            operand, rows = operand[:, None], rows[:, None]
+        # GIL-free compiled backend when selected.
         kernels.csr_matmat(block, operand, out=rows)
     elif mode == "dense":
-        rows[...] = dense_matmul(
-            block if kernel in _FORWARD else block.T, operand
-        )
-    elif kernel == "matvec":
-        rows[...] = block.matvec(operand)
+        rows[...] = dense_matmul(block if forward else block.T, operand)
     else:
         rows[...] = block.matmat(operand)
 
@@ -411,17 +401,16 @@ class ShardedOperator(LinearOperator):
             float(len(timings))
         )
 
-    def _run(self, kernel: str, operand: FloatArray, n_rows: int) -> FloatArray:
-        """Fan ``kernel`` out over its blocks; each writes its own rows.
+    def _run(self, forward: bool, operand: FloatArray, n_rows: int) -> FloatArray:
+        """Fan a product out over its blocks; each writes its own rows.
 
         The output is the destination lent to this operator, if any;
         otherwise a new block, row-major for CSR (the kernels' layout)
         and Fortran-ordered for dense, the layout
         :func:`~repro.linalg.dense.dense_matmul` returns.
         """
-        forward = kernel in _FORWARD
         bounds = self._block_bounds[forward]
-        shape = (n_rows,) + operand.shape[1:]
+        shape = (n_rows, operand.shape[1])
         dtype = np.result_type(self.dtype, operand.dtype)
         out = borrowed_destination(self, shape, dtype)
         if out is None:
@@ -434,21 +423,21 @@ class ShardedOperator(LinearOperator):
             t0 = time.perf_counter()
             start, stop = bounds[index]
             _shard_product(
-                self._mode, blocks[index], kernel, operand, out[start:stop]
+                self._mode, blocks[index], forward, operand, out[start:stop]
             )
             return time.perf_counter() - t0
 
         self._record(self.backend.map(run_block, list(range(len(blocks)))))
         return out
 
-    def _ops_adjoint(self, kernel: str, operand: FloatArray) -> FloatArray:
+    def _ops_adjoint(self, operand: FloatArray) -> FloatArray:
         """``sum_s X_s.T operand_s`` over the row-block operators, in order."""
         assert self._ops is not None
         ops = self._ops
 
         def run_block(index: int) -> FloatArray:
             start, stop = self._bounds[index]
-            return getattr(ops[index], kernel)(operand[start:stop])
+            return ops[index].rmatmat(operand[start:stop])
 
         parts = self.backend.map(run_block, list(range(self.n_shards)))
         total = np.array(
@@ -458,25 +447,13 @@ class ShardedOperator(LinearOperator):
             total += part
         return total
 
-    def _matvec(self, v: FloatArray) -> FloatArray:
-        if self._direct is not None:
-            return self._direct.matvec(v)
-        return self._run("matvec", v, self.shape[0])
-
-    def _rmatvec(self, u: FloatArray) -> FloatArray:
-        if self._direct is not None:
-            return self._direct.rmatvec(u)
-        if self._ops is not None:
-            return self._ops_adjoint("rmatvec", u)
-        return self._run("rmatvec", u, self.shape[1])
-
     def _matmat(self, B: FloatArray) -> FloatArray:
         if self._direct is not None:
             return self._direct.matmat(B)
         if self.matrix is not None:
             # Laid out once as the CSR kernels read it, not once per block.
             B = kernels.csr_matmat_operand(self.matrix, B)
-        return self._run("matmat", B, self.shape[0])
+        return self._run(True, B, self.shape[0])
 
     def _rmatmat(self, U: FloatArray) -> FloatArray:
         if self._direct is not None:
@@ -492,10 +469,10 @@ class ShardedOperator(LinearOperator):
             with lend_destination(self._direct, out):
                 return self._direct.rmatmat(U)
         if self._ops is not None:
-            return self._ops_adjoint("rmatmat", U)
+            return self._ops_adjoint(U)
         if self.matrix is not None:
             U = kernels.csr_matmat_operand(self.matrix.T, U)
-        return self._run("rmatmat", U, self.shape[1])
+        return self._run(False, U, self.shape[1])
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -18,7 +18,6 @@ from repro.linalg.operators import (
     DenseOperator,
     FaultyOperator,
     IdentityOperator,
-    ScaledOperator,
     StackedOperator,
     TransposedOperator,
 )
@@ -108,11 +107,9 @@ def test_stacked_operator_contract(m, n, dtype, seed):
 
 
 @settings(**SETTINGS)
-@given(n=dims, dtype=dtypes, seed=seeds)
-def test_scaled_and_identity_operator_contract(n, dtype, seed):
+@given(n=dims, dtype=dtypes)
+def test_identity_operator_contract(n, dtype):
     assert verify_operator(IdentityOperator(n, scale=2.0, dtype=dtype)).ok
-    base = DenseOperator(make_dense(n, n, dtype, seed))
-    assert verify_operator(ScaledOperator(base, -1.5)).ok
 
 
 @settings(**SETTINGS)
@@ -123,20 +120,20 @@ def test_faulty_operator_without_faults_contract(m, n, dtype, seed):
 
 
 class BrokenAdjointOperator(DenseOperator):  # repro: noqa-RPR005 — deliberately half-broken fixture
-    """rmatvec returns the transpose product plus a systematic offset."""
+    """The adjoint returns the transpose product plus a systematic offset."""
 
-    def _rmatvec(self, u):
-        return super()._rmatvec(u) + 1.0
+    def _rmatmat(self, U):
+        return super()._rmatmat(U) + 1.0
 
 
 class WrongShapeOperator(DenseOperator):  # repro: noqa-RPR005 — deliberately half-broken fixture
-    def _matvec(self, v):
-        return np.append(super()._matvec(v), 0.0)
+    def _matmat(self, B):
+        return np.append(super()._matmat(B), np.zeros((1, B.shape[1])), axis=0)
 
 
 class UpcastingOperator(DenseOperator):  # repro: noqa-RPR005 — deliberately half-broken fixture
-    def _matvec(self, v):
-        return super()._matvec(v).astype(np.float64)
+    def _matmat(self, B):
+        return super()._matmat(B).astype(np.float64)
 
 
 def test_broken_adjoint_raises():

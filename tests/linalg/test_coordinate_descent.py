@@ -94,15 +94,6 @@ class TestElasticNet:
                         max_iter=5000, tol=1e-12)
         assert np.allclose(a.coef, b.coef, atol=1e-10)
 
-    def test_warm_start_converges_faster(self, rng):
-        X = rng.standard_normal((40, 15))
-        y = rng.standard_normal(40)
-        cold = elastic_net(X, y, 0.5, l1_ratio=0.9, max_iter=5000, tol=1e-10)
-        warm = elastic_net(X, y, 0.5, l1_ratio=0.9, max_iter=5000,
-                           tol=1e-10, coef_init=cold.coef)
-        assert warm.n_iter <= cold.n_iter
-        assert np.allclose(warm.coef, cold.coef, atol=1e-8)
-
     def test_validation(self, rng):
         X = rng.standard_normal((10, 4))
         y = rng.standard_normal(10)
@@ -112,8 +103,6 @@ class TestElasticNet:
             elastic_net(X, y, 1.0, l1_ratio=1.5)
         with pytest.raises(ValueError):
             elastic_net(X, np.ones(9), 1.0)
-        with pytest.raises(ValueError):
-            elastic_net(X, y, 1.0, coef_init=np.ones(5))
 
     def test_constant_zero_column_ignored(self, rng):
         X = rng.standard_normal((20, 5))
@@ -121,18 +110,3 @@ class TestElasticNet:
         y = rng.standard_normal(20)
         result = elastic_net(X, y, 1.0, l1_ratio=1.0, max_iter=2000)
         assert result.coef[3] == 0.0
-
-
-class TestWarmStart:
-    def test_coef_init_matches_cold_solve(self, rng):
-        X = rng.standard_normal((40, 10))
-        y = rng.standard_normal(40)
-        coef = None
-        # each solve starts from the previous, stronger-penalty solution
-        for alpha in (5.0, 1.0, 0.2):
-            warm = elastic_net(X, y, alpha, l1_ratio=1.0, max_iter=5000,
-                               tol=1e-11, coef_init=coef)
-            cold = elastic_net(X, y, alpha, l1_ratio=1.0, max_iter=5000,
-                               tol=1e-11)
-            assert np.allclose(warm.coef, cold.coef, atol=1e-6)
-            coef = warm.coef

@@ -23,7 +23,13 @@ from repro.linalg.kernels import (
     requested_backend,
     use_backend,
 )
-from repro.linalg.operators import CSROperator
+from repro.complexity.counter import FlamCountingOperator
+from repro.linalg.operators import (
+    AppendOnesOperator,
+    CenteringOperator,
+    CSROperator,
+    DenseOperator,
+)
 from repro.linalg.sparse import CSRMatrix
 from repro.parallel.sharded import ShardedOperator
 from repro.robustness.report import RobustnessWarning
@@ -129,24 +135,44 @@ class TestBitwiseParity:
             (np.float64, np.float32),
         ],
     )
-    @pytest.mark.parametrize("holder", ["matrix", "operator", 1, 2])
+    @pytest.mark.parametrize(
+        "holder",
+        [
+            "matrix", "operator", 1, 2, "append_ones", "centering",
+            "dense", "flam", "dense_sharded",
+        ],
+    )
     def test_matvec_is_the_width_one_block(
         self, backend, dtype, operand_dtype, holder
     ):
         """``A.matvec(v)`` and ``A.rmatvec(u)`` are the bytes of the
         width-1 ``matmat``/``rmatmat`` column, for a ``CSRMatrix``, its
-        ``CSROperator`` and a ``ShardedOperator`` of 1 or 2 shards —
-        empty rows and ``nnz == 0`` included."""
+        ``CSROperator``, a ``ShardedOperator`` of 1 or 2 shards, the
+        append-ones and centering wrappers over it, its dense operator,
+        a flam-counting wrapper and a dense 2-shard operator — empty
+        rows and ``nnz == 0`` included."""
         for label, matrix in corner_matrices(dtype):
-            ops = operands(matrix)
-            v = ops["v"].astype(operand_dtype)
-            u = ops["u"].astype(operand_dtype)
             if holder == "matrix":
                 A = matrix
             elif holder == "operator":
                 A = CSROperator(matrix)
+            elif holder == "append_ones":
+                A = AppendOnesOperator(CSROperator(matrix))
+            elif holder == "centering":
+                A = CenteringOperator(CSROperator(matrix))
+            elif holder == "dense":
+                A = DenseOperator(matrix.to_dense())
+            elif holder == "flam":
+                A = FlamCountingOperator(CSROperator(matrix))
+            elif holder == "dense_sharded":
+                A = ShardedOperator(
+                    matrix.to_dense(), n_shards=2, backend="serial"
+                )
             else:
                 A = ShardedOperator(matrix, n_shards=holder, backend="serial")
+            rng = np.random.default_rng(0)
+            v = rng.standard_normal(A.shape[1]).astype(operand_dtype)
+            u = rng.standard_normal(A.shape[0]).astype(operand_dtype)
             cases = [
                 ("matvec", A.matvec(v), A.matmat(v[:, None])),
                 ("rmatvec", A.rmatvec(u), A.rmatmat(u[:, None])),

@@ -15,7 +15,6 @@ from repro.linalg.operators import (
     CenteringOperator,
     DenseOperator,
     IdentityOperator,
-    ScaledOperator,
     StackedOperator,
     TransposedOperator,
     as_operator,
@@ -256,13 +255,6 @@ class TestLentDestination:
 
 
 class TestComposites:
-    def test_scaled(self, rng, dense):
-        op = ScaledOperator(DenseOperator(dense), 2.5)
-        v = rng.standard_normal(5)
-        assert np.allclose(op.matvec(v), 2.5 * dense @ v)
-        u = rng.standard_normal(8)
-        assert np.allclose(op.rmatvec(u), 2.5 * dense.T @ u)
-
     def test_identity(self, rng):
         op = IdentityOperator(4, scale=3.0)
         v = rng.standard_normal(4)

@@ -146,11 +146,11 @@ class TestSketchApply:
                 super().__init__()
                 self.shape = dense.shape
 
-            def _matvec(self, v):
-                return dense @ v
+            def _matmat(self, B):
+                return dense @ B
 
-            def _rmatvec(self, u):
-                return dense.T @ u
+            def _rmatmat(self, U):
+                return dense.T @ U
 
         S = CountSketchOperator(31, 11, seed=4)
         np.testing.assert_allclose(

@@ -342,11 +342,13 @@ class TestLifecycle:
         assert backend._executor is None
 
     def test_structural_operator_rejected(self, rng):
-        from repro.linalg.operators import ScaledOperator
+        from repro.linalg.operators import TransposedOperator
 
-        scaled = ScaledOperator(DenseOperator(rng.standard_normal((6, 3))), 2.0)
+        transposed = TransposedOperator(
+            DenseOperator(rng.standard_normal((3, 6)))
+        )
         with pytest.raises(TypeError, match="ShardedOperator"):
-            ShardedOperator(scaled)
+            ShardedOperator(transposed)
 
 
 def skewed_csr(rng, m=2400, n=60, heavy_nnz=40, light_nnz=2):
